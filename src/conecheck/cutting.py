@@ -3,12 +3,17 @@
 ``cut`` erases the k largest support points by first-return routing and
 satisfies three Lipschitz bounds (step bound 2|k-m|, non-expansive on equal
 supports, factor 2 in general) plus the norm decrease that feeds the
-contraction machinery.  ``verify_cut_lemmas`` audits all four on a sample.
+contraction machinery.  ``cut_images`` is the same map on a batch of
+0-based image arrays; ``cut`` stays its reference.  ``verify_cut_lemmas``
+audits all four bounds on a sample.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .perms import IDENTITY, Permutation, supp_norm
 
@@ -67,6 +72,27 @@ def cut(sigma: Permutation, k: int) -> CutResult:
     return CutResult(Permutation(mapping), erased)
 
 
+def cut_images(images: np.ndarray, k: int) -> np.ndarray:
+    """``cut(., k)`` on every row of an (N, d) array of 0-based image arrays.
+
+    A point is above the threshold when at most k moved points sit at or
+    after it; those points are fixed, and every other point follows its
+    orbit through them (at most k steps) to the first return.  The result
+    has the input's dtype.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    images = np.asarray(images)
+    base = np.arange(images.shape[1], dtype=images.dtype)
+    moved = images != base
+    above = np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] <= k
+    rows = np.arange(images.shape[0])[:, None]
+    routed = images
+    for _ in range(min(k, images.shape[1])):
+        routed = np.where(above[rows, routed], images[rows, routed], routed)
+    return np.where(above, base, routed)
+
+
 def split(sigma: Permutation, k: int) -> SplitPair:
     """Factor sigma = left * right with supp(left) <= k, supp(right) <= n-k+1.
 
@@ -120,7 +146,8 @@ class LemmaAudit:
     violations: int = 0
     witness: str | None = None
 
-    def record(self, observed: float, allowed: float, witness: str) -> None:
+    def record(self, observed: float, allowed: float, witness: Callable[[], str]) -> None:
+        """Count one sample; ``witness()`` is formatted only for a violation."""
         self.sample_size += 1
         ratio = observed / allowed if allowed else (0.0 if observed == 0 else float("inf"))
         if ratio > self.max_ratio:
@@ -128,7 +155,7 @@ class LemmaAudit:
         if observed > allowed:
             self.violations += 1
             if self.witness is None:
-                self.witness = witness
+                self.witness = witness()
 
     def as_dict(self) -> dict:
         return {
@@ -154,28 +181,35 @@ def verify_cut_lemmas(pairs, max_k: int = 8) -> dict:
         "general": LemmaAudit("cut-general", "d(c_k s, c_k t) <= 2 d(s, t)"),
         "norm-decrease": LemmaAudit("cut-norm", "supp(c_k s) <= max(supp(s) - k, 0)"),
     }
-    cut_cache: dict[Permutation, list[Permutation]] = {}
+    profiles: dict[Permutation, tuple] = {}
 
-    def cuts_of(p: Permutation) -> list[Permutation]:
-        if p not in cut_cache:
-            cut_cache[p] = [cut(p, k).image for k in range(max_k + 1)]
-        return cut_cache[p]
+    def profile(p: Permutation) -> tuple:
+        # everything that depends on p alone: its cuts, their inverses, its
+        # inverse, and its (observed, allowed) norm-decrease and step samples
+        if p not in profiles:
+            cs = [cut(p, k).image for k in range(max_k + 1)]
+            inv = [c.inverse() for c in cs]
+            n_p = supp_norm(p)
+            norms = [(supp_norm(cs[k]), max(n_p - k, 0)) for k in range(max_k + 1)]
+            steps = [
+                [(supp_norm(cs[k].then(inv[m])), 2 * (m - k)) for m in range(k + 1, max_k + 1)]
+                for k in range(max_k + 1)
+            ]
+            profiles[p] = (cs, inv, p.inverse(), norms, steps)
+        return profiles[p]
 
     for sigma, tau in pairs:
-        cs, ct = cuts_of(sigma), cuts_of(tau)
-        n_sigma = supp_norm(sigma)
+        cs, _, _, norms, steps = profile(sigma)
+        _, ct_inv, tau_inv, _, _ = profile(tau)
         for k in range(max_k + 1):
-            audits["norm-decrease"].record(
-                supp_norm(cs[k]), max(n_sigma - k, 0), f"sigma={sigma} k={k}"
-            )
-            for m in range(k + 1, max_k + 1):
-                d = supp_norm(cs[k].then(cs[m].inverse()))
-                audits["step"].record(d, 2 * (m - k), f"sigma={sigma} k={k} m={m}")
-        d0 = supp_norm(sigma.then(tau.inverse()))
+            audits["norm-decrease"].record(*norms[k], lambda: f"sigma={sigma} k={k}")
+            for m, (d, allowed) in enumerate(steps[k], start=k + 1):
+                audits["step"].record(d, allowed, lambda: f"sigma={sigma} k={k} m={m}")
+        d0 = supp_norm(sigma.then(tau_inv))
         equal_support = sigma.support() == tau.support()
         for k in range(1, max_k + 1):
-            dk = supp_norm(cs[k].then(ct[k].inverse()))
-            audits["general"].record(dk, 2 * d0, f"sigma={sigma} tau={tau} k={k}")
+            dk = supp_norm(cs[k].then(ct_inv[k]))
+            audits["general"].record(dk, 2 * d0, lambda: f"sigma={sigma} tau={tau} k={k}")
             if equal_support:
-                audits["equal-support"].record(dk, d0, f"sigma={sigma} tau={tau} k={k}")
+                audits["equal-support"].record(dk, d0, lambda: f"sigma={sigma} tau={tau} k={k}")
     return {name: audit.as_dict() for name, audit in audits.items()}

@@ -91,6 +91,10 @@ class RunConfig:
             raise ConfigInvalidError("covering BFS is exact only up to degree 8")
         if self.seed < 0:
             raise ConfigInvalidError("seed must be non-negative")
+        # a sampled check that draws nothing would pass having examined nothing
+        for name in ("random_pairs", "matrix_pairs", "certificate_count", "circle_grid"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalidError(f"{name} must be at least 1")
 
     def apply_ceiling(self, max_degree: int | None) -> None:
         if max_degree is None:

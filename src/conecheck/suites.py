@@ -1,9 +1,9 @@
 """Verification suites: one per lemma family, assembled by run_suite.
 
 Each suite function takes a RunConfig and returns CheckResult rows.  Heavy
-exhaustive pair checks drive the real operations once per element and only
-vectorize the pairwise bookkeeping; every vectorized shortcut is
-cross-checked against the reference implementation inside the same check.
+checks run batched kernels over image arrays and vectorize the pairwise
+bookkeeping; every batched kernel and vectorized shortcut is cross-checked
+against the reference implementation inside the same check.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ PASS = CheckResult.from_outcome
 
 def _all_perms(degree: int) -> list[Permutation]:
     return [Permutation.from_images(t) for t in sorted(itertools.permutations(range(degree)))]
+
+
+def _perm(images) -> Permutation:
+    return Permutation.from_images(tuple(int(x) for x in images))
 
 
 def run_norms(cfg: RunConfig) -> list[CheckResult]:
@@ -257,56 +261,73 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------- cutting
 
 
-def _images_array(p: Permutation, degree: int) -> np.ndarray:
-    return np.array(p.to_images(degree), dtype=np.int16)
+# random_s30 pairs are cut in blocks of this many; the (block, k, m, d) step
+# comparison makes larger blocks raise the run's peak memory
+CUT_BLOCK = 512
 
 
 def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     degree, kmax = cfg.cutting_degree, cfg.cutting_max_k
+    ks = np.arange(kmax + 1, dtype=np.int16)
+    allowed_steps = 2 * np.abs(ks[:, None] - ks[None, :])
 
-    # exhaustive pairs: drive cut() once per element, vectorize the pair loop
-    elements = _all_perms(degree)
+    # exhaustive pairs: cut every element at once per k, vectorize the pair loop
+    elements = sorted(itertools.permutations(range(degree)))
     n_el = len(elements)
-    cuts = np.empty((n_el, kmax + 1, degree), dtype=np.int16)
-    supp_of = np.empty(n_el, dtype=np.int16)
-    masks = np.empty(n_el, dtype=np.int64)
-    for i, p in enumerate(elements):
-        supp_of[i] = supp_norm(p)
-        masks[i] = sum(1 << s for s in p.support())
-        for k in range(kmax + 1):
-            cuts[i, k] = _images_array(cutting.cut(p, k).image, degree)
+    images = np.array(elements, dtype=np.int16).reshape(n_el, degree)
+    base = np.arange(degree, dtype=np.int16)
+    cuts = np.stack([cutting.cut_images(images, k) for k in range(kmax + 1)], axis=1)
+    supp_of = (images != base).sum(axis=1)
+    masks = (images != base) @ (1 << np.arange(degree, dtype=np.int64))
 
     # norm decrease and the step bound, per element
-    base = np.arange(degree, dtype=np.int16)
     cut_supports = (cuts != base).sum(axis=2)  # (n_el, kmax+1)
-    ks = np.arange(kmax + 1, dtype=np.int16)
-    norm_violations = int((cut_supports > np.maximum(supp_of[:, None] - ks[None, :], 0)).sum())
+    norm_bad = cut_supports > np.maximum(supp_of[:, None] - ks[None, :], 0)
     step_diffs = (cuts[:, :, None, :] != cuts[:, None, :, :]).sum(axis=3)
-    step_violations = int((step_diffs > 2 * np.abs(ks[:, None] - ks[None, :])).sum())
+    step_bad = step_diffs > allowed_steps
+    norm_violations = int(norm_bad.sum())
+    step_violations = int(step_bad.sum())
 
     general_violations = 0
     equal_violations = 0
     pair_count = 0
+    pair_witness = None
     d0 = (cuts[:, 0, None, :] != cuts[None, :, 0, :]).sum(axis=2, dtype=np.int16)
     equal_mask = masks[:, None] == masks[None, :]
     for k in range(1, kmax + 1):
         dk = (cuts[:, k, None, :] != cuts[None, :, k, :]).sum(axis=2, dtype=np.int16)
-        general_violations += int((dk > 2 * d0).sum())
-        equal_violations += int(((dk > d0) & equal_mask).sum())
+        general = int((dk > 2 * d0).sum())
+        equal = int(((dk > d0) & equal_mask).sum())
+        general_violations += general
+        equal_violations += equal
         pair_count += n_el * n_el
+        if pair_witness is None and general + equal:
+            i, j = np.argwhere((dk > 2 * d0) | ((dk > d0) & equal_mask))[0]
+            pair_witness = f"{_perm(elements[i])} | {_perm(elements[j])} k={k}"
 
-    # the vectorized distances must match the reference on a seeded sample
+    # the batched cuts and distances must match the reference on a seeded sample
     rng = np.random.default_rng(cfg.seed)
     ref_ok = True
     for _ in range(50):
         i, j = int(rng.integers(n_el)), int(rng.integers(n_el))
         k = int(rng.integers(kmax + 1))
-        a = cutting.cut(elements[i], k).image
-        b = cutting.cut(elements[j], k).image
-        if supp_norm(a.then(b.inverse())) != int((cuts[i, k] != cuts[j, k]).sum()):
+        a = cutting.cut(_perm(elements[i]), k).image
+        b = cutting.cut(_perm(elements[j]), k).image
+        if (a.to_images(degree) != tuple(cuts[i, k])
+                or supp_norm(a.then(b.inverse())) != int((cuts[i, k] != cuts[j, k]).sum())):
             ref_ok = False
             break
+    if not ref_ok:
+        witness = f"reference cut disagrees at {_perm(elements[i])} | {_perm(elements[j])} k={k}"
+    elif norm_violations:
+        i, k = np.argwhere(norm_bad)[0]
+        witness = f"norm {_perm(elements[i])} k={k}"
+    elif step_violations:
+        i, k, m = np.argwhere(step_bad)[0]
+        witness = f"step {_perm(elements[i])} k={k} m={m}"
+    else:
+        witness = pair_witness
     checks.append(PASS(
         "cutting.exhaustive_s6",
         f"cut bounds (2|k-m| step, equal-support non-expansive, 2-Lipschitz, "
@@ -322,38 +343,51 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
             "equal_support_violations": equal_violations,
             "vectorization_crosschecked": ref_ok,
         },
+        witness=witness,
     ))
 
-    # random large-degree pairs
+    # random large-degree pairs, cut in blocks; per block one row is also
+    # cut by the reference, picked by its own generator so the draws stay put
     rng = np.random.default_rng(cfg.seed + 1)
+    oracle_rng = np.random.default_rng(cfg.seed + 8)
     rd = cfg.random_degree
     base_rd = np.arange(rd, dtype=np.int16)
     violations = 0
     witness = None
     audits_checked = 0
-    for _ in range(cfg.random_pairs):
-        pa = Permutation.from_images(tuple(int(x) for x in rng.permutation(rd)))
-        pb = Permutation.from_images(tuple(int(x) for x in rng.permutation(rd)))
-        ca = np.array([cutting.cut(pa, k).image.to_images(rd) for k in range(kmax + 1)],
-                      dtype=np.int16)
-        cb = np.array([cutting.cut(pb, k).image.to_images(rd) for k in range(kmax + 1)],
-                      dtype=np.int16)
-        d0 = int((ca[0] != cb[0]).sum())
-        dk = (ca != cb).sum(axis=1)
-        supp_a = int((ca[0] != base_rd).sum())
-        cut_supp = (ca != base_rd).sum(axis=1)
-        audits_checked += 1
-        if (dk > 2 * d0).any() or (cut_supp > np.maximum(supp_a - ks, 0)).any():
-            violations += 1
-            witness = witness or f"{pa} | {pb}"
-            continue
-        if pa.support() == pb.support() and (dk > d0).any():
-            violations += 1
-            witness = witness or f"equal-support {pa} | {pb}"
-        steps = (ca[:, None, :] != ca[None, :, :]).sum(axis=2)
-        if (steps > 2 * np.abs(ks[:, None] - ks[None, :])).any():
-            violations += 1
-            witness = witness or f"step {pa}"
+    for start in range(0, cfg.random_pairs, CUT_BLOCK):
+        size = min(CUT_BLOCK, cfg.random_pairs - start)
+        drawn = np.array([rng.permutation(rd) for _ in range(2 * size)], dtype=np.int16)
+        block = np.stack([cutting.cut_images(drawn, k) for k in range(kmax + 1)], axis=1)
+        row = int(oracle_rng.integers(2 * size))
+        p = _perm(drawn[row])
+        for k in range(kmax + 1):
+            if cutting.cut(p, k).image.to_images(rd) != tuple(block[row, k]):
+                violations += 1
+                witness = witness or f"reference cut disagrees at {p} k={k}"
+                break
+        ca, cb = block[0::2], block[1::2]  # (size, kmax+1, rd), draw order a, b
+        d0 = (ca[:, 0] != cb[:, 0]).sum(axis=1)
+        dk = (ca != cb).sum(axis=2)
+        supp_a = (ca[:, 0] != base_rd).sum(axis=1)
+        cut_supp = (ca != base_rd).sum(axis=2)
+        lipschitz = ((dk > 2 * d0[:, None]).any(axis=1)
+                     | (cut_supp > np.maximum(supp_a[:, None] - ks, 0)).any(axis=1))
+        same_support = ((ca[:, 0] != base_rd) == (cb[:, 0] != base_rd)).all(axis=1)
+        equal = ~lipschitz & same_support & (dk > d0[:, None]).any(axis=1)
+        steps = (ca[:, :, None, :] != ca[:, None, :, :]).sum(axis=3)
+        step = ~lipschitz & (steps > allowed_steps).any(axis=(1, 2))
+        audits_checked += size
+        violations += int(lipschitz.sum() + equal.sum() + step.sum())
+        if witness is None and (lipschitz | equal | step).any():
+            i = int(np.argmax(lipschitz | equal | step))
+            pa, pb = _perm(ca[i, 0]), _perm(cb[i, 0])
+            if lipschitz[i]:
+                witness = f"{pa} | {pb}"
+            elif equal[i]:
+                witness = f"equal-support {pa} | {pb}"
+            else:
+                witness = f"step {pa}"
     checks.append(PASS(
         "cutting.random_s30",
         f"the same cut bounds on {cfg.random_pairs} random S_{rd} pairs",
@@ -402,19 +436,20 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
         constants={"fraction": "1/3"}, witness=bad,
     ))
 
-    # the audit operation itself: the worked pair plus exhaustive S_5 pairs
-    s5 = _all_perms(5)
+    # the audit operation itself: the worked pair plus exhaustive S_ad pairs
+    ad = min(5, degree)
+    sample = _all_perms(ad)
     audit = cutting.verify_cut_lemmas(
         itertools.chain(
             [(Permutation.parse("(1 2 3)"), Permutation.parse("(1 3 2)"))],
-            itertools.product(s5, s5),
+            itertools.product(sample, sample),
         ),
         max_k=6,
     )
     checks.append(PASS(
         "cutting.audit_report",
         "verify_cut_lemmas reports zero violations and ratios <= 1 on exhaustive "
-        "S_5 pairs, all k <= 6",
+        f"S_{ad} pairs, all k <= 6",
         all(entry["violations"] == 0 and entry["max_ratio"] <= 1.0 for entry in audit.values()),
         sum(entry["sample_size"] for entry in audit.values()),
         observed={name: entry["max_ratio"] for name, entry in audit.items()},

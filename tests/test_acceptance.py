@@ -11,6 +11,10 @@ import pytest
 from conecheck.report import RunConfig
 from conecheck.suites import run_suite
 
+# the full default run takes most of the suite's time: `pytest -m "not acceptance"`
+# skips it for a fast inner loop
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="session")
 def full_report():

@@ -48,6 +48,44 @@ def test_invalid_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_negative_samples_exit_2(runner):
+    result = runner.invoke(main, ["cutting", "--samples", "-5"])
+    assert result.exit_code == 2
+    assert "random_pairs" in result.output
+
+
+def test_zero_random_pairs_exit_2(runner, tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"random_pairs": 0}))
+    result = runner.invoke(main, ["cutting", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "random_pairs" in result.output
+
+
+@pytest.mark.parametrize("field", ["random_pairs", "matrix_pairs", "certificate_count",
+                                   "circle_grid"])
+def test_empty_sample_rejected(field):
+    from conecheck.report import ConfigInvalidError
+
+    cfg = RunConfig.small()
+    setattr(cfg, field, 0)
+    with pytest.raises(ConfigInvalidError, match=field):
+        cfg.validate()
+
+
+def test_audit_respects_max_degree(runner, tmp_path):
+    # the audit covers S_4 x S_4 plus the worked pair under --max-degree 4
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [
+        "cutting", "--max-degree", "4", "--samples", "20", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    audit = next(c for c in json.loads(out.read_text())["checks"]
+                 if c["check_id"] == "cutting.audit_report")
+    assert audit["sample_size"] == 12117 + 630 + 3462 + 4039
+    assert "S_4 pairs" in audit["lemma"]
+
+
 def test_config_file_overrides_flags(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 99}))

@@ -2,18 +2,23 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conecheck import cutting
 from conecheck.cutting import (
     IdentityInputError,
     OutOfRangeError,
     cut,
+    cut_images,
     displaced_set,
     split,
     verify_cut_lemmas,
 )
 from conecheck.perms import IDENTITY, Permutation, compose, supp_norm
+from conecheck.report import RunConfig
+from conecheck.suites import run_cutting
 
 perm_strategy = st.builds(
     lambda images: Permutation.from_images(tuple(images)),
@@ -71,6 +76,57 @@ class TestCut:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             cut(IDENTITY, -1)
+
+
+def reference_cuts(rows, k):
+    """cut() row by row on a 0-based image array, as an image array."""
+    degree = rows.shape[1]
+    return np.array(
+        [cut(Permutation.from_images(tuple(int(x) for x in r)), k).image.to_images(degree)
+         for r in rows],
+        dtype=rows.dtype,
+    ).reshape(rows.shape)
+
+
+class TestCutImages:
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_matches_cut_exhaustive(self, degree):
+        rows = np.array(sorted(itertools.permutations(range(degree))), dtype=np.int16)
+        for k in range(9):  # k past every support size included
+            assert np.array_equal(cut_images(rows, k), reference_cuts(rows, k)), k
+
+    def test_matches_cut_random_s30(self):
+        rng = np.random.default_rng(2020)
+        rows = np.array([rng.permutation(30) for _ in range(2000)])
+        for k in range(9):
+            assert np.array_equal(cut_images(rows, k), reference_cuts(rows, k)), k
+
+    def test_identity_rows(self):
+        rows = np.tile(np.arange(7), (3, 1))
+        for k in range(4):
+            assert np.array_equal(cut_images(rows, k), rows)
+
+    def test_empty_batch(self):
+        rows = np.empty((0, 6), dtype=np.int16)
+        out = cut_images(rows, 3)
+        assert out.shape == (0, 6)
+        assert out.dtype == np.int16
+
+    def test_zero_returns_input(self):
+        rows = np.array([[1, 2, 0, 4, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0]])
+        assert np.array_equal(cut_images(rows, 0), rows)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            cut_images(np.arange(3)[None, :], -1)
+
+    @given(st.integers(0, 12).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=5))),
+        st.integers(0, 14))
+    def test_matches_cut_property(self, batch, k):
+        degree, rows = batch
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree)
+        assert np.array_equal(cut_images(rows, k), reference_cuts(rows, k))
 
 
 class TestSplit:
@@ -176,4 +232,41 @@ class TestAudit:
         report = cutting_module.verify_cut_lemmas([(sigma, sigma)], max_k=3)
         monkeypatch.setattr(cutting_module, "cut", real_cut)
         assert report["step"]["violations"] > 0
-        assert report["step"]["witness"] is not None
+        # the first violating sample, formatted exactly as the eager witness was
+        assert report["step"]["witness"] == "sigma=(1 2 3 4 5 6) k=0 m=1"
+        assert report["norm-decrease"]["witness"] is None
+
+    def test_exhaustive_s5_pinned(self):
+        perms = all_perms(5)
+        report = verify_cut_lemmas(
+            itertools.chain(
+                [(Permutation.parse("(1 2 3)"), Permutation.parse("(1 3 2)"))],
+                itertools.product(perms, perms),
+            ),
+            max_k=6,
+        )
+        assert {name: entry["sample_size"] for name, entry in report.items()} == {
+            "step": 302421, "equal-support": 14358, "general": 86406, "norm-decrease": 100807,
+        }
+        assert {name: entry["max_ratio"] for name, entry in report.items()} == {
+            "step": 1.0, "equal-support": 1.0, "general": 0.75, "norm-decrease": 1.0,
+        }
+        assert all(entry["violations"] == 0 and entry["witness"] is None
+                   for entry in report.values())
+
+
+def test_broken_kernel_fails_both_cut_checks(monkeypatch):
+    # a kernel that erases everything at k >= 1 must be caught by the bounds
+    # and by the reference cut inside both batched checks
+    def collapsing_kernel(images, k):
+        images = np.asarray(images)
+        if k == 0:
+            return images.copy()
+        return np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype),
+                               images.shape).copy()
+
+    monkeypatch.setattr(cutting, "cut_images", collapsing_kernel)
+    rows = {c.check_id: c for c in run_cutting(RunConfig.small())}
+    for check_id in ("cutting.random_s30", "cutting.exhaustive_s6"):
+        assert rows[check_id].status == "fail", check_id
+        assert rows[check_id].witness is not None, check_id
