@@ -43,7 +43,6 @@ _SCALE_FLAGS = [
     click.option("--seed", type=int, default=None, help="Random seed (default 2020)."),
     click.option("--out", type=click.Path(), default=None,
                  help="Write the JSON report here (plus a .series.csv companion)."),
-    click.option("--jobs", type=int, default=None, help="Concurrent suite workers."),
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="JSON config file; overrides flags ($CONECHECK_CONFIG)."),
 ]
@@ -55,7 +54,7 @@ def _with_scale_flags(fn):
     return fn
 
 
-def _build_config(suites, max_degree, samples, depth, tau, seed, out, jobs,
+def _build_config(suites, max_degree, samples, depth, tau, seed, out,
                   config_path) -> RunConfig:
     cfg = RunConfig(suites=tuple(suites))
     cfg.apply_ceiling(max_degree)
@@ -68,8 +67,6 @@ def _build_config(suites, max_degree, samples, depth, tau, seed, out, jobs,
         cfg.seed = seed
     if out is not None:
         cfg.out = out
-    if jobs is not None:
-        cfg.jobs = jobs
     overrides = load_config_file(config_path)
     if overrides:
         merged = cfg.as_dict()

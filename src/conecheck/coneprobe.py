@@ -201,18 +201,6 @@ def arc_identity_exact(a: int, b: int, n: int) -> bool:
     return arc == Fraction(cyclic_norm(a - b, n), n)
 
 
-def theta_lipschitz_bound(angle_x: float, angle_y: float, n: int) -> tuple[int, float]:
-    """Observed cyclic distance of the projected residues and its allowance.
-
-    The nearest-root property gives ||theta x - theta y||_n <= n d_arc/(2 pi) + 1,
-    comfortably inside the quoted "+2" constant; both are checked against
-    the observed value by the caller.
-    """
-    kx, ky = circle_to_zmod(angle_x, n), circle_to_zmod(angle_y, n)
-    arc = abs((angle_x - angle_y + math.pi) % (2 * math.pi) - math.pi)
-    return cyclic_norm(kx - ky, n), arc * n / (2 * math.pi) + 2.0
-
-
 # --- declarative sequence descriptions ---------------------------------------------
 
 

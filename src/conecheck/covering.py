@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .perms import (
     IDENTITY,
     OddPermutationError,
     Permutation,
     _compose_images,
+    _even_tuples,
+    _invert_images,
+    _tuple_cycle_type,
     commutator,
     supp_norm,
 )
@@ -48,51 +50,6 @@ class BlockSearchFailedError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-# --- tuple helpers (0-based image tuples, left-to-right products) ------------
-
-
-def _inv_images(t: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(t)
-    for i, q in enumerate(t):
-        out[q] = i
-    return tuple(out)
-
-
-def _tuple_even(t: tuple[int, ...]) -> bool:
-    seen = [False] * len(t)
-    transpositions = 0
-    for i in range(len(t)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = t[j]
-            length += 1
-        transpositions += length - 1
-    return transpositions % 2 == 0
-
-
-def _tuple_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(t)
-    lengths = []
-    for i in range(len(t)):
-        if seen[i] or t[i] == i:
-            seen[i] = True
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = t[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def _even_tuples(n: int) -> list[tuple[int, ...]]:
-    return [t for t in permutations(range(n)) if _tuple_even(t)]
-
-
 # --- conjugacy classes --------------------------------------------------------
 
 
@@ -109,10 +66,10 @@ class ConjugacyClass:
         return len(self.members)
 
     def closed_under_conjugation(self, oracle_elements) -> bool:
-        inv = _inv_images
         for t in oracle_elements:
+            t_inv = _invert_images(t)
             for m in self.members:
-                if _compose_images(_compose_images(t, m), inv(t)) not in self.members:
+                if _compose_images(_compose_images(t, m), t_inv) not in self.members:
                     return False
         return True
 
@@ -421,16 +378,16 @@ def _decompose_in_window(target: tuple[int, ...], base_type: tuple[int, ...], de
     if target in member_set:
         return [target]
     for c1 in members:
-        c2 = _compose_images(_inv_images(c1), target)
+        c2 = _compose_images(_invert_images(c1), target)
         if c2 in member_set:
             return [c1, c2]
     index = _pair_index(base_type, degree)
     for c1 in members:
-        u = _compose_images(_inv_images(c1), target)
+        u = _compose_images(_invert_images(c1), target)
         if u in index:
             return [c1, *index[u]]
     for u, (c1, c2) in index.items():
-        v = _compose_images(_inv_images(u), target)
+        v = _compose_images(_invert_images(u), target)
         if v in index:
             return [c1, c2, *index[v]]
     raise BlockSearchFailedError(

@@ -9,7 +9,7 @@ elimination is kept as a second oracle and never removed.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,16 +146,9 @@ class RationalMatrix:
 
 def bareiss_rank(rows) -> int:
     """Fraction-free elimination rank; rational rows are scaled to integers first."""
-    m = [list(r) for r in rows]
+    m, _ = _integer_rows(rows)
     if not m:
         return 0
-    for i, row in enumerate(m):
-        if any(isinstance(x, Fraction) for x in row):
-            scale = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    scale = scale * x.denominator // _gcd(scale, x.denominator)
-            m[i] = [int(x * scale) for x in row]
     n, cols = len(m), len(m[0])
     prev = 1
     r = 0
@@ -179,10 +172,16 @@ def bareiss_rank(rows) -> int:
     return r
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows with each rational row scaled to integers, and the product of the scales."""
+    m = [list(r) for r in rows]
+    denominator = 1
+    for i, row in enumerate(m):
+        if any(isinstance(x, Fraction) for x in row):
+            scale = math.lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+            m[i] = [int(x * scale) for x in row]
+            denominator *= scale
+    return m, denominator
 
 
 def gauss_rank(rows) -> int:
@@ -210,19 +209,10 @@ def gauss_rank(rows) -> int:
 
 def bareiss_determinant(rows) -> "int | Fraction":
     """Exact determinant; fraction-free once rows are integer."""
-    m = [list(r) for r in rows]
+    m, denominator = _integer_rows(rows)
     n = len(m)
     if n == 0:
         return 1
-    denominator = 1
-    for i, row in enumerate(m):
-        if any(isinstance(x, Fraction) for x in row):
-            scale = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    scale = scale * x.denominator // _gcd(scale, x.denominator)
-            m[i] = [int(x * scale) for x in row]
-            denominator *= scale
     sign = 1
     prev = 1
     for c in range(n - 1):
@@ -387,13 +377,6 @@ def so_project(g: FloatMatrix, tau: float = 1e-8) -> FloatMatrix:
     return FloatMatrix(fixed[: g.n - 1, : g.n - 1])
 
 
-def verify_rank_parity(g: FloatMatrix, tau: float = 1e-8) -> bool:
-    """rk(g - id) is even on SO(n): non-trivial rotation planes come in 2s."""
-    g.assert_orthogonal(max(tau, 1e-8))
-    g.assert_special()
-    return rank_norm_numeric(g, tau).value % 2 == 0
-
-
 def embed(mat: FloatMatrix | RationalMatrix, n: int):
     """Direct sum with an identity block, up to dimension n."""
     if isinstance(mat, RationalMatrix):
@@ -461,38 +444,3 @@ def random_so(rng: np.random.Generator, n: int) -> FloatMatrix:
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return FloatMatrix(q)
-
-
-# --- CSV interchange ---------------------------------------------------------------
-
-
-def write_rational_csv(mat: RationalMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mat.rows:
-            writer.writerow([str(Fraction(x)) for x in row])
-
-
-def read_rational_csv(path) -> RationalMatrix:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append(tuple(Fraction(x) for x in row))
-    return RationalMatrix(rows)
-
-
-def write_float_csv(mat: FloatMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mat.data:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def read_float_csv(path) -> FloatMatrix:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(x) for x in row])
-    return FloatMatrix(rows)

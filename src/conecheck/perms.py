@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations, permutations
 
 
 class OddPermutationError(ValueError):
@@ -207,28 +208,83 @@ def tr_norm(sigma: Permutation) -> int:
     return supp_norm(sigma) - len(sigma.cycles())
 
 
+# --- 0-based image tuples: t[i] is the image of i, products left to right ---
+
+
+def _compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(b[x] for x in a)
+
+
+def _invert_images(t: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(t)
+    for i, q in enumerate(t):
+        out[q] = i
+    return tuple(out)
+
+
+def _tuple_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
+    """Non-trivial cycle lengths, descending, as Permutation.cycle_type."""
+    seen = [False] * len(t)
+    lengths = []
+    for i in range(len(t)):
+        if seen[i] or t[i] == i:
+            seen[i] = True
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = t[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _tuple_even(t: tuple[int, ...]) -> bool:
+    # its own cycle walk, not _tuple_cycle_type: parity filters every element
+    # of A_n on the covering path, and this runs twice as fast
+    seen = [False] * len(t)
+    transpositions = 0
+    for i in range(len(t)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = t[j]
+            length += 1
+        transpositions += length - 1
+    return transpositions % 2 == 0
+
+
+def _even_tuples(n: int) -> list[tuple[int, ...]]:
+    """The elements of A_n in lexicographic order."""
+    return [t for t in permutations(range(n)) if _tuple_even(t)]
+
+
+def three_cycle_generators(n: int) -> list[tuple[int, ...]]:
+    """Every 3-cycle of S_n as an image tuple."""
+    gens = []
+    for a, b, c in combinations(range(n), 3):
+        for cyc in ((a, b, c), (a, c, b)):
+            images = list(range(n))
+            images[cyc[0]], images[cyc[1]], images[cyc[2]] = cyc[1], cyc[2], cyc[0]
+            gens.append(tuple(images))
+    return gens
+
+
 # --- 3-cycle word norm via BFS oracle ---------------------------------------
 
 # BFS ambient degrees above this are refused: A_9 already has 181440 elements.
 MAX_THREE_CYCLE_DEGREE = 8
 
 
-def _compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # left-to-right on 0-based image tuples
-    return tuple(b[x] for x in a)
-
-
 @lru_cache(maxsize=None)
 def _three_cycle_table(degree: int) -> dict[tuple[int, ...], int]:
-    """Exact 3-cycle word length for every element of A_degree."""
-    from itertools import combinations
+    """Exact 3-cycle word length for every element of A_degree.
 
-    gens = []
-    for a, b, c in combinations(range(degree), 3):
-        for cyc in ((a, b, c), (a, c, b)):
-            images = list(range(degree))
-            images[cyc[0]], images[cyc[1]], images[cyc[2]] = cyc[1], cyc[2], cyc[0]
-            gens.append(tuple(images))
+    A BFS of its own, kept apart from wordnorm.bfs_norm so that each checks the other.
+    """
+    gens = three_cycle_generators(degree)
     ident = tuple(range(degree))
     dist = {ident: 0}
     frontier = [ident]
@@ -264,8 +320,3 @@ def three_cycle_norm(sigma: Permutation, ambient: int | None = None) -> int:
             f"3-cycle BFS refused for A_{degree} (> A_{MAX_THREE_CYCLE_DEGREE})"
         )
     return _three_cycle_table(degree)[sigma.to_images(degree)]
-
-
-def bi_invariant_distance(a: Permutation, b: Permutation, norm=supp_norm) -> int:
-    """d(a, b) = norm(a b^{-1}); bi-invariant for conjugation-invariant norms."""
-    return norm(a.then(b.inverse()))

@@ -7,7 +7,6 @@ the defect estimate is a lower bound for the true defect.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -35,9 +34,6 @@ class SampledQuasimorphism:
 
     def __call__(self, g):
         return self.values[g]
-
-    def domain(self):
-        return self.values.keys()
 
 
 def integer_window(psi: Callable[[int], float], width: int,
@@ -134,18 +130,3 @@ def window_word_norm(width: int, steps) -> dict[int, int]:
                         nxt.append(h)
         frontier = nxt
     return dist
-
-
-def load_sample_csv(path, multiply=None, identity=0) -> SampledQuasimorphism:
-    """Load a sample from CSV rows of  element,value  (integer elements)."""
-    values = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "element":
-                continue
-            values[int(row[0])] = float(row[1])
-    return SampledQuasimorphism(
-        values=values,
-        multiply=multiply or (lambda a, b: a + b),
-        identity=identity,
-    )

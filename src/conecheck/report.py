@@ -12,6 +12,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .perms import MAX_THREE_CYCLE_DEGREE
+
 
 class ConfigInvalidError(ValueError):
     pass
@@ -43,7 +45,6 @@ class RunConfig:
     suites: tuple = SUITE_NAMES
     seed: int = 2020
     tau: float = 1e-8
-    jobs: int = 1
     out: str | None = None
 
     norm_degree: int = 7
@@ -81,14 +82,19 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES and s != "all"]
         if unknown:
             raise ConfigInvalidError(f"unknown suites: {unknown}")
-        if self.jobs < 1:
-            raise ConfigInvalidError("jobs must be at least 1")
         if not 0 < self.tau < 1:
             raise ConfigInvalidError("tau must lie in (0, 1)")
         if self.cutting_degree > 7:
             raise ConfigInvalidError("exhaustive cutting beyond S_7 is not sensible")
         if max(self.brenner_degrees, default=0) > 8:
             raise ConfigInvalidError("covering BFS is exact only up to degree 8")
+        # a certificate base needs an even element with a 2-cycle, first in A_4
+        if self.certificate_degree < 4:
+            raise ConfigInvalidError("certificate_degree must be at least 4")
+        # the 3-cycle oracle check measures A_max(m-1, 4) inside A_(m+1)
+        if not 4 <= self.alternating_degree <= MAX_THREE_CYCLE_DEGREE - 1:
+            raise ConfigInvalidError(
+                f"alternating_degree must lie in 4..{MAX_THREE_CYCLE_DEGREE - 1}")
         if self.seed < 0:
             raise ConfigInvalidError("seed must be non-negative")
         # a sampled check that draws nothing would pass having examined nothing

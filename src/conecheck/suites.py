@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +24,34 @@ from .covering import (
     conjugacy_class,
     express_as_conjugates,
 )
-from .perms import Permutation, commutator, compose_all, supp_norm, three_cycle_norm, tr_norm
+from .perms import (
+    Permutation,
+    _even_tuples,
+    _tuple_even,
+    commutator,
+    compose_all,
+    supp_norm,
+    three_cycle_generators,
+    three_cycle_norm,
+    tr_norm,
+)
 from .report import CheckResult, RunConfig, build_report, report_to_json
 
 PASS = CheckResult.from_outcome
+
+
+def _first_witness(cases) -> tuple[str | None, int]:
+    """The first failure among cases, and how many cases were examined.
+
+    Each case is None when it holds and its witness string when it fails.
+    Consumption stops at the first failure, which the count includes.
+    """
+    examined = 0
+    for witness in cases:
+        examined += 1
+        if witness is not None:
+            return witness, examined
+    return None, examined
 
 
 # --------------------------------------------------------------------------- norms
@@ -55,19 +78,17 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # the 3-cycle identity for disjoint transpositions, all distinct points <= 8
-    bad = None
-    count = 0
-    for x1, y1, x2, y2, z in itertools.permutations(range(1, 9), 5):
-        count += 1
+    def pair_identity(x1, y1, x2, y2, z):
         left = Permutation.from_cycles([(x1, y1), (x2, y2)])
         right = compose_all([
             Permutation.from_cycles([(z, y1, x1)]),
             Permutation.from_cycles([(x2, z, y1)]),
             Permutation.from_cycles([(y2, x2, z)]),
         ])
-        if left != right:
-            bad = f"x1={x1} y1={y1} x2={x2} y2={y2} z={z}"
-            break
+        return None if left == right else f"x1={x1} y1={y1} x2={x2} y2={y2} z={z}"
+
+    bad, count = _first_witness(
+        itertools.starmap(pair_identity, itertools.permutations(range(1, 9), 5)))
     checks.append(PASS(
         "norms.pair_transposition_identity",
         "(x1 y1)(x2 y2) = (z y1 x1)(x2 z y1)(y2 x2 z), distinct points <= 8",
@@ -77,12 +98,12 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     # norm sandwich on exhaustive S_norm_degree
     degree = cfg.norm_degree
     elements = _all_perms(degree)
-    bad = None
-    for p in elements:
+
+    def sandwich(p):
         tr, supp = tr_norm(p), supp_norm(p)
-        if not (tr <= supp <= 2 * tr):
-            bad = str(p)
-            break
+        return None if tr <= supp <= 2 * tr else str(p)
+
+    bad, _ = _first_witness(map(sandwich, elements))
     checks.append(PASS(
         "norms.sandwich_s7",
         f"tr <= supp <= 2 tr on exhaustive S_{degree}",
@@ -107,14 +128,14 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     # alternating sandwich: tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_m
     m = cfg.alternating_degree
     alt = wordnorm.alternating_oracle(m)
-    n3_table = wordnorm.bfs_norm(alt, wordnorm.three_cycle_generators(m))
-    bad = None
-    for t in alt.elements:
+    n3_table = wordnorm.bfs_norm(alt, three_cycle_generators(m))
+
+    def alternating_sandwich(t):
         p = Permutation.from_images(t)
         tr, n3 = tr_norm(p), n3_table[t]
-        if 2 * n3 < tr or 2 * n3_table[t] > 3 * tr:
-            bad = f"{p}: tr={tr} n3={n3}"
-            break
+        return f"{p}: tr={tr} n3={n3}" if 2 * n3 < tr or 2 * n3 > 3 * tr else None
+
+    bad, _ = _first_witness(map(alternating_sandwich, alt.elements))
     checks.append(PASS(
         "norms.alternating_a6",
         f"tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_{m}",
@@ -122,62 +143,57 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         constants={"tr_upper": 2, "n3_upper": 1.5}, witness=bad,
     ))
 
-    # three_cycle_norm oracle agreement and ambient stability
-    bad = None
-    for t in alt.elements:
+    # three_cycle_norm oracle agreement and ambient stability; an ambient
+    # instability is the witness when both fail
+    def table_agreement(t):
         p = Permutation.from_images(t)
-        if three_cycle_norm(p) != n3_table[t]:
-            bad = str(p)
-            break
+        return None if three_cycle_norm(p) == n3_table[t] else str(p)
+
+    def ambient_stability(t):
+        p = Permutation.from_images(t)
+        stable = three_cycle_norm(p) == three_cycle_norm(p, ambient=m + 1)
+        return None if stable else f"ambient instability at {p}"
+
+    table_bad, _ = _first_witness(map(table_agreement, alt.elements))
     small = wordnorm.alternating_oracle(max(m - 1, 4))
-    for t in small.elements:
-        p = Permutation.from_images(t)
-        if three_cycle_norm(p) != three_cycle_norm(p, ambient=m + 1):
-            bad = f"ambient instability at {p}"
-            break
+    ambient_bad, _ = _first_witness(map(ambient_stability, small.elements))
+    bad = ambient_bad or table_bad
     checks.append(PASS(
         "norms.three_cycle_oracle",
         "3-cycle norm equals the BFS table and is ambient-stable",
         bad is None, alt.order() + small.order(), witness=bad,
     ))
 
-    # conjugation invariance + metric axioms, exhaustive S_5
-    s5 = _all_perms(5)
-    n3_of = {}
-    for p in s5:
-        if p.is_even():
-            n3_of[p] = three_cycle_norm(p)
-    bad = None
-    for p in s5:
-        norms_p = (supp_norm(p), tr_norm(p), n3_of.get(p))
-        for t in s5:
-            q = p.conjugated_by(t)
-            if (supp_norm(q), tr_norm(q), n3_of.get(q)) != norms_p:
-                bad = f"{p} vs {t}"
-                break
-        if bad:
-            break
+    # conjugation invariance + metric axioms, exhaustive S_sd (S_5 by default)
+    sd = min(5, degree)
+    s5 = _all_perms(sd)
+    n3_of = {p: three_cycle_norm(p) for p in s5 if p.is_even()}
+
+    def conjugation_cases():
+        for p in s5:
+            norms_p = (supp_norm(p), tr_norm(p), n3_of.get(p))
+            for t in s5:
+                q = p.conjugated_by(t)
+                same = (supp_norm(q), tr_norm(q), n3_of.get(q)) == norms_p
+                yield None if same else f"{p} vs {t}"
+
+    bad, _ = _first_witness(conjugation_cases())
     checks.append(PASS(
         "norms.conjugation_invariance_s5",
-        "supp, tr and 3-cycle norms are conjugation invariant on exhaustive S_5",
+        f"supp, tr and 3-cycle norms are conjugation invariant on exhaustive S_{sd}",
         bad is None, len(s5) ** 2, witness=bad,
     ))
 
-    bad = None
-    for p in s5:
-        for q in s5:
-            prod = p.then(q)
-            if supp_norm(prod) > supp_norm(p) + supp_norm(q) or tr_norm(prod) > tr_norm(p) + tr_norm(q):
-                bad = f"{p} * {q}"
-                break
-            if supp_norm(p.inverse()) != supp_norm(p):
-                bad = f"symmetry at {p}"
-                break
-        if bad:
-            break
+    def metric_axioms(p, q):
+        prod = p.then(q)
+        if supp_norm(prod) > supp_norm(p) + supp_norm(q) or tr_norm(prod) > tr_norm(p) + tr_norm(q):
+            return f"{p} * {q}"
+        return None if supp_norm(p.inverse()) == supp_norm(p) else f"symmetry at {p}"
+
+    bad, _ = _first_witness(itertools.starmap(metric_axioms, itertools.product(s5, s5)))
     checks.append(PASS(
         "norms.metric_axioms_s5",
-        "triangle inequality and symmetry of the induced metric on exhaustive S_5",
+        f"triangle inequality and symmetry of the induced metric on exhaustive S_{sd}",
         bad is None, len(s5) ** 2, witness=bad,
     ))
 
@@ -210,21 +226,22 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         observed={"z5_norms": [z5_table[k] for k in range(5)]},
     ))
 
-    # domination audits: supp vs tr on S_5, tr vs n3 on A_5
-    s5o = wordnorm.symmetric_oracle(5)
+    # domination audits: supp vs tr on S_sd, tr vs n3 on A_ad (S_5 and A_5 by default)
+    ad = min(5, m)
+    s5o = wordnorm.symmetric_oracle(sd)
     supp_table = wordnorm.NormTable(
         s5o, {t: supp_norm(Permutation.from_images(t)) for t in s5o.elements}, frozenset())
-    tr_table = wordnorm.bfs_norm(s5o, wordnorm.transposition_generators(5))
+    tr_table = wordnorm.bfs_norm(s5o, wordnorm.transposition_generators(sd))
     c_supp, _ = wordnorm.audit_domination(tr_table, supp_table)
-    a5 = wordnorm.alternating_oracle(5)
+    a5 = wordnorm.alternating_oracle(ad)
     tr_a5 = wordnorm.NormTable(
         a5, {t: tr_norm(Permutation.from_images(t)) for t in a5.elements}, frozenset())
-    n3_a5 = wordnorm.bfs_norm(a5, wordnorm.three_cycle_generators(5))
+    n3_a5 = wordnorm.bfs_norm(a5, three_cycle_generators(ad))
     c_tr, _ = wordnorm.audit_domination(n3_a5, tr_a5)   # tr <= C * n3
     c_n3, _ = wordnorm.audit_domination(tr_a5, n3_a5)   # n3 <= C * tr
     checks.append(PASS(
         "norms.domination",
-        "supp <= 2 tr on S_5; tr <= 2 n3 and n3 <= 1.5 tr on A_5 (smallest constants)",
+        f"supp <= 2 tr on S_{sd}; tr <= 2 n3 and n3 <= 1.5 tr on A_{ad} (smallest constants)",
         c_supp == 2 and c_tr <= 2 and c_n3 <= Fraction(3, 2),
         s5o.order() + 2 * a5.order(),
         observed={"supp_vs_tr": str(c_supp), "tr_vs_n3": str(c_tr), "n3_vs_tr": str(c_n3)},
@@ -235,16 +252,16 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     psi = quasimorphism.integer_window(lambda k: float(k), width)
     defect = quasimorphism.estimate_defect(
         psi, [(a, b) for a in range(-20, 21) for b in range(-20, 21)])
-    bad = None
-    for steps, bound_k in (((1,), 1.0), ((1, 2), 2.0)):
-        norms = quasimorphism.window_word_norm(width, steps)
-        for g in range(-width, width + 1):
-            # psi is a homomorphism, so the homogenisation equals psi itself
-            if not quasimorphism.norm_lower_bound(float(g), bound_k, defect, norms[g]):
-                bad = f"g={g} steps={steps}"
-                break
-        if bad:
-            break
+
+    def lower_bound_cases():
+        for steps, bound_k in (((1,), 1.0), ((1, 2), 2.0)):
+            norms = quasimorphism.window_word_norm(width, steps)
+            for g in range(-width, width + 1):
+                # psi is a homomorphism, so the homogenisation equals psi itself
+                held = quasimorphism.norm_lower_bound(float(g), bound_k, defect, norms[g])
+                yield None if held else f"g={g} steps={steps}"
+
+    bad, _ = _first_witness(lower_bound_cases())
     homog = quasimorphism.homogenise(psi, 3, width // 3)
     checks.append(PASS(
         "norms.quasimorphism_lower_bound",
@@ -397,19 +414,17 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
 
     # splitting, exhaustive
     sd = cfg.split_degree
-    bad = None
-    total = 0
-    for p in _all_perms(sd):
-        n = supp_norm(p)
-        for k in range(1, n + 1):
-            total += 1
-            pair = cutting.split(p, k)
-            if (pair.recomposed() != p or supp_norm(pair.left) > k
-                    or supp_norm(pair.right) > n - k + 1):
-                bad = f"{p} at k={k}"
-                break
-        if bad:
-            break
+
+    def split_cases():
+        for p in _all_perms(sd):
+            n = supp_norm(p)
+            for k in range(1, n + 1):
+                pair = cutting.split(p, k)
+                failed = (pair.recomposed() != p or supp_norm(pair.left) > k
+                          or supp_norm(pair.right) > n - k + 1)
+                yield f"{p} at k={k}" if failed else None
+
+    bad, total = _first_witness(split_cases())
     checks.append(PASS(
         "cutting.splitting_s7",
         f"split recomposes with supp(left) <= k, supp(right) <= n-k+1, exhaustive S_{sd}",
@@ -418,17 +433,14 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
 
     # displacement, exhaustive
     dd = cfg.displacement_degree
-    bad = None
-    total = 0
-    for images in itertools.permutations(range(dd)):
-        p = Permutation.from_images(images)
-        if p.is_identity():
-            continue
-        total += 1
+
+    def displacement(p):
         moved = cutting.displaced_set(p)
-        if {p(x) for x in moved} & moved or 3 * len(moved) < supp_norm(p):
-            bad = str(p)
-            break
+        failed = {p(x) for x in moved} & moved or 3 * len(moved) < supp_norm(p)
+        return str(p) if failed else None
+
+    perms_dd = map(Permutation.from_images, itertools.permutations(range(dd)))
+    bad, total = _first_witness(displacement(p) for p in perms_dd if not p.is_identity())
     checks.append(PASS(
         "cutting.displacement_s8",
         f"displaced set is disjoint from its image with |D| >= supp/3, exhaustive S_{dd}",
@@ -524,23 +536,17 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
         gate_ok, 1,
     ))
 
-    total = 0
-    bad = None
-    for n in cfg.ore_degrees:
-        for images in itertools.permutations(range(n)):
-            g = Permutation.from_images(images)
-            if not g.is_even():
-                continue
-            total += 1
-            b, c = commutator_witness(g, n)
+    def ore_cases():
+        for n in cfg.ore_degrees:
             top = max(n, 5)
-            if (commutator(b, c) != g or not b.is_even() or not c.is_even()
-                    or (b.support() and b.support()[-1] > top)
-                    or (c.support() and c.support()[-1] > top)):
-                bad = str(g)
-                break
-        if bad:
-            break
+            for g in map(Permutation.from_images, _even_tuples(n)):
+                b, c = commutator_witness(g, n)
+                failed = (commutator(b, c) != g or not b.is_even() or not c.is_even()
+                          or (b.support() and b.support()[-1] > top)
+                          or (c.support() and c.support()[-1] > top))
+                yield str(g) if failed else None
+
+    bad, total = _first_witness(ore_cases())
     checks.append(PASS(
         "covering.ore_witnesses",
         f"every element of A_n, n in {list(cfg.ore_degrees)}, gets a verified commutator witness",
@@ -550,29 +556,30 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
     # conjugate-product certificates on seeded pairs
     rng = np.random.default_rng(cfg.seed + 2)
     deg = cfg.certificate_degree
-    produced = 0
-    bad = None
-    worst_slack = None
-    for _ in range(cfg.certificate_count):
-        h = _random_even(rng, deg)
-        g = _random_even(rng, deg)
-        while g.is_identity() or 2 not in g.cycle_type():
+    slacks = []
+
+    def certificate_cases():
+        for _ in range(cfg.certificate_count):
+            h = _random_even(rng, deg)
             g = _random_even(rng, deg)
-        cert = express_as_conjugates(h, g)
-        produced += 1
-        bound = 8 * supp_norm(h) / supp_norm(g) + 4
-        if not cert.verify() or cert.factor_count() > bound:
-            bad = f"h={h} g={g} factors={cert.factor_count()} bound={bound}"
-            break
-        slack = bound - cert.factor_count()
-        worst_slack = slack if worst_slack is None else min(worst_slack, slack)
+            while g.is_identity() or 2 not in g.cycle_type():
+                g = _random_even(rng, deg)
+            cert = express_as_conjugates(h, g)
+            bound = 8 * supp_norm(h) / supp_norm(g) + 4
+            if not cert.verify() or cert.factor_count() > bound:
+                yield f"h={h} g={g} factors={cert.factor_count()} bound={bound}"
+            else:
+                slacks.append(bound - cert.factor_count())
+                yield None
+
+    bad, produced = _first_witness(certificate_cases())
     checks.append(PASS(
         "covering.conjugate_certificates",
         f"{cfg.certificate_count} random A_{deg} pairs: certificates recompose "
         "with factor count <= 8 supp(h)/supp(g) + 4",
         bad is None, produced,
         constants={"factor_bound": "8 supp(h)/supp(g) + 4"},
-        observed={"min_bound_slack": worst_slack},
+        observed={"min_bound_slack": min(slacks, default=None)},
         witness=bad,
     ))
 
@@ -595,11 +602,9 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
 
 def _random_even(rng: np.random.Generator, degree: int) -> Permutation:
     images = [int(x) for x in rng.permutation(degree)]
-    p = Permutation.from_images(tuple(images))
-    if not p.is_even():
+    if not _tuple_even(images):
         images[0], images[1] = images[1], images[0]
-        p = Permutation.from_images(tuple(images))
-    return p
+    return Permutation.from_images(tuple(images))
 
 
 # ------------------------------------------------------------------------- intnorm
@@ -609,26 +614,25 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     gens = intnorm.FactorialGenerators(base=2, max_index=14)
 
-    bad = None
-    for n in range(1, cfg.intnorm_exact_max + 1):
+    def exact(n):
         result = intnorm.norm_exact(gens.x(n), gens, depth_cap=n + 2)
         result.check(gens.x(n))
-        if result.value != n:
-            bad = f"x_{n}: {result.value}"
-            break
+        return None if result.value == n else f"x_{n}: {result.value}"
+
+    bad, _ = _first_witness(map(exact, range(1, cfg.intnorm_exact_max + 1)))
     checks.append(PASS(
         "intnorm.exact_small",
         f"exhaustive search gives ||x_n|| = n for n <= {cfg.intnorm_exact_max}",
         bad is None, cfg.intnorm_exact_max, witness=bad,
     ))
 
-    bad = None
-    for n in range(1, cfg.intnorm_sandwich_max + 1):
+    def sandwich(n):
         upper = intnorm.norm_upper(gens.x(n), gens)
         lower = intnorm.lower_bound_xn(n)
-        if upper.best_upper != n or lower != n:
-            bad = f"x_{n}: upper={upper.best_upper} lower={lower}"
-            break
+        ok = upper.best_upper == n and lower == n
+        return None if ok else f"x_{n}: upper={upper.best_upper} lower={lower}"
+
+    bad, _ = _first_witness(map(sandwich, range(1, cfg.intnorm_sandwich_max + 1)))
     checks.append(PASS(
         "intnorm.sandwich",
         f"upper construction and symbolic lower bound pin ||x_n|| = n for n <= {cfg.intnorm_sandwich_max}",
@@ -652,30 +656,25 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     # norm axioms on the window, plus exact <= upper
     w = cfg.intnorm_axiom_window
     table = {}
-    bad = None
-    for x in range(-2 * w, 2 * w + 1):
-        r = intnorm.norm_exact(x, gens, depth_cap=cfg.intnorm_depth)
-        if r.value is None:
-            bad = f"unknown at {x}"
-            break
-        r.check(x)
-        table[x] = r.value
-    if bad is None:
+
+    def axiom_failures():
+        for x in range(-2 * w, 2 * w + 1):
+            r = intnorm.norm_exact(x, gens, depth_cap=cfg.intnorm_depth)
+            if r.value is None:
+                yield f"unknown at {x}"
+                return
+            r.check(x)
+            table[x] = r.value
         for x in range(-w, w + 1):
             if table[x] != table[-x]:
-                bad = f"symmetry at {x}"
-                break
-            upper = intnorm.norm_upper(x, gens)
-            if upper.best_upper < table[x]:
-                bad = f"upper below exact at {x}"
-                break
-        for x in range(-w, w + 1):
-            if bad:
-                break
-            for y in range(-w, w + 1):
-                if table[x + y] > table[x] + table[y]:
-                    bad = f"triangle at {x},{y}"
-                    break
+                yield f"symmetry at {x}"
+            elif intnorm.norm_upper(x, gens).best_upper < table[x]:
+                yield f"upper below exact at {x}"
+        for x, y in itertools.product(range(-w, w + 1), repeat=2):
+            if table[x + y] > table[x] + table[y]:
+                yield f"triangle at {x},{y}"
+
+    bad, _ = _first_witness(axiom_failures())
     checks.append(PASS(
         "intnorm.axioms_window",
         f"symmetry, triangle inequality and exact <= upper on [-{w}, {w}]",
@@ -684,11 +683,9 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 
     # window-doubling stability
     wide = intnorm.FactorialGenerators(base=2, max_index=18)
-    bad = None
-    for x in range(-w, w + 1):
-        if intnorm.norm_exact(x, wide, depth_cap=cfg.intnorm_depth + 4).value != table.get(x):
-            bad = str(x)
-            break
+    bad, _ = _first_witness(
+        None if intnorm.norm_exact(x, wide, depth_cap=cfg.intnorm_depth + 4).value == table.get(x)
+        else str(x) for x in range(-w, w + 1))
     checks.append(PASS(
         "intnorm.window_stability",
         "exact values are unchanged under a wider generator window and deeper cap",
@@ -706,45 +703,38 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
 
     # B_n: homomorphism, rank drop <= 1, non-expansive; exact integers plus
     # a rational-diagonal slice
-    pairs = 0
-    bad = None
-    for n in range(1, cfg.triangular_max_n + 1):
-        for i in range(cfg.matrix_pairs):
-            g = matnorm.random_unit_triangular(rng, n)
-            h = matnorm.random_unit_triangular(rng, n)
-            pairs += 1
-            if matnorm.triangular_project(g @ h) != \
-               matnorm.triangular_project(g) @ matnorm.triangular_project(h):
-                bad = f"homomorphism n={n}"
-                break
-            x = g @ h.inverse()
-            drop = matnorm.embed(matnorm.triangular_project(g), n) @ g.inverse()
-            if matnorm.bareiss_rank(drop.minus_identity().rows) > 1:
-                bad = f"rank drop n={n}"
-                break
-            if matnorm.bareiss_rank(
-                matnorm.triangular_project(x).minus_identity().rows
-            ) > matnorm.bareiss_rank(x.minus_identity().rows):
-                bad = f"expansion n={n}"
-                break
-        if bad:
-            break
-    # rational diagonals exercise the Fraction path
-    if bad is None:
+    def triangular_cases():
+        for n in range(1, cfg.triangular_max_n + 1):
+            for i in range(cfg.matrix_pairs):
+                g = matnorm.random_unit_triangular(rng, n)
+                h = matnorm.random_unit_triangular(rng, n)
+                if matnorm.triangular_project(g @ h) != \
+                   matnorm.triangular_project(g) @ matnorm.triangular_project(h):
+                    yield f"homomorphism n={n}"
+                    continue
+                x = g @ h.inverse()
+                drop = matnorm.embed(matnorm.triangular_project(g), n) @ g.inverse()
+                if matnorm.bareiss_rank(drop.minus_identity().rows) > 1:
+                    yield f"rank drop n={n}"
+                elif matnorm.bareiss_rank(
+                    matnorm.triangular_project(x).minus_identity().rows
+                ) > matnorm.bareiss_rank(x.minus_identity().rows):
+                    yield f"expansion n={n}"
+                else:
+                    yield None
+        # rational diagonals exercise the Fraction path
         for n in range(2, min(cfg.triangular_max_n, 6) + 1):
             for _ in range(20):
                 g = matnorm.random_rational_triangular(rng, n)
                 h = matnorm.random_rational_triangular(rng, n)
-                pairs += 1
                 x = g @ h.inverse()
-                if matnorm.triangular_project(g @ h) != \
-                   matnorm.triangular_project(g) @ matnorm.triangular_project(h) or \
-                   matnorm.bareiss_rank(matnorm.triangular_project(x).minus_identity().rows) > \
-                   matnorm.bareiss_rank(x.minus_identity().rows):
-                    bad = f"rational n={n}"
-                    break
-            if bad:
-                break
+                failed = matnorm.triangular_project(g @ h) != \
+                    matnorm.triangular_project(g) @ matnorm.triangular_project(h) or \
+                    matnorm.bareiss_rank(matnorm.triangular_project(x).minus_identity().rows) > \
+                    matnorm.bareiss_rank(x.minus_identity().rows)
+                yield f"rational n={n}" if failed else None
+
+    bad, pairs = _first_witness(triangular_cases())
     checks.append(PASS(
         "matnorm.triangular",
         f"B_n block projection: homomorphism, rank drop <= 1, non-expansive, "
@@ -753,26 +743,22 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # SPD
-    pairs = 0
-    bad = None
-    for n in range(2, cfg.spd_max_n + 1):
-        for _ in range(cfg.matrix_pairs):
-            a = matnorm.random_spd(rng, n)
-            b = matnorm.random_spd(rng, n)
-            pairs += 1
-            ap, bp = matnorm.spd_project(a), matnorm.spd_project(b)
-            if not ap.is_symmetric():
-                bad = f"symmetry n={n}"
-                break
-            if matnorm.bareiss_rank((ap - bp).rows) > matnorm.bareiss_rank((a - b).rows):
-                bad = f"rank inequality n={n}"
-                break
-            pad = matnorm.embed(ap, n)
-            if matnorm.bareiss_rank((pad - a).rows) > 2:
-                bad = f"rank drop n={n}"
-                break
-        if bad:
-            break
+    def spd_cases():
+        for n in range(2, cfg.spd_max_n + 1):
+            for _ in range(cfg.matrix_pairs):
+                a = matnorm.random_spd(rng, n)
+                b = matnorm.random_spd(rng, n)
+                ap, bp = matnorm.spd_project(a), matnorm.spd_project(b)
+                if not ap.is_symmetric():
+                    yield f"symmetry n={n}"
+                elif matnorm.bareiss_rank((ap - bp).rows) > matnorm.bareiss_rank((a - b).rows):
+                    yield f"rank inequality n={n}"
+                elif matnorm.bareiss_rank((matnorm.embed(ap, n) - a).rows) > 2:
+                    yield f"rank drop n={n}"
+                else:
+                    yield None
+
+    bad, pairs = _first_witness(spd_cases())
     checks.append(PASS(
         "matnorm.spd",
         f"SPD principal-minor projection: positive definiteness kept, "
@@ -832,24 +818,14 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # permutation-matrix cross-check, exhaustive S_6, plus the dual-rank oracle
-    bad = None
-    total = 0
-    for images in itertools.permutations(range(6)):
+    def permutation_cross(images):
         p = Permutation.from_images(images)
-        total += 1
-        pm = matnorm.permutation_matrix(p, 6)
-        rk = matnorm.rank_norm_exact(pm).value
-        supp = supp_norm(p)
-        if supp == 0:
-            violated = rk != 0
-        else:
-            violated = rk > supp or supp > 3 * rk
-        if violated:
-            bad = str(p)
-            break
-        if rk != tr_norm(p):
-            bad = f"rank vs transposition norm at {p}"
-            break
+        rk = matnorm.rank_norm_exact(matnorm.permutation_matrix(p, 6)).value
+        if rk > supp_norm(p) or supp_norm(p) > 3 * rk:
+            return str(p)
+        return None if rk == tr_norm(p) else f"rank vs transposition norm at {p}"
+
+    bad, total = _first_witness(map(permutation_cross, itertools.permutations(range(6))))
     rng2 = np.random.default_rng(cfg.seed + 4)
     for _ in range(100):
         n = int(rng2.integers(1, 7))
@@ -965,15 +941,13 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # prefix projection norm decrease and proximity on small carriers
-    bad = None
-    for wd in words57:
-        if wd.is_identity():
-            continue
+    def prefix_projection(wd):
         pw = fp57.prefix_project(wd)
-        if fp57.l1_norm(pw) >= fp57.l1_norm(wd) or fp57.distance(pw, wd) > max(
-                f.declared_displacement for f in fp57.factors.values()):
-            bad = str(wd)
-            break
+        failed = fp57.l1_norm(pw) >= fp57.l1_norm(wd) or fp57.distance(pw, wd) > max(
+            f.declared_displacement for f in fp57.factors.values())
+        return str(wd) if failed else None
+
+    bad, _ = _first_witness(prefix_projection(wd) for wd in words57 if not wd.is_identity())
     checks.append(PASS(
         "products.prefix_projection",
         "prefix projection strictly decreases l1 and moves words a bounded distance",
@@ -1039,16 +1013,10 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
     checks = []
 
     # round trip theta(phi(k)) = k
-    bad = None
-    total = 0
-    for n in range(1, cfg.circle_roundtrip_max + 1):
-        for k in range(n):
-            total += 1
-            if coneprobe.circle_to_zmod(coneprobe.zmod_to_circle(k, n), n) != k:
-                bad = f"k={k} n={n}"
-                break
-        if bad:
-            break
+    bad, total = _first_witness(
+        None if coneprobe.circle_to_zmod(coneprobe.zmod_to_circle(k, n), n) == k
+        else f"k={k} n={n}"
+        for n in range(1, cfg.circle_roundtrip_max + 1) for k in range(n))
     checks.append(PASS(
         "coneprobe.roundtrip",
         f"theta(phi(k)) = k for every residue, n <= {cfg.circle_roundtrip_max}",
@@ -1056,19 +1024,9 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # arc identity, exact rationals
-    bad = None
-    total = 0
-    for n in range(1, 65):
-        for a in range(n):
-            for b in range(n):
-                total += 1
-                if not coneprobe.arc_identity_exact(a, b, n):
-                    bad = f"a={a} b={b} n={n}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad, total = _first_witness(
+        None if coneprobe.arc_identity_exact(a, b, n) else f"a={a} b={b} n={n}"
+        for n in range(1, 65) for a in range(n) for b in range(n))
     checks.append(PASS(
         "coneprobe.arc_identity",
         "d_arc(phi(a), phi(b)) = 2 pi ||a-b||_n / n, exact, all pairs for n <= 64",
@@ -1151,16 +1109,15 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
 
     # ultralimit monotonicity surrogate
     rng = np.random.default_rng(cfg.seed + 7)
-    mono_ok = True
-    for _ in range(50):
+    def monotone():
         b_series = rng.uniform(0, 2, 60)
         a_series = b_series - rng.uniform(0, 1, 60)
         ea = coneprobe.estimate_limit(a_series, cfg.tail_fraction, cfg.convergence_tol)
         eb = coneprobe.estimate_limit(b_series, cfg.tail_fraction, cfg.convergence_tol)
-        if not (ea.tail_min <= eb.tail_min and ea.tail_max <= eb.tail_max
-                and ea.tail_mean <= eb.tail_mean):
-            mono_ok = False
-            break
+        return (ea.tail_min <= eb.tail_min and ea.tail_max <= eb.tail_max
+                and ea.tail_mean <= eb.tail_mean)
+
+    mono_ok = all(monotone() for _ in range(50))
     checks.append(PASS(
         "coneprobe.monotonicity",
         "a_n <= b_n stagewise forces every tail statistic of a to stay below b's",
@@ -1236,18 +1193,9 @@ SUITES = {
 
 
 def _run_suites(cfg: RunConfig) -> list[CheckResult]:
-    selected = [s for s in SUITES if s in cfg.suites or "all" in cfg.suites]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {name: pool.submit(SUITES[name], cfg) for name in selected}
-            results = {name: futures[name].result() for name in selected}
-    else:
-        results = {name: SUITES[name](cfg) for name in selected}
-    checks: list[CheckResult] = []
-    for name in SUITES:
-        if name in results:
-            checks.extend(results[name])
-    return checks
+    return [check for name, suite in SUITES.items()
+            if name in cfg.suites or "all" in cfg.suites
+            for check in suite(cfg)]
 
 
 def run_suite(cfg: RunConfig, echo=print) -> tuple[int, dict]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Hashable, Iterable
 
-from .perms import Permutation, _compose_images
+from .perms import Permutation, _compose_images, _even_tuples, _invert_images
 
 
 class NotGeneratingError(ValueError):
@@ -182,35 +182,25 @@ def _perm_describe(t: tuple[int, ...]) -> str:
     return str(Permutation.from_images(t))
 
 
-def _perm_invert(t: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(t)
-    for i, q in enumerate(t):
-        out[q] = i
-    return tuple(out)
+def _image_tuple_oracle(name: str, elements, n: int) -> FiniteGroupOracle:
+    """A permutation group given by its image tuples."""
+    return FiniteGroupOracle(
+        name=name,
+        elements=elements,
+        multiply=_compose_images,
+        invert=_invert_images,
+        identity=tuple(range(n)),
+        describe=_perm_describe,
+    )
 
 
 def symmetric_oracle(n: int) -> FiniteGroupOracle:
     """S_n on 0-based image tuples, multiplied left to right."""
-    return FiniteGroupOracle(
-        name=f"S_{n}",
-        elements=tuple(sorted(permutations(range(n)))),
-        multiply=_compose_images,
-        invert=_perm_invert,
-        identity=tuple(range(n)),
-        describe=_perm_describe,
-    )
+    return _image_tuple_oracle(f"S_{n}", sorted(permutations(range(n))), n)
 
 
 def alternating_oracle(n: int) -> FiniteGroupOracle:
-    els = tuple(t for t in sorted(permutations(range(n))) if Permutation.from_images(t).is_even())
-    return FiniteGroupOracle(
-        name=f"A_{n}",
-        elements=els,
-        multiply=_compose_images,
-        invert=_perm_invert,
-        identity=tuple(range(n)),
-        describe=_perm_describe,
-    )
+    return _image_tuple_oracle(f"A_{n}", _even_tuples(n), n)
 
 
 def cyclic_oracle(n: int) -> FiniteGroupOracle:
@@ -245,29 +235,11 @@ def transposition_generators(n: int) -> list[tuple[int, ...]]:
     return gens
 
 
-def three_cycle_generators(n: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
-    gens = []
-    for a, b, c in combinations(range(n), 3):
-        for cyc in ((a, b, c), (a, c, b)):
-            images = list(range(n))
-            images[cyc[0]], images[cyc[1]], images[cyc[2]] = cyc[1], cyc[2], cyc[0]
-            gens.append(tuple(images))
-    return gens
-
-
 _FAMILIES = {
     "symmetric": symmetric_oracle,
     "alternating": alternating_oracle,
     "cyclic": cyclic_oracle,
 }
-
-
-def load_carrier_file(path) -> FiniteGroupOracle:
-    """Build a carrier from a JSON file holding a declarative description."""
-    with open(path) as fh:
-        return load_carrier(json.load(fh))
 
 
 def load_carrier(spec: dict) -> FiniteGroupOracle:

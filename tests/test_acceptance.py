@@ -6,10 +6,18 @@ The mapping from criteria to check ids is fixed here, nothing is scaled
 down, and a red criterion fails loudly with the recorded witness.
 """
 
+import itertools
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from conecheck.report import RunConfig
 from conecheck.suites import run_suite
+
+# the default run's report, committed: a refactor must reproduce it row for row
+GOLDEN_REPORT = Path(__file__).parent / "data" / "default_report.json"
 
 # the full default run takes most of the suite's time: `pytest -m "not acceptance"`
 # skips it for a fast inner loop
@@ -164,3 +172,41 @@ def test_every_check_green(full_report):
     code, report = full_report
     assert report["counts"]["failed"] == 0
     assert code == 0
+
+
+def _first_difference(got, want, path=""):
+    """Path of the first value that differs, or None.  Floats may differ in the
+    last bits (singular values come from LAPACK); everything else is exact."""
+    if isinstance(want, float) and isinstance(got, float):
+        return None if math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0) else path
+    if isinstance(want, dict) and isinstance(got, dict):
+        if got.keys() != want.keys():
+            return f"{path} (keys {sorted(got.keys() ^ want.keys())})"
+        for key in want:
+            found = _first_difference(got[key], want[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return f"{path} (length {len(got)} != {len(want)})"
+        for i, (g, w) in enumerate(zip(got, want)):
+            found = _first_difference(g, w, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    return None if type(got) is type(want) and got == want else path
+
+
+def test_default_report_matches_golden(full_report):
+    _, report = full_report
+    golden = json.loads(GOLDEN_REPORT.read_text())
+    assert _first_difference(report["config"], golden["config"]) is None, "config differs"
+    for got, want in itertools.zip_longest(report["checks"], golden["checks"]):
+        assert got is not None and want is not None, (
+            f"check lists differ in length; extra {(got or want)['check_id']}")
+        assert got["check_id"] == want["check_id"], (
+            f"expected {want['check_id']}, got {got['check_id']}")
+        where = _first_difference(got, want)
+        assert where is None, f"{want['check_id']} differs at {where.lstrip('.')}"
+    assert report["counts"] == golden["counts"] and report["status"] == golden["status"]

@@ -29,6 +29,11 @@ def test_single_suite_command(runner, tmp_path):
     assert report["config"]["seed"] == 7
     assert all(c["check_id"].startswith("norms.") for c in report["checks"])
     assert (tmp_path / "report.json.series.csv").exists()
+    # the S_5 checks respect the ceiling
+    invariance = next(c for c in report["checks"]
+                      if c["check_id"] == "norms.conjugation_invariance_s5")
+    assert invariance["sample_size"] == 24 ** 2
+    assert "exhaustive S_4" in invariance["lemma"]
 
 
 def test_all_with_suite_selection(runner):
@@ -43,9 +48,39 @@ def test_all_with_suite_selection(runner):
 
 def test_invalid_config_exits_2(runner, tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"jobs": 0}))
+    cfg.write_text(json.dumps({"seed": -1}))
     result = runner.invoke(main, ["intnorm", "--config", str(cfg)])
     assert result.exit_code == 2
+    assert "seed" in result.output
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # the suites always run one after another; an old config naming jobs fails loudly
+    ({"jobs": 2}, "unknown config key"),
+    # the ambient-stability check would need the 3-cycle oracle on A_9
+    ({"alternating_degree": 8}, "alternating_degree"),
+    # ... and would measure A_4 inside A_4, which cannot hold its support
+    ({"alternating_degree": 3}, "alternating_degree"),
+], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3"])
+def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(main, ["norms", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_jobs_flag_is_gone(runner):
+    result = runner.invoke(main, ["intnorm", "--jobs", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_covering_below_degree_4_exits_2(runner):
+    # A_3 has no even element with a 2-cycle, so no certificate base exists
+    result = runner.invoke(main, ["covering", "--max-degree", "3"])
+    assert result.exit_code == 2
+    assert "certificate_degree" in result.output
 
 
 def test_negative_samples_exit_2(runner):

@@ -17,9 +17,15 @@ from conecheck.coneprobe import (
     estimate_limit,
     load_sequence,
     scaling_by_name,
-    theta_lipschitz_bound,
     zmod_to_circle,
 )
+
+
+def theta_lipschitz_bound(angle_x, angle_y, n):
+    """Cyclic distance of the projected residues, and its +2 allowance."""
+    kx, ky = circle_to_zmod(angle_x, n), circle_to_zmod(angle_y, n)
+    arc = abs((angle_x - angle_y + math.pi) % (2 * math.pi) - math.pi)
+    return cyclic_norm(kx - ky, n), arc * n / (2 * math.pi) + 2.0
 
 
 class TestAdmissibility:

@@ -12,7 +12,6 @@ from conecheck.quasimorphism import (
     estimate_defect,
     homogenise,
     integer_window,
-    load_sample_csv,
     norm_lower_bound,
     window_word_norm,
 )
@@ -137,11 +136,3 @@ class TestWindowWordNorm:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             window_word_norm(10, (0,))
-
-
-def test_csv_loader(tmp_path):
-    path = tmp_path / "sample.csv"
-    path.write_text("element,value\n-1,-1.5\n0,0.0\n1,1.5\n")
-    psi = load_sample_csv(path)
-    assert psi.values == {-1: -1.5, 0: 0.0, 1: 1.5}
-    assert psi.multiply(-1, 1) == 0

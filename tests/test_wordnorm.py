@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conecheck.perms import Permutation, tr_norm
+from conecheck.perms import Permutation, three_cycle_generators, tr_norm
 from conecheck.wordnorm import (
     NormTable,
     NotGeneratingError,
@@ -15,7 +15,6 @@ from conecheck.wordnorm import (
     cyclic_oracle,
     load_carrier,
     symmetric_oracle,
-    three_cycle_generators,
     transposition_generators,
 )
 
@@ -126,19 +125,10 @@ def test_exports(tmp_path):
     assert payload["norms"]["2"] == 2
 
 
-def test_load_carrier_file(tmp_path):
-    import json as _json
-
-    from conecheck.wordnorm import load_carrier_file
-
-    path = tmp_path / "carrier.json"
-    path.write_text(_json.dumps({"family": "alternating", "degree": 4}))
-    assert load_carrier_file(path).order() == 12
-
-
 def test_load_carrier():
     s4 = load_carrier({"family": "symmetric", "degree": 4})
     assert s4.order() == 24
+    assert load_carrier({"family": "alternating", "degree": 4}).order() == 12
     prod = load_carrier({
         "family": "product",
         "factors": [{"family": "cyclic", "degree": 2}, {"family": "cyclic", "degree": 3}],
