@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 from .perms import (
     IDENTITY,
@@ -22,6 +23,7 @@ from .perms import (
     commutator,
     supp_norm,
 )
+from .wordnorm import bfs
 
 # Class materialization and covering BFS are exact; they refuse to sample,
 # so ambient degrees stay small.  |A_8| = 20160.
@@ -78,23 +80,9 @@ def conjugacy_class(sigma: Permutation, n: int) -> ConjugacyClass:
     """All S_n-conjugates of sigma, found by closure under adjacent swaps."""
     if sigma.support() and sigma.support()[-1] > n:
         raise SupportExceedsDegreeError(f"support of {sigma} exceeds degree {n}")
-    start = sigma.to_images(n)
-    swaps = []
-    for i in range(n - 1):
-        images = list(range(n))
-        images[i], images[i + 1] = i + 1, i
-        swaps.append(tuple(images))
-    members = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s in swaps:
-                c = _compose_images(_compose_images(s, m), s)
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    swaps = [Permutation.transposition(i, i + 1).to_images(n) for i in range(1, n)]
+    members = bfs([sigma.to_images(n)],
+                  lambda m: [_compose_images(_compose_images(s, m), s) for s in swaps])
     return ConjugacyClass(n, sigma, frozenset(members))
 
 
@@ -115,16 +103,6 @@ class CoveringReport:
     class_size: int
     covered: bool
     exponent: int | None
-
-    def as_dict(self) -> dict:
-        return {
-            "sigma": str(self.sigma),
-            "degree": self.degree,
-            "orbit_count": self.orbit_count,
-            "class_size": self.class_size,
-            "covered": self.covered,
-            "exponent": self.exponent,
-        }
 
 
 def brenner_hypotheses(sigma: Permutation, n: int) -> str | None:
@@ -242,8 +220,6 @@ def even_conjugator_to(a: Permutation, b: Permutation, ambient: int) -> Permutat
 
 # --- Ore / Miller commutator witnesses ----------------------------------------
 
-_witness_cache: dict[tuple[int, tuple[int, ...]], tuple[Permutation, Permutation]] = {}
-
 
 def commutator_witness(g: Permutation, n: int) -> tuple[Permutation, Permutation]:
     """Even b, c with [b, c] = g, supported in {1..max(n, 5)}.
@@ -258,19 +234,18 @@ def commutator_witness(g: Permutation, n: int) -> tuple[Permutation, Permutation
     if g.is_identity():
         return IDENTITY, IDENTITY
     m = max(n, 5)
-    key = (m, g.cycle_type())
-    if key not in _witness_cache:
-        _witness_cache[key] = _search_witness(canonical_of_type(g.cycle_type()), m)
-    b0, c0 = _witness_cache[key]
+    b0, c0 = _search_witness(g.cycle_type(), m)
     tau = conjugator_to(canonical_of_type(g.cycle_type()), g, m)
     b, c = b0.conjugated_by(tau), c0.conjugated_by(tau)
     assert commutator(b, c) == g
     return b, c
 
 
-def _search_witness(rep: Permutation, m: int) -> tuple[Permutation, Permutation]:
+@cache
+def _search_witness(cycle_type: tuple[int, ...], m: int) -> tuple[Permutation, Permutation]:
     # [b, c] = rep  iff  b c b^{-1} = rep * c, and the left side is a
     # conjugate of c; so scan c and look for an even conjugator.
+    rep = canonical_of_type(cycle_type)
     rep_t = rep.to_images(m)
     for c_t in _even_tuples(m):
         u_t = _compose_images(rep_t, c_t)
@@ -348,27 +323,22 @@ class ConjugateProductCertificate:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
-# product-pair index per (window degree, cycle type): u -> (c1, c2) with u = c1*c2
-_pair_index_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
+@cache
+def _window_class(base_type: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(conjugacy_class(canonical_of_type(base_type), degree).members))
 
 
-def _window_class(base_type: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
-    rep = canonical_of_type(base_type)
-    return sorted(conjugacy_class(rep, degree).members)
-
-
+@cache
 def _pair_index(base_type: tuple[int, ...], degree: int) -> dict:
-    key = (degree, base_type)
-    if key not in _pair_index_cache:
-        members = _window_class(base_type, degree)
-        index: dict = {}
-        for c1 in members:
-            for c2 in members:
-                u = _compose_images(c1, c2)
-                if u not in index:
-                    index[u] = (c1, c2)
-        _pair_index_cache[key] = index
-    return _pair_index_cache[key]
+    """u -> (c1, c2) with u = c1 * c2, first pair in sorted order."""
+    index: dict = {}
+    members = _window_class(base_type, degree)
+    for c1 in members:
+        for c2 in members:
+            u = _compose_images(c1, c2)
+            if u not in index:
+                index[u] = (c1, c2)
+    return index
 
 
 def _decompose_in_window(target: tuple[int, ...], base_type: tuple[int, ...], degree: int):

@@ -241,7 +241,6 @@ class RankNormValue:
     method: str  # "exact-elimination" | "singular-threshold"
     threshold: float | None = None
     smallest_retained: float | None = None
-    largest_discarded: float | None = None
     largest: float | None = None
 
     def borderline(self, margin: float = 10.0) -> bool:
@@ -290,13 +289,11 @@ def numeric_rank(array, tau: float = 1e-8) -> RankNormValue:
     sv = np.linalg.svd(np.asarray(array, dtype=float), compute_uv=False)
     cutoff = tau * max(1.0, float(sv[0]) if sv.size else 1.0)
     kept = sv[sv > cutoff]
-    dropped = sv[sv <= cutoff]
     return RankNormValue(
         int(kept.size),
         "singular-threshold",
         threshold=tau,
         smallest_retained=float(kept[-1]) if kept.size else None,
-        largest_discarded=float(dropped[0]) if dropped.size else None,
         largest=float(sv[0]) if sv.size else None,
     )
 

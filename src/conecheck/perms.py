@@ -113,9 +113,6 @@ class Permutation:
         """Moved points in increasing order."""
         return tuple(sorted(self._map))
 
-    def mapping(self) -> dict[int, int]:
-        return dict(self._map)
-
     def inverse(self) -> "Permutation":
         return Permutation({q: p for p, q in self._map.items()})
 
@@ -282,7 +279,8 @@ MAX_THREE_CYCLE_DEGREE = 8
 def _three_cycle_table(degree: int) -> dict[tuple[int, ...], int]:
     """Exact 3-cycle word length for every element of A_degree.
 
-    A BFS of its own, kept apart from wordnorm.bfs_norm so that each checks the other.
+    The package's only BFS loop besides wordnorm.bfs, kept apart from it on
+    purpose: norms.three_cycle_oracle compares the two, so they share no code.
     """
     gens = three_cycle_generators(degree)
     ident = tuple(range(degree))

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from .wordnorm import bfs
+
 
 class ProductOutsideSampleError(KeyError):
     pass
@@ -30,20 +32,17 @@ class SampledQuasimorphism:
     values: dict
     multiply: Callable[[Hashable, Hashable], Hashable]
     identity: Hashable
-    claimed_defect: float | None = None
 
     def __call__(self, g):
         return self.values[g]
 
 
-def integer_window(psi: Callable[[int], float], width: int,
-                   claimed_defect: float | None = None) -> SampledQuasimorphism:
+def integer_window(psi: Callable[[int], float], width: int) -> SampledQuasimorphism:
     """Sample psi on the additive window [-width, width]."""
     return SampledQuasimorphism(
         values={n: float(psi(n)) for n in range(-width, width + 1)},
         multiply=lambda a, b: a + b,
         identity=0,
-        claimed_defect=claimed_defect,
     )
 
 
@@ -64,9 +63,6 @@ class HomogenisationResult:
 
     series: tuple[float, ...]
     estimate: float  # the stage-N value
-
-    def as_dict(self) -> dict:
-        return {"series": list(self.series), "estimate": self.estimate}
 
 
 def homogenise(psi: SampledQuasimorphism, g, stages: int) -> HomogenisationResult:
@@ -118,15 +114,4 @@ def window_word_norm(width: int, steps) -> dict[int, int]:
     steps = sorted({abs(s) for s in steps if s != 0})
     if not steps:
         raise ValueError("steps must contain a non-zero element")
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in steps:
-                for h in (g + s, g - s):
-                    if -width <= h <= width and h not in dist:
-                        dist[h] = dist[g] + 1
-                        nxt.append(h)
-        frontier = nxt
-    return dist
+    return bfs([0], lambda g: [h for s in steps for h in (g + s, g - s) if -width <= h <= width])

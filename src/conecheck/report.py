@@ -211,6 +211,9 @@ class CheckResult:
     @classmethod
     def from_outcome(cls, check_id, lemma, ok, sample_size, constants=None,
                      observed=None, witness=None) -> "CheckResult":
+        """A check that examined nothing fails: it has shown nothing."""
+        if sample_size == 0:
+            ok, witness = False, "nothing was examined (sample size 0)"
         return cls(
             check_id=check_id,
             lemma=lemma,

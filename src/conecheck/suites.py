@@ -1130,8 +1130,8 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         {"family": "constant-identity", "stages": list(range(1, 40)), "scaling": "n"})
     square = coneprobe.load_sequence(
         {"family": "square-cycle", "stages": list(range(1, 40)), "scaling": "n"})
-    adm_ok = (admissible(cyc, 1.0) and admissible(ident, 0.0)
-              and not admissible(square, 1000.0 / 40))
+    adm_ok = (coneprobe.admissibility(cyc, 1.0)[0] and coneprobe.admissibility(ident, 0.0)[0]
+              and not coneprobe.admissibility(square, 1000.0 / 40)[0])
     alternating = coneprobe.estimate_limit([0.0, 1.0] * 30, cfg.tail_fraction,
                                            cfg.convergence_tol)
     vanishing = coneprobe.estimate_limit([1.0 / n for n in range(1, 400)],
@@ -1155,11 +1155,6 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         scale_ok, len(cyc.stages),
     ))
     return checks
-
-
-def admissible(seq, bound) -> bool:
-    ok, _ = coneprobe.admissibility(seq, bound)
-    return ok
 
 
 # ---------------------------------------------------------------------- determinism

@@ -110,25 +110,35 @@ class NormTable:
         )
 
 
+def bfs(starts: Iterable, step: Callable[[Hashable], Iterable]) -> dict:
+    """Distance from the start set to every node that step reaches.
+
+    The package's one breadth-first search.  Dict insertion order is BFS
+    order: the starts, then each layer in the order its nodes were found.
+    """
+    dist = dict.fromkeys(starts, 0)
+    frontier = list(dist)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for g in frontier:
+            for h in step(g):
+                if h not in dist:
+                    dist[h] = depth
+                    nxt.append(h)
+        frontier = nxt
+    return dist
+
+
 def conjugacy_closure(oracle: FiniteGroupOracle, seeds: Iterable) -> frozenset:
     """Smallest superset of seeds and their inverses closed under conjugation."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
     mul, inv = oracle.multiply, oracle.invert
-    closed = set(seeds)
-    closed.update(inv(s) for s in seeds)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in oracle.elements:
-                c = mul(mul(t, s), inv(t))
-                if c not in closed:
-                    closed.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(closed)
+    return frozenset(bfs(seeds + [inv(s) for s in seeds],
+                         lambda s: [mul(mul(t, s), inv(t)) for t in oracle.elements]))
 
 
 def bfs_norm(oracle: FiniteGroupOracle, gens: Iterable) -> NormTable:
@@ -141,17 +151,7 @@ def bfs_norm(oracle: FiniteGroupOracle, gens: Iterable) -> NormTable:
     gen_set.update(inv(s) for s in list(gen_set))
     gen_set.discard(oracle.identity)
     gen_list = sorted(gen_set, key=oracle.describe)
-    dist = {oracle.identity: 0}
-    frontier = [oracle.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gen_list:
-                h = mul(g, s)
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    nxt.append(h)
-        frontier = nxt
+    dist = bfs([oracle.identity], lambda g: [mul(g, s) for s in gen_list])
     if len(dist) != oracle.order():
         raise NotGeneratingError(oracle.order() - len(dist))
     return NormTable(oracle, dist, frozenset(gen_list))

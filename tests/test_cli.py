@@ -108,6 +108,37 @@ def test_empty_sample_rejected(field):
         cfg.validate()
 
 
+def _checks(path) -> dict:
+    return {c["check_id"]: c for c in json.loads(path.read_text())["checks"]}
+
+
+def _assert_failed_as_empty(check):
+    assert check["sample_size"] == 0
+    assert check["status"] == "fail"
+    assert "nothing was examined" in check["witness"]
+
+
+def test_covering_without_exhaustive_degrees_fails(runner, tmp_path):
+    # --max-degree 4 drops every Brenner and Ore degree: those checks see no case
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [
+        "covering", "--max-degree", "4", "--samples", "5", "--out", str(out),
+    ])
+    assert result.exit_code == 1, result.output
+    checks = _checks(out)
+    _assert_failed_as_empty(checks["covering.brenner"])
+    _assert_failed_as_empty(checks["covering.ore_witnesses"])
+
+
+def test_sequence_contraction_without_stages_fails(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sequence_stage_max": 1}))
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["coneprobe", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    _assert_failed_as_empty(_checks(out)["coneprobe.sequence_contraction"])
+
+
 def test_audit_respects_max_degree(runner, tmp_path):
     # the audit covers S_4 x S_4 plus the worked pair under --max-degree 4
     out = tmp_path / "report.json"

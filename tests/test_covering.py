@@ -3,6 +3,8 @@ certificates."""
 
 import itertools
 import json
+import math
+from collections import Counter
 
 import pytest
 
@@ -66,6 +68,27 @@ class TestBrenner:
         cls = conjugacy_class(Permutation.parse("(1 2 3)"), 5)
         assert cls.size() == 20
         assert all(Permutation.from_images(m).cycle_type() == (3,) for m in cls.members)
+
+
+def _cycle_types(n: int, smallest: int = 2):
+    """Every multiset of cycle lengths >= smallest with sum at most n, descending."""
+    yield ()
+    for first in range(smallest, n + 1):
+        for rest in _cycle_types(n - first, first):
+            yield (*rest, first)
+
+
+def _centraliser_order(cycle_type: tuple[int, ...], n: int) -> int:
+    counts = Counter(cycle_type)
+    counts[1] = n - sum(cycle_type)
+    return math.prod(k ** m * math.factorial(m) for k, m in counts.items())
+
+
+@pytest.mark.parametrize("n, cycle_type",
+                         [(n, t) for n in range(1, 8) for t in _cycle_types(n)])
+def test_class_size_is_orbit_stabiliser(n, cycle_type):
+    cls = conjugacy_class(canonical_of_type(cycle_type), n)
+    assert cls.size() == math.factorial(n) // _centraliser_order(cycle_type, n)
 
 
 class TestConjugators:

@@ -10,6 +10,7 @@ from conecheck.wordnorm import (
     NotGeneratingError,
     alternating_oracle,
     audit_domination,
+    bfs,
     bfs_norm,
     conjugacy_closure,
     cyclic_oracle,
@@ -17,6 +18,29 @@ from conecheck.wordnorm import (
     symmetric_oracle,
     transposition_generators,
 )
+
+
+class TestBfs:
+    def test_distances_from_several_starts(self):
+        # the path 0 - 1 - ... - 9, searched from both ends at once
+        dist = bfs([0, 9], lambda g: [h for h in (g - 1, g + 1) if 0 <= h <= 9])
+        assert dist == {g: min(g, 9 - g) for g in range(10)}
+
+    def test_unreachable_nodes_are_absent(self):
+        # steps of two from 0 never reach an odd number
+        dist = bfs([0], lambda g: [h for h in (g - 2, g + 2) if -10 <= h <= 10])
+        assert set(dist) == set(range(-10, 11, 2))
+        assert dist[-10] == dist[10] == 5
+
+    def test_insertion_order_is_bfs_order(self):
+        oracle = symmetric_oracle(4)
+        gens = transposition_generators(4)
+        starts = [oracle.identity, gens[0], oracle.identity]
+        dist = bfs(starts, lambda g: [oracle.multiply(g, s) for s in gens])
+        assert list(dist)[:2] == starts[:2]
+        depths = list(dist.values())
+        assert depths == sorted(depths)
+        assert len(dist) == 24
 
 
 def test_s3_with_transpositions():
