@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import permutations
+from math import factorial
 
 from .perms import (
     IDENTITY,
@@ -19,13 +21,16 @@ from .perms import (
     _compose_images,
     _even_tuples,
     _invert_images,
+    _rank_images,
     _tuple_cycle_type,
+    _tuple_even,
+    _unrank_images,
     commutator,
     supp_norm,
 )
 from .wordnorm import bfs
 
-# Class materialization and covering BFS are exact; they refuse to sample,
+# Class materialization and class products are exact; they refuse to sample,
 # so ambient degrees stay small.  |A_8| = 20160.
 MAX_COVERING_DEGREE = 8
 
@@ -107,6 +112,9 @@ class CoveringReport:
 
 def brenner_hypotheses(sigma: Permutation, n: int) -> str | None:
     """None when the covering hypotheses hold, else the failing one."""
+    if n < 5:
+        # A_4's (2, 2) class meets the rest, but its powers stay inside V_4
+        return f"degree {n} below 5"
     if sigma.support() and sigma.support()[-1] > n:
         return f"support exceeds degree {n}"
     if not sigma.is_even():
@@ -120,11 +128,20 @@ def brenner_hypotheses(sigma: Permutation, n: int) -> str | None:
 
 
 def brenner_check(sigma: Permutation, n: int) -> CoveringReport:
-    """Exhaustive BFS for C_sigma^e inside A_n, e <= 4.
+    """The least e <= 4 with C_sigma^e = A_n, by class products on rank masks.
 
     Requires the covering hypotheses; raises HypothesisUnmetError otherwise,
     and refuses degrees above MAX_COVERING_DEGREE rather than sampling.
     """
+    return _brenner_report(sigma, n, _covering_exponent)
+
+
+def _tuple_brenner_check(sigma: Permutation, n: int) -> CoveringReport:
+    """brenner_check on Python sets of image tuples: the reference kernel."""
+    return _brenner_report(sigma, n, _tuple_covering_exponent)
+
+
+def _brenner_report(sigma: Permutation, n: int, kernel) -> CoveringReport:
     failure = brenner_hypotheses(sigma, n)
     if failure is not None:
         raise HypothesisUnmetError(failure)
@@ -133,18 +150,66 @@ def brenner_check(sigma: Permutation, n: int) -> CoveringReport:
             f"degree {n} above exhaustive bound {MAX_COVERING_DEGREE}"
         )
     cls = conjugacy_class(sigma, n)
+    exponent = kernel(sorted(cls.members), n)
+    covered = exponent is not None  # C^e = A_n implies C^4 = A_n
+    return CoveringReport(sigma, n, orbit_count(sigma, n), cls.size(), covered, exponent)
+
+
+# Products ranked per block by _covering_exponent: 2^16 rows keep each
+# block's temporaries under a megabyte at n = 8.
+_PRODUCT_BLOCK = 1 << 16
+
+
+@cache
+def _alternating_mask(n: int):
+    """Read-only boolean mask over the lexicographic ranks of S_n, true on A_n."""
+    import numpy as np
+
+    mask = np.fromiter(map(_tuple_even, permutations(range(n))),
+                       dtype=bool, count=factorial(n))
+    mask.flags.writeable = False
+    return mask
+
+
+def _covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
+    """The least e <= 4 with C^e = A_n for the even class C, else None.
+
+    Each C^e is a mask over the ranks of S_n.  C^e is C^(e-1) times C, one
+    gather per block of class members, and a step stops as soon as its mask
+    equals the A_n mask.  That is exact: the mask only grows, and products
+    of even elements are even, so the finished step would equal A_n too.
+    """
+    import numpy as np
+
+    target = _alternating_mask(n)
+    cls = np.array(members, dtype=np.uint8)
+    mask = np.zeros_like(target)
+    mask[_rank_images(cls)] = True
+    if np.array_equal(mask, target):
+        return 1
+    for e in range(2, 5):
+        power = _unrank_images(np.flatnonzero(mask), n)
+        mask = np.zeros_like(target)
+        step = max(1, _PRODUCT_BLOCK // len(power))
+        for start in range(0, len(cls), step):
+            # row (i, j) is power[j] then cls[start + i]
+            products = cls[start:start + step][:, power].reshape(-1, n)
+            mask[_rank_images(products)] = True
+            if np.array_equal(mask, target):
+                return e
+    return None
+
+
+def _tuple_covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
+    """_covering_exponent on Python sets of image tuples."""
     alternating = frozenset(_even_tuples(n))
-    members = sorted(cls.members)
     power = set(members)
-    exponent = None
     for e in range(1, 5):
         if e > 1:
             power = {_compose_images(p, c) for p in power for c in members}
         if power == alternating:
-            exponent = e
-            break
-    covered = exponent is not None  # C^e = A_n implies C^4 = A_n
-    return CoveringReport(sigma, n, orbit_count(sigma, n), cls.size(), covered, exponent)
+            return e
+    return None
 
 
 # --- conjugator plumbing -------------------------------------------------------

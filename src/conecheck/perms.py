@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 
 class OddPermutationError(ValueError):
@@ -256,6 +257,47 @@ def _tuple_even(t: tuple[int, ...]) -> bool:
 def _even_tuples(n: int) -> list[tuple[int, ...]]:
     """The elements of A_n in lexicographic order."""
     return [t for t in permutations(range(n)) if _tuple_even(t)]
+
+
+# --- (N, n) uint8 image arrays, indexed by lexicographic rank in S_n --------
+# numpy is imported inside these helpers: perms loads before anything that
+# needs numpy, and loading numpy earlier raises the CLI's peak RSS.
+
+
+def _rank_images(images):
+    """Lexicographic rank in S_n of each row of an (N, n) image array.
+
+    Rank order is the order of ``permutations(range(n))``, so the ranks of
+    ``_even_tuples(n)`` increase.
+    """
+    import numpy as np
+
+    images = np.asarray(images)
+    n = images.shape[1]
+    ranks = np.zeros(len(images), dtype=np.int64)
+    for i in range(n - 1):
+        # Lehmer digit i: later images smaller than images[:, i]; Horner
+        # in the factorial base
+        digit = np.count_nonzero(images[:, i + 1:] < images[:, i, None], axis=1)
+        ranks = ranks * (n - i) + digit
+    return ranks
+
+
+def _unrank_images(ranks, n: int):
+    """The (N, n) uint8 image array with these ranks; inverse of _rank_images."""
+    import numpy as np
+
+    ranks = np.asarray(ranks, dtype=np.int64)
+    rows = np.arange(len(ranks))
+    unused = np.broadcast_to(np.arange(n, dtype=np.uint8), (len(ranks), n))
+    out = np.empty((len(ranks), n), dtype=np.uint8)
+    for i in range(n):
+        digit, ranks = np.divmod(ranks, factorial(n - 1 - i))
+        out[:, i] = unused[rows, digit]
+        # drop the value just used; the rest stay in increasing order
+        after = np.arange(n - 1 - i) >= digit[:, None]
+        unused = np.where(after, unused[:, 1:], unused[:, :-1])
+    return out
 
 
 def three_cycle_generators(n: int) -> list[tuple[int, ...]]:

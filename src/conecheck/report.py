@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .covering import MAX_COVERING_DEGREE
 from .perms import MAX_THREE_CYCLE_DEGREE
 
 
@@ -86,8 +87,16 @@ class RunConfig:
             raise ConfigInvalidError("tau must lie in (0, 1)")
         if self.cutting_degree > 7:
             raise ConfigInvalidError("exhaustive cutting beyond S_7 is not sensible")
-        if max(self.brenner_degrees, default=0) > 8:
-            raise ConfigInvalidError("covering BFS is exact only up to degree 8")
+        # the covering theorem starts at A_5; both covering checks enumerate
+        # A_n exhaustively, and A_9 would run for minutes
+        outside = [d for d in self.brenner_degrees if not 5 <= d <= MAX_COVERING_DEGREE]
+        if outside:
+            raise ConfigInvalidError(
+                f"brenner_degrees must lie in 5..{MAX_COVERING_DEGREE}, got {outside}")
+        outside = [d for d in self.ore_degrees if not 1 <= d <= MAX_COVERING_DEGREE]
+        if outside:
+            raise ConfigInvalidError(
+                f"ore_degrees must lie in 1..{MAX_COVERING_DEGREE}, got {outside}")
         # a certificate base needs an even element with a 2-cycle, first in A_4
         if self.certificate_degree < 4:
             raise ConfigInvalidError("certificate_degree must be at least 4")

@@ -17,6 +17,7 @@ import numpy as np
 from . import coneprobe, cutting, intnorm, matnorm, products, quasimorphism, wordnorm
 from .covering import (
     HypothesisUnmetError,
+    _tuple_brenner_check,
     brenner_check,
     brenner_hypotheses,
     canonical_of_type,
@@ -489,6 +490,11 @@ def _even_cycle_types(n: int) -> list[tuple[int, ...]]:
     })
 
 
+# brenner_check is cross-checked against the set-of-tuples kernel up to this
+# degree; that kernel adds about half a second at A_7 and 37 s at A_8.
+_TUPLE_REFERENCE_MAX_DEGREE = 6
+
+
 def run_covering(cfg: RunConfig) -> list[CheckResult]:
     checks = []
 
@@ -505,10 +511,16 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
                 continue
             result = brenner_check(rep, n)
             reports.append(result)
+            covered_elements += result.class_size
+            if n <= _TUPLE_REFERENCE_MAX_DEGREE:
+                reference = _tuple_brenner_check(rep, n).exponent
+                if reference != result.exponent:
+                    bad = (f"A_{n} type {ctype}: exponent {result.exponent} from the "
+                           f"rank-mask kernel, {reference} from the tuple reference")
+                    break
             if not result.covered or result.exponent > 4:
                 bad = f"A_{n} type {ctype}"
                 break
-            covered_elements += result.class_size
         if bad:
             break
     checks.append(PASS(

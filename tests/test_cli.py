@@ -61,7 +61,16 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"alternating_degree": 8}, "alternating_degree"),
     # ... and would measure A_4 inside A_4, which cannot hold its support
     ({"alternating_degree": 3}, "alternating_degree"),
-], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3"])
+    # enumerating A_9 for commutator witnesses would not finish
+    ({"suites": ["covering"], "brenner_degrees": [5], "ore_degrees": [9]}, "ore_degrees"),
+    # degrees below 1 name no alternating group, yet the check passed on them
+    ({"ore_degrees": [0, -3]}, "ore_degrees"),
+    # A_4's (2, 2) class meets the other hypotheses but never covers A_4
+    ({"brenner_degrees": [4]}, "brenner_degrees"),
+    # degree 2 has no class to examine and would be skipped silently
+    ({"brenner_degrees": [2, 5]}, "brenner_degrees"),
+], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
+        "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))

@@ -8,11 +8,13 @@ from collections import Counter
 
 import pytest
 
+from conecheck import covering
 from conecheck.covering import (
     ConjugateProductCertificate,
     HypothesisUnmetError,
     IdentityBaseError,
     SupportExceedsDegreeError,
+    _tuple_brenner_check,
     brenner_check,
     brenner_hypotheses,
     canonical_of_type,
@@ -24,6 +26,8 @@ from conecheck.covering import (
     orbit_count,
 )
 from conecheck.perms import IDENTITY, OddPermutationError, Permutation, commutator, supp_norm
+from conecheck.report import RunConfig
+from conecheck.suites import run_covering
 
 
 class TestOrbitCount:
@@ -64,6 +68,13 @@ class TestBrenner:
         with pytest.raises(HypothesisUnmetError):
             brenner_check(Permutation.parse("(1 2)"), 5)
 
+    def test_a4_refused(self):
+        # the (2, 2) class of A_4 only ever generates V_4
+        sigma = Permutation.parse("(1 2)(3 4)")
+        assert brenner_hypotheses(sigma, 4) == "degree 4 below 5"
+        with pytest.raises(HypothesisUnmetError, match="below 5"):
+            brenner_check(sigma, 4)
+
     def test_class_materialization(self):
         cls = conjugacy_class(Permutation.parse("(1 2 3)"), 5)
         assert cls.size() == 20
@@ -89,6 +100,40 @@ def _centraliser_order(cycle_type: tuple[int, ...], n: int) -> int:
 def test_class_size_is_orbit_stabiliser(n, cycle_type):
     cls = conjugacy_class(canonical_of_type(cycle_type), n)
     assert cls.size() == math.factorial(n) // _centraliser_order(cycle_type, n)
+
+
+@pytest.mark.parametrize("n, cycle_type", [
+    (n, t) for n in range(5, 8) for t in _cycle_types(n)
+    if brenner_hypotheses(canonical_of_type(t), n) is None
+])
+def test_rank_mask_kernel_matches_tuple_reference(n, cycle_type):
+    sigma = canonical_of_type(cycle_type)
+    assert brenner_check(sigma, n) == _tuple_brenner_check(sigma, n)
+
+
+def _brenner_row(degrees):
+    cfg = RunConfig.small()
+    cfg.brenner_degrees = degrees
+    return next(c for c in run_covering(cfg) if c.check_id == "covering.brenner")
+
+
+def test_wrong_kernel_exponent_fails_against_reference(monkeypatch):
+    # the kernel's exponent 3 still claims covering; only the reference sees it is wrong
+    monkeypatch.setattr(covering, "_covering_exponent", lambda members, n: 3)
+    row = _brenner_row((5,))
+    assert row.status == "fail"
+    assert row.witness == ("A_5 type (2, 2): exponent 3 from the rank-mask kernel, "
+                           "2 from the tuple reference")
+
+
+def test_failing_first_class_keeps_its_witness(monkeypatch):
+    # A_7 has no reference run, so the kernel's verdict alone fails the check;
+    # the failing class still counts as examined
+    monkeypatch.setattr(covering, "_covering_exponent", lambda members, n: None)
+    row = _brenner_row((7,))
+    assert row.status == "fail"
+    assert row.witness == "A_7 type (3, 2, 2)"
+    assert row.sample_size == conjugacy_class(canonical_of_type((3, 2, 2)), 7).size()
 
 
 class TestConjugators:

@@ -1,7 +1,9 @@
 """Permutation arithmetic and the three conjugation-invariant norms."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,8 @@ from conecheck.perms import (
     OddPermutationError,
     Permutation,
     PermutationSearchError,
+    _rank_images,
+    _unrank_images,
     commutator,
     compose,
     compose_all,
@@ -216,3 +220,16 @@ class TestAlgebra:
     @given(perm_strategy)
     def test_parse_roundtrip(self, p):
         assert Permutation.parse(str(p)) == p
+
+
+class TestImageRanks:
+    @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))))
+    def test_unrank_inverts_rank(self, images):
+        rows = np.array([images], dtype=np.uint8)
+        assert (_unrank_images(_rank_images(rows), len(images)) == rows).all()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ranks_follow_permutations_order(self, n):
+        rows = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+        assert (_rank_images(rows) == np.arange(math.factorial(n))).all()
+        assert (_unrank_images(np.arange(math.factorial(n)), n) == rows).all()
