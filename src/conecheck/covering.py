@@ -20,6 +20,7 @@ from .perms import (
     Permutation,
     _compose_images,
     _even_tuples,
+    _images_of_type,
     _invert_images,
     _rank_images,
     _tuple_cycle_type,
@@ -217,12 +218,7 @@ def _tuple_covering_exponent(members: list[tuple[int, ...]], n: int) -> int | No
 
 def canonical_of_type(cycle_type: tuple[int, ...]) -> Permutation:
     """The permutation of that cycle type laid out on consecutive points."""
-    cycles = []
-    next_point = 1
-    for length in sorted(cycle_type, reverse=True):
-        cycles.append(tuple(range(next_point, next_point + length)))
-        next_point += length
-    return Permutation.from_cycles(cycles)
+    return Permutation.from_images(_images_of_type(sorted(cycle_type, reverse=True)))
 
 
 def conjugator_to(a: Permutation, b: Permutation, ambient: int | None = None) -> Permutation:

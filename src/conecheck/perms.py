@@ -11,6 +11,7 @@ import re
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 
 
 class OddPermutationError(ValueError):
@@ -210,7 +211,10 @@ def tr_norm(sigma: Permutation) -> int:
 
 
 def _compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(b[x] for x in a)
+    if len(a) < 2:
+        # itemgetter of one index returns a scalar, of none raises
+        return tuple(b[x] for x in a)
+    return itemgetter(*a)(b)
 
 
 def _invert_images(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,6 +239,23 @@ def _tuple_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def _full_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
+    """Every cycle length, fixed points included, descending."""
+    moved = _tuple_cycle_type(t)
+    return moved + (1,) * (len(t) - sum(moved))
+
+
+def _images_of_type(cycle_type) -> tuple[int, ...]:
+    """The image tuple whose cycles, of these lengths in this order, lie on
+    consecutive points."""
+    images: list[int] = []
+    for length in cycle_type:
+        start = len(images)
+        images.extend(range(start + 1, start + length))
+        images.append(start)
+    return tuple(images)
 
 
 def _tuple_even(t: tuple[int, ...]) -> bool:
@@ -274,12 +295,17 @@ def _rank_images(images):
 
     images = np.asarray(images)
     n = images.shape[1]
+    masks = np.arange(1 << n)
+    popcount = sum((masks >> bit) & 1 for bit in range(n))
+    used = np.zeros(len(images), dtype=np.int64)
     ranks = np.zeros(len(images), dtype=np.int64)
     for i in range(n - 1):
-        # Lehmer digit i: later images smaller than images[:, i]; Horner
-        # in the factorial base
-        digit = np.count_nonzero(images[:, i + 1:] < images[:, i, None], axis=1)
-        ranks = ranks * (n - i) + digit
+        # Lehmer digit i: values below images[:, i] not used by an earlier
+        # column; Horner in the factorial base
+        value = images[:, i].astype(np.int64)
+        bit = 1 << value
+        ranks = ranks * (n - i) + value - popcount[used & (bit - 1)]
+        used |= bit
     return ranks
 
 
@@ -311,40 +337,39 @@ def three_cycle_generators(n: int) -> list[tuple[int, ...]]:
     return gens
 
 
-# --- 3-cycle word norm via BFS oracle ---------------------------------------
+# --- 3-cycle word norm on cycle types -----------------------------------------
 
-# BFS ambient degrees above this are refused: A_9 already has 181440 elements.
+# Ambient degrees above this are refused: norms.three_cycle_oracle checks the
+# table against an element BFS over A_n, and A_9 has 181440 elements.
 MAX_THREE_CYCLE_DEGREE = 8
 
 
 @lru_cache(maxsize=None)
 def _three_cycle_table(degree: int) -> dict[tuple[int, ...], int]:
-    """Exact 3-cycle word length for every element of A_degree.
+    """Exact 3-cycle word length of every even cycle type of S_degree.
 
-    The package's only BFS loop besides wordnorm.bfs, kept apart from it on
-    purpose: norms.three_cycle_oracle compares the two, so they share no code.
+    Keys are full cycle types: lengths descending, fixed points included.
+    The 3-cycles form a normal subset of S_n, so each ball of the word norm
+    is a union of cycle types, and the types of r s over the 3-cycles s
+    depend only on the type of r.  A BFS over types is therefore exact.
+    norms.three_cycle_oracle checks it against wordnorm.bfs_norm over A_n.
     """
+    from . import wordnorm  # wordnorm imports perms
+
     gens = three_cycle_generators(degree)
-    ident = tuple(range(degree))
-    dist = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = _compose_images(g, s)
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    nxt.append(h)
-        frontier = nxt
-    return dist
+
+    def step(cycle_type):
+        rep = _images_of_type(cycle_type)
+        return dict.fromkeys(_full_cycle_type(_compose_images(rep, s)) for s in gens)
+
+    return wordnorm.bfs([(1,) * degree], step)
 
 
 def three_cycle_norm(sigma: Permutation, ambient: int | None = None) -> int:
     """Minimal number of 3-cycles multiplying to sigma (sigma must be even).
 
-    The BFS oracle runs on the bounding alternating group, padded to at
-    least A_5; ambient degrees above MAX_THREE_CYCLE_DEGREE are refused.
+    Read from the cycle-type table of the bounding alternating group, padded
+    to at least A_5; ambient degrees above MAX_THREE_CYCLE_DEGREE are refused.
     """
     if not sigma.is_even():
         raise OddPermutationError(f"{sigma} is odd; 3-cycles only generate A_n")
@@ -357,6 +382,6 @@ def three_cycle_norm(sigma: Permutation, ambient: int | None = None) -> int:
         degree = ambient
     if degree > MAX_THREE_CYCLE_DEGREE:
         raise PermutationSearchError(
-            f"3-cycle BFS refused for A_{degree} (> A_{MAX_THREE_CYCLE_DEGREE})"
+            f"3-cycle norm refused for A_{degree} (> A_{MAX_THREE_CYCLE_DEGREE})"
         )
-    return _three_cycle_table(degree)[sigma.to_images(degree)]
+    return _three_cycle_table(degree)[_full_cycle_type(sigma.to_images(degree))]

@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from .covering import MAX_COVERING_DEGREE
 from .perms import MAX_THREE_CYCLE_DEGREE
 
+# The norms suite runs a transposition BFS over all of S_norm_degree, and
+# S_9 has 362880 elements.
+MAX_NORM_DEGREE = 8
+
 
 class ConfigInvalidError(ValueError):
     pass
@@ -104,6 +108,17 @@ class RunConfig:
         if not 4 <= self.alternating_degree <= MAX_THREE_CYCLE_DEGREE - 1:
             raise ConfigInvalidError(
                 f"alternating_degree must lie in 4..{MAX_THREE_CYCLE_DEGREE - 1}")
+        # S_1 has no element for the norm checks to measure
+        if not 2 <= self.norm_degree <= MAX_NORM_DEGREE:
+            raise ConfigInvalidError(f"norm_degree must lie in 2..{MAX_NORM_DEGREE}")
+        # k = 0 leaves exhaustive_s6 no pair to examine
+        if self.cutting_max_k < 1:
+            raise ConfigInvalidError("cutting_max_k must be at least 1")
+        if not 0 < self.tail_fraction <= 1:
+            raise ConfigInvalidError("tail_fraction must lie in (0, 1]")
+        # bool is a subclass of int, but true is no seed
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigInvalidError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigInvalidError("seed must be non-negative")
         # a sampled check that draws nothing would pass having examined nothing

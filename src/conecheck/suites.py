@@ -28,6 +28,7 @@ from .covering import (
 from .perms import (
     Permutation,
     _even_tuples,
+    _full_cycle_type,
     _tuple_even,
     commutator,
     compose_all,
@@ -144,11 +145,14 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         constants={"tr_upper": 2, "n3_upper": 1.5}, witness=bad,
     ))
 
-    # three_cycle_norm oracle agreement and ambient stability; an ambient
-    # instability is the witness when both fail
+    # three_cycle_norm (a table over cycle types) against the element BFS and
+    # the closed form 2 n3 = m - #odd cycles (fixed points included), and
+    # ambient stability; an ambient instability is the witness when both fail
     def table_agreement(t):
         p = Permutation.from_images(t)
-        return None if three_cycle_norm(p) == n3_table[t] else str(p)
+        odd_cycles = sum(length % 2 for length in _full_cycle_type(t))
+        agree = three_cycle_norm(p) == n3_table[t] and 2 * n3_table[t] == m - odd_cycles
+        return None if agree else str(p)
 
     def ambient_stability(t):
         p = Permutation.from_images(t)

@@ -69,8 +69,25 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"brenner_degrees": [4]}, "brenner_degrees"),
     # degree 2 has no class to examine and would be skipped silently
     ({"brenner_degrees": [2, 5]}, "brenner_degrees"),
+    # the transposition BFS over S_9 would not finish
+    ({"norm_degree": 9}, "norm_degree"),
+    # S_1 and S_0 hold no non-identity element; the domination check failed falsely
+    ({"norm_degree": 1}, "norm_degree"),
+    ({"norm_degree": 0}, "norm_degree"),
+    # the cutting audit stacked no arrays and raised ValueError
+    ({"suites": ["cutting"], "cutting_max_k": -1}, "cutting_max_k"),
+    # ... and 0 examined nothing
+    ({"suites": ["cutting"], "cutting_max_k": 0}, "cutting_max_k"),
+    # estimate_limit raised ValueError mid-run
+    ({"suites": ["coneprobe"], "tail_fraction": 2}, "tail_fraction"),
+    ({"suites": ["coneprobe"], "tail_fraction": 0}, "tail_fraction"),
+    # a float seed ran and exited 0; a bool is no seed either
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
-        "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2"])
+        "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
+        "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
+        "cutting_max_k_0", "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))

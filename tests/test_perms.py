@@ -7,20 +7,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conecheck import perms, wordnorm
 from conecheck.perms import (
     IDENTITY,
     OddPermutationError,
     Permutation,
     PermutationSearchError,
+    _compose_images,
+    _full_cycle_type,
     _rank_images,
+    _three_cycle_table,
     _unrank_images,
     commutator,
     compose,
     compose_all,
     supp_norm,
+    three_cycle_generators,
     three_cycle_norm,
     tr_norm,
 )
+from conecheck.report import RunConfig
+from conecheck.suites import run_norms
 
 
 def bfs_word_lengths(degree, generators):
@@ -194,6 +201,69 @@ class TestThreeCycleNorm:
             p = Permutation.from_images(images)
             if p.is_even() and not p.is_identity():
                 assert three_cycle_norm(p) == three_cycle_norm(p, ambient=8)
+
+
+def partitions(n, largest=None):
+    """Every partition of n, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+class TestThreeCycleTable:
+    @pytest.mark.parametrize("n", range(5, 8))
+    def test_matches_element_bfs(self, n):
+        table = _three_cycle_table(n)
+        alt = wordnorm.alternating_oracle(n)
+        by_element = wordnorm.bfs_norm(alt, three_cycle_generators(n))
+        for t in alt.elements:
+            assert table[_full_cycle_type(t)] == by_element[t], t
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_closed_form_on_every_even_type(self, n):
+        # 2 n3 = n - #odd cycles, fixed points included
+        even_types = {t for t in partitions(n) if sum(part - 1 for part in t) % 2 == 0}
+        table = _three_cycle_table(n)
+        assert set(table) == even_types
+        for cycle_type, length in table.items():
+            assert 2 * length == n - sum(part % 2 for part in cycle_type), cycle_type
+
+    def test_wrong_table_fails_three_cycle_oracle(self, monkeypatch):
+        # off by one on the type (3, 3) of A_6 only: the element BFS catches it
+        # at the first element of that type in lexicographic order
+        true_table = _three_cycle_table
+
+        def wrong_table(degree):
+            table = dict(true_table(degree))
+            if degree == 6:
+                table[(3, 3)] += 1
+            return table
+
+        monkeypatch.setattr(perms, "_three_cycle_table", wrong_table)
+        cfg = RunConfig.small()
+        cfg.alternating_degree = 6
+        row = next(c for c in run_norms(cfg) if c.check_id == "norms.three_cycle_oracle")
+        first = next(t for t in itertools.permutations(range(6))
+                     if _full_cycle_type(t) == (3, 3))
+        assert row.status == "fail"
+        assert row.witness == str(Permutation.from_images(first))
+
+
+class TestImagePrimitives:
+    @given(st.integers(0, 9).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+    def test_compose_images_matches_generator(self, pair):
+        a, b = (tuple(t) for t in pair)
+        assert _compose_images(a, b) == tuple(b[x] for x in a)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_rank_ignores_integer_dtype(self, n, dtype):
+        rows = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+        assert (_rank_images(rows.astype(dtype)) == _rank_images(rows)).all()
 
 
 class TestAlgebra:

@@ -1,9 +1,12 @@
 """The generic BFS word-norm engine and its audits."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import conecheck
 from conecheck.perms import Permutation, three_cycle_generators, tr_norm
 from conecheck.wordnorm import (
     NormTable,
@@ -41,6 +44,20 @@ class TestBfs:
         depths = list(dist.values())
         assert depths == sorted(depths)
         assert len(dist) == 24
+
+
+def test_bfs_is_the_only_breadth_first_loop():
+    # one BFS in the package: the frontier swap appears once, inside wordnorm.bfs
+    package = Path(conecheck.__file__).parent
+    hits = [(path.name, line) for path in sorted(package.glob("*.py"))
+            for line, text in enumerate(path.read_text().splitlines(), 1)
+            if "frontier = nxt" in text]
+    source = (package / "wordnorm.py").read_text()
+    bfs_def = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "bfs")
+    assert len(hits) == 1
+    assert hits[0][0] == "wordnorm.py"
+    assert bfs_def.lineno <= hits[0][1] <= bfs_def.end_lineno
 
 
 def test_s3_with_transpositions():
