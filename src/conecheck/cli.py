@@ -126,7 +126,7 @@ def run_all(chosen, **kwargs):
                    "TARGET is decimal, 'x(n)' or 'x(n,t)'.")
 @click.argument("target")
 @click.option("--depth", type=int, default=16, help="Search depth cap.")
-@click.option("--base", type=int, default=None,
+@click.option("--base", type=click.IntRange(min=2), default=None,
               help="Generator base t (overrides the one in 'x(n,t)').")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the result as a verifiable certificate file.")
@@ -161,7 +161,8 @@ def integer_norm_command(target, depth, base, out):
                    "sequence file; writes a CSV series next to --out.")
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--bound", type=float, default=1.0, help="Admissibility bound.")
-@click.option("--tail", type=float, default=0.25, help="Tail fraction.")
+@click.option("--tail", type=click.FloatRange(0, 1, min_open=True), default=0.25,
+              help="Tail fraction, in (0, 1].")
 @click.option("--tol", type=float, default=1e-3, help="Convergence tolerance.")
 @click.option("--out", type=click.Path(), default=None, help="JSON summary path.")
 def probe_sequence_command(path, bound, tail, tol, out):
@@ -172,8 +173,8 @@ def probe_sequence_command(path, bound, tail, tol, out):
     try:
         with open(path) as fh:
             seq = load_sequence(json.load(fh))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"bad sequence description: {exc}", err=True)
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        click.echo(f"bad sequence description in {path}: {exc}", err=True)
         sys.exit(2)
     ok, witness = admissibility(seq, bound)
     estimate = estimate_limit(seq.normalized(), tail, tol)

@@ -23,6 +23,9 @@ class ScaledSequence:
     label: str = ""
 
     def __post_init__(self):
+        # admissibility and the tail statistics have nothing to take the max of
+        if not self.stages:
+            raise ValueError("a sequence needs at least one stage")
         for n, norm in self.stages:
             if norm < 0:
                 raise ValueError("norms must be non-negative")

@@ -24,18 +24,56 @@ class ConfigInvalidError(ValueError):
     pass
 
 
-SUITE_NAMES = (
-    "norms",
-    "cutting",
-    "covering",
-    "intnorm",
-    "matnorm",
-    "products",
-    "coneprobe",
-    "determinism",
-)
+SUITE_NAMES = ("norms", "cutting", "covering", "intnorm", "matnorm", "products",
+               "coneprobe", "determinism")
 
 CONFIG_ENV_VAR = "CONECHECK_CONFIG"
+
+
+def _field(default, lo=None, hi=None, *, degree=False):
+    """A config field whose value, or each entry of a tuple value, lies in
+    lo..hi (inclusive; None leaves that end open).  --max-degree lowers a
+    degree field to the ceiling and drops the larger entries of a tuple."""
+    return field(default=default, metadata={"lo": lo, "hi": hi, "degree": degree})
+
+
+def _well_typed(value, default) -> bool:
+    """A field's type is its default's.  A bool is never an int (no field is a
+    bool), a float field also takes an int, a tuple holds its default's entry
+    type, and a None default (the report path) stands for an optional str."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_well_typed(v, default[0]) for v in value)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _type_name(default) -> str:
+    return ("a string or null" if default is None
+            else f"a list of {type(default[0]).__name__}" if isinstance(default, tuple)
+            else "a number" if isinstance(default, float) else f"an {type(default).__name__}")
+
+
+def _span(lo, hi) -> str:
+    return (f"be at least {lo}" if hi is None else f"be at most {hi}" if lo is None
+            else f"lie in {lo}..{hi}")
+
+
+# The rules lo..hi cannot state: open ends and relations between two fields.
+# Each is (fields it reads, test, message over the config's fields).
+_RELATIONS = (
+    (("suites",), lambda c: set(c.suites) <= {*SUITE_NAMES, "all"},
+     "suites must name known suites, got {suites!r}"),
+    (("tau",), lambda c: 0 < c.tau < 1, "tau must lie in (0, 1), got {tau!r}"),
+    (("tail_fraction",), lambda c: 0 < c.tail_fraction <= 1,
+     "tail_fraction must lie in (0, 1], got {tail_fraction!r}"),
+    # the direct-sum check draws up to sum_terms distinct summands of Z/2..Z/sum_indices
+    (("sum_terms", "sum_indices"), lambda c: c.sum_terms < c.sum_indices,
+     "sum_terms must be below sum_indices, got {sum_terms} >= {sum_indices}"),
+    (("so_min_n", "so_max_n"), lambda c: c.so_min_n <= c.so_max_n,
+     "so_min_n must not exceed so_max_n, got {so_min_n} > {so_max_n}"),
+)
 
 
 @dataclass
@@ -44,102 +82,88 @@ class RunConfig:
 
     Defaults reproduce the full acceptance scales; the CLI's --max-degree is
     a ceiling over the exhaustive degrees and --samples rescales the sampled
-    checks.
+    checks.  Each field declares its accepted values once, through _field;
+    validate(), apply_ceiling() and the dict round trip read them from there.
     """
 
     suites: tuple = SUITE_NAMES
-    seed: int = 2020
+    seed: int = _field(2020, 0)
     tau: float = 1e-8
     out: str | None = None
 
-    norm_degree: int = 7
-    alternating_degree: int = 6
-    cutting_degree: int = 6
-    cutting_max_k: int = 8
-    random_pairs: int = 100_000
-    random_degree: int = 30
-    split_degree: int = 7
-    displacement_degree: int = 8
-    brenner_degrees: tuple = (5, 6, 7)
-    ore_degrees: tuple = (5, 6)
-    certificate_count: int = 100
-    certificate_degree: int = 7
-    intnorm_exact_max: int = 5
-    intnorm_sandwich_max: int = 8
-    intnorm_axiom_window: int = 200
+    # S_1 has no element for the norm checks to measure
+    norm_degree: int = _field(7, 2, MAX_NORM_DEGREE, degree=True)
+    # the 3-cycle oracle check measures A_max(m-1, 4) inside A_(m+1)
+    alternating_degree: int = _field(6, 4, MAX_THREE_CYCLE_DEGREE - 1, degree=True)
+    # exhaustive cutting beyond S_7 is not sensible
+    cutting_degree: int = _field(6, 2, 7, degree=True)
+    # k = 0 leaves exhaustive_s6 no pair to examine
+    cutting_max_k: int = _field(8, 1)
+    # a sampled check that draws nothing would pass having examined nothing
+    random_pairs: int = _field(100_000, 1)
+    # S_1 holds only the identity, which every cut bound trivially meets
+    random_degree: int = _field(30, 2)
+    # both checks enumerate S_n: splitting on S_9 and displacement on S_10
+    # each run for most of a minute or more
+    split_degree: int = _field(7, 2, 8, degree=True)
+    displacement_degree: int = _field(8, 2, 9, degree=True)
+    # the covering theorem starts at A_5; both covering checks enumerate
+    # A_n exhaustively, and A_9 would run for minutes
+    brenner_degrees: tuple = _field((5, 6, 7), 5, MAX_COVERING_DEGREE, degree=True)
+    ore_degrees: tuple = _field((5, 6), 1, MAX_COVERING_DEGREE, degree=True)
+    certificate_count: int = _field(100, 1)
+    # a certificate base needs an even element with a 2-cycle, first in A_4;
+    # the certificates on A_10 run for over a minute
+    certificate_degree: int = _field(7, 4, 9, degree=True)
+    # the lower bounds from here on keep each range nonempty; below them a
+    # check examined nothing, raised, or failed falsely
+    intnorm_exact_max: int = _field(5, 1)
+    intnorm_sandwich_max: int = _field(8, 1)
+    # the window is [-w, w]; w = -1 would pass over no integer
+    intnorm_axiom_window: int = _field(200, 0)
     intnorm_depth: int = 12
-    triangular_max_n: int = 10
-    spd_max_n: int = 8
-    so_min_n: int = 4
-    so_max_n: int = 12
-    matrix_pairs: int = 1000
-    circle_roundtrip_max: int = 1024
-    circle_grid: int = 10_000
-    circle_mod_max: int = 256
-    word_l1_budget: int = 6
-    sum_indices: int = 20
-    sum_terms: int = 4
+    triangular_max_n: int = _field(10, 1, degree=True)
+    spd_max_n: int = _field(8, 2, degree=True)
+    # SO(1) is the trivial group
+    so_min_n: int = _field(4, 2)
+    so_max_n: int = _field(12, degree=True)
+    matrix_pairs: int = _field(1000, 1)
+    circle_roundtrip_max: int = _field(1024, 1)
+    circle_grid: int = _field(10_000, 1)
+    circle_mod_max: int = _field(256, 1)
+    word_l1_budget: int = _field(6, 1)
+    sum_indices: int = _field(20, 2)
+    sum_terms: int = _field(4, 1)
+    # no lower bound: below two stages coneprobe.sequence_contraction fails as empty
     sequence_stage_max: int = 8
     tail_fraction: float = 0.25
     convergence_tol: float = 1e-3
 
     def validate(self) -> None:
-        unknown = [s for s in self.suites if s not in SUITE_NAMES and s != "all"]
-        if unknown:
-            raise ConfigInvalidError(f"unknown suites: {unknown}")
-        if not 0 < self.tau < 1:
-            raise ConfigInvalidError("tau must lie in (0, 1)")
-        if self.cutting_degree > 7:
-            raise ConfigInvalidError("exhaustive cutting beyond S_7 is not sensible")
-        # the covering theorem starts at A_5; both covering checks enumerate
-        # A_n exhaustively, and A_9 would run for minutes
-        outside = [d for d in self.brenner_degrees if not 5 <= d <= MAX_COVERING_DEGREE]
-        if outside:
-            raise ConfigInvalidError(
-                f"brenner_degrees must lie in 5..{MAX_COVERING_DEGREE}, got {outside}")
-        outside = [d for d in self.ore_degrees if not 1 <= d <= MAX_COVERING_DEGREE]
-        if outside:
-            raise ConfigInvalidError(
-                f"ore_degrees must lie in 1..{MAX_COVERING_DEGREE}, got {outside}")
-        # a certificate base needs an even element with a 2-cycle, first in A_4
-        if self.certificate_degree < 4:
-            raise ConfigInvalidError("certificate_degree must be at least 4")
-        # the 3-cycle oracle check measures A_max(m-1, 4) inside A_(m+1)
-        if not 4 <= self.alternating_degree <= MAX_THREE_CYCLE_DEGREE - 1:
-            raise ConfigInvalidError(
-                f"alternating_degree must lie in 4..{MAX_THREE_CYCLE_DEGREE - 1}")
-        # S_1 has no element for the norm checks to measure
-        if not 2 <= self.norm_degree <= MAX_NORM_DEGREE:
-            raise ConfigInvalidError(f"norm_degree must lie in 2..{MAX_NORM_DEGREE}")
-        # k = 0 leaves exhaustive_s6 no pair to examine
-        if self.cutting_max_k < 1:
-            raise ConfigInvalidError("cutting_max_k must be at least 1")
-        if not 0 < self.tail_fraction <= 1:
-            raise ConfigInvalidError("tail_fraction must lie in (0, 1]")
-        # bool is a subclass of int, but true is no seed
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigInvalidError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigInvalidError("seed must be non-negative")
-        # a sampled check that draws nothing would pass having examined nothing
-        for name in ("random_pairs", "matrix_pairs", "certificate_count", "circle_grid"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalidError(f"{name} must be at least 1")
+        """Raise one ConfigInvalidError naming every field of a wrong type or
+        outside its bounds."""
+        bad = {}
+        for f in dataclasses.fields(self):
+            value, lo, hi = getattr(self, f.name), f.metadata.get("lo"), f.metadata.get("hi")
+            if not _well_typed(value, f.default):
+                bad[f.name] = f"{f.name} must be {_type_name(f.default)}, got {value!r}"
+            elif any(lo is not None and v < lo or hi is not None and v > hi
+                     for v in (value if isinstance(value, tuple) else (value,))):
+                bad[f.name] = f"{f.name} must {_span(lo, hi)}, got {value!r}"
+        for names, holds, message in _RELATIONS:
+            if not bad.keys() & set(names) and not holds(self):
+                bad[names[0]] = message.format_map(vars(self))
+        if bad:
+            raise ConfigInvalidError("; ".join(bad.values()))
 
     def apply_ceiling(self, max_degree: int | None) -> None:
         if max_degree is None:
             return
-        self.norm_degree = min(self.norm_degree, max_degree)
-        self.alternating_degree = min(self.alternating_degree, max_degree)
-        self.cutting_degree = min(self.cutting_degree, max_degree)
-        self.split_degree = min(self.split_degree, max_degree)
-        self.displacement_degree = min(self.displacement_degree, max_degree)
-        self.certificate_degree = min(self.certificate_degree, max_degree)
-        self.brenner_degrees = tuple(d for d in self.brenner_degrees if d <= max_degree)
-        self.ore_degrees = tuple(d for d in self.ore_degrees if d <= max_degree)
-        self.triangular_max_n = min(self.triangular_max_n, max_degree)
-        self.spd_max_n = min(self.spd_max_n, max_degree)
-        self.so_max_n = max(min(self.so_max_n, max_degree), self.so_min_n)
+        for f in dataclasses.fields(self):
+            if f.metadata.get("degree"):
+                value = getattr(self, f.name)
+                setattr(self, f.name, tuple(d for d in value if d <= max_degree)
+                        if isinstance(value, tuple) else min(value, max_degree))
 
     def apply_samples(self, samples: int | None) -> None:
         if samples is None:
@@ -154,55 +178,29 @@ class RunConfig:
         """A reduced-scale config exercising every suite; used by the
         determinism check and quick CLI runs."""
         return cls(
-            suites=tuple(s for s in SUITE_NAMES if s != "determinism"),
-            seed=seed,
-            norm_degree=5,
-            alternating_degree=5,
-            cutting_degree=5,
-            cutting_max_k=6,
-            random_pairs=200,
-            random_degree=12,
-            split_degree=5,
-            displacement_degree=6,
-            brenner_degrees=(5,),
-            ore_degrees=(5,),
-            certificate_count=5,
-            certificate_degree=6,
-            intnorm_exact_max=3,
-            intnorm_sandwich_max=5,
-            intnorm_axiom_window=40,
-            triangular_max_n=5,
-            spd_max_n=5,
-            so_min_n=4,
-            so_max_n=6,
-            matrix_pairs=40,
-            circle_roundtrip_max=64,
-            circle_grid=500,
-            circle_mod_max=32,
-            word_l1_budget=4,
-            sum_indices=8,
-            sum_terms=3,
-            sequence_stage_max=5,
+            suites=tuple(s for s in SUITE_NAMES if s != "determinism"), seed=seed,
+            norm_degree=5, alternating_degree=5,
+            cutting_degree=5, cutting_max_k=6, random_pairs=200, random_degree=12,
+            split_degree=5, displacement_degree=6,
+            brenner_degrees=(5,), ore_degrees=(5,), certificate_count=5, certificate_degree=6,
+            intnorm_exact_max=3, intnorm_sandwich_max=5, intnorm_axiom_window=40,
+            triangular_max_n=5, spd_max_n=5, so_min_n=4, so_max_n=6, matrix_pairs=40,
+            circle_roundtrip_max=64, circle_grid=500, circle_mod_max=32,
+            word_l1_budget=4, sum_indices=8, sum_terms=3, sequence_stage_max=5,
         )
 
     def as_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["suites"] = list(self.suites)
-        data["brenner_degrees"] = list(self.brenner_degrees)
-        data["ore_degrees"] = list(self.ore_degrees)
-        return data
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {}
         names = {f.name for f in dataclasses.fields(cls)}
-        for key, value in data.items():
+        for key in data:
             if key not in names:
                 raise ConfigInvalidError(f"unknown config key {key!r}")
-            if key in ("suites", "brenner_degrees", "ore_degrees"):
-                value = tuple(value)
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in data.items()})
 
 
 def load_config_file(path: str | None) -> dict:

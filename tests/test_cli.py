@@ -1,15 +1,19 @@
 """The batch front-end: subcommands, config handling, certificate checks."""
 
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from conecheck.cli import main, verify_certificate
 from conecheck.cli import MalformedCertificateError, RecompositionMismatchError
 from conecheck.covering import express_as_conjugates
 from conecheck.perms import Permutation
-from conecheck.report import RunConfig, load_config_file
+from conecheck.report import ConfigInvalidError, RunConfig, load_config_file
 from conecheck.suites import run_suite
 
 
@@ -84,10 +88,38 @@ def test_invalid_config_exits_2(runner, tmp_path):
     # a float seed ran and exited 0; a bool is no seed either
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
+    # wrong types ended in a TypeError traceback
+    ({"norm_degree": "7"}, "norm_degree"),
+    ({"tau": "x"}, "tau"),
+    ({"brenner_degrees": 5}, "brenner_degrees"),
+    # run_suite wrote the report into file descriptor 5
+    ({"out": 5}, "out"),
+    # enumerating S_10, S_11 or A_30 did not finish
+    ({"split_degree": 10}, "split_degree"),
+    ({"displacement_degree": 11}, "displacement_degree"),
+    ({"certificate_degree": 30}, "certificate_degree"),
+    # these examined nothing, raised ValueError, or failed falsely
+    ({"triangular_max_n": 0}, "triangular_max_n"),
+    ({"spd_max_n": 1}, "spd_max_n"),
+    ({"intnorm_exact_max": 0}, "intnorm_exact_max"),
+    ({"intnorm_sandwich_max": 0}, "intnorm_sandwich_max"),
+    ({"circle_roundtrip_max": 0}, "circle_roundtrip_max"),
+    ({"circle_mod_max": 0}, "circle_mod_max"),
+    ({"sum_indices": 1}, "sum_indices"),
+    ({"word_l1_budget": 0}, "word_l1_budget"),
+    # the axioms check passed over the empty window [1, -1]
+    ({"intnorm_axiom_window": -1}, "intnorm_axiom_window"),
+    ({"so_min_n": 13}, "so_min_n"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
-        "cutting_max_k_0", "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool"])
+        "cutting_max_k_0", "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool",
+        "norm_degree_str", "tau_str", "brenner_degrees_scalar", "out_int",
+        "split_degree_10", "displacement_degree_11", "certificate_degree_30",
+        "triangular_max_n_0", "spd_max_n_1", "intnorm_exact_max_0",
+        "intnorm_sandwich_max_0", "circle_roundtrip_max_0", "circle_mod_max_0",
+        "sum_indices_1", "word_l1_budget_0", "intnorm_axiom_window_negative",
+        "so_min_n_above_max"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
@@ -132,6 +164,65 @@ def test_empty_sample_rejected(field):
     setattr(cfg, field, 0)
     with pytest.raises(ConfigInvalidError, match=field):
         cfg.validate()
+
+
+def _wrong_typed(f: dataclasses.Field):
+    """Values of the wrong type for one field: a str, a bool or a float for an
+    int; a scalar for a tuple; a number or a bool for the optional path."""
+    if f.default is None:
+        return st.one_of(st.integers(), st.floats(), st.booleans())
+    if isinstance(f.default, tuple):
+        return st.one_of(st.integers(), st.floats(), st.booleans(), st.text())
+    if isinstance(f.default, float):
+        return st.one_of(st.text(), st.booleans())
+    return st.one_of(st.text(), st.booleans(), st.floats())
+
+
+@given(st.sampled_from(dataclasses.fields(RunConfig)).flatmap(
+    lambda f: st.tuples(st.just(f.name), _wrong_typed(f))))
+def test_wrong_typed_field_is_named(case):
+    name, value = case
+    with pytest.raises(ConfigInvalidError, match=name):
+        RunConfig.from_dict({name: value}).validate()
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cfg for make in workloads.WORKLOADS.values() for cfg in make(2020)]
+
+
+def test_shipped_configs_validate():
+    for cfg in [RunConfig(), RunConfig.small(), *_workload_configs()]:
+        cfg.validate()
+
+
+# The ceiling --max-degree d gives, written out per d: norm, alternating,
+# cutting, split, displacement, certificate, brenner, ore, triangular, spd and
+# so_max degrees.  Every other field keeps its default.
+CEILINGS = {
+    4: (4, 4, 4, 4, 4, 4, (), (), 4, 4, 4),
+    5: (5, 5, 5, 5, 5, 5, (5,), (5,), 5, 5, 5),
+    6: (6, 6, 6, 6, 6, 6, (5, 6), (5, 6), 6, 6, 6),
+    7: (7, 6, 6, 7, 7, 7, (5, 6, 7), (5, 6), 7, 7, 7),
+    8: (7, 6, 6, 7, 8, 7, (5, 6, 7), (5, 6), 8, 8, 8),
+    9: (7, 6, 6, 7, 8, 7, (5, 6, 7), (5, 6), 9, 8, 9),
+    10: (7, 6, 6, 7, 8, 7, (5, 6, 7), (5, 6), 10, 8, 10),
+    11: (7, 6, 6, 7, 8, 7, (5, 6, 7), (5, 6), 10, 8, 11),
+    12: (7, 6, 6, 7, 8, 7, (5, 6, 7), (5, 6), 10, 8, 12),
+}
+CEILING_FIELDS = ("norm_degree", "alternating_degree", "cutting_degree", "split_degree",
+                  "displacement_degree", "certificate_degree", "brenner_degrees",
+                  "ore_degrees", "triangular_max_n", "spd_max_n", "so_max_n")
+
+
+@pytest.mark.parametrize("max_degree", sorted(CEILINGS))
+def test_apply_ceiling(max_degree):
+    cfg = RunConfig()
+    cfg.apply_ceiling(max_degree)
+    assert cfg == RunConfig(**dict(zip(CEILING_FIELDS, CEILINGS[max_degree])))
 
 
 def _checks(path) -> dict:
@@ -274,6 +365,12 @@ class TestIntegerNormCommand:
         result = runner.invoke(main, ["integer-norm", "x(oops)"])
         assert result.exit_code == 2
 
+    def test_base_below_2_exits_2(self, runner):
+        # FactorialGenerators raised ValueError: base must be at least 2
+        result = runner.invoke(main, ["integer-norm", "x(3)", "--base", "1"])
+        assert result.exit_code == 2
+        assert "--base" in result.output
+
 
 class TestProbeSequenceCommand:
     def test_cycle_family(self, runner, tmp_path):
@@ -290,6 +387,23 @@ class TestProbeSequenceCommand:
         series = (tmp_path / "probe.json.series.csv").read_text().splitlines()
         assert series[0] == "stage,norm,normalized"
         assert len(series) == 30
+
+    @pytest.mark.parametrize("tail", ["2", "0"])
+    def test_tail_outside_unit_interval_exits_2(self, runner, tmp_path, tail):
+        # estimate_limit raised ValueError: tail_fraction must lie in (0, 1]
+        spec = tmp_path / "seq.json"
+        spec.write_text(json.dumps({"family": "cycle", "stages": [1, 2, 3]}))
+        result = runner.invoke(main, ["probe-sequence", str(spec), "--tail", tail])
+        assert result.exit_code == 2
+        assert "--tail" in result.output
+
+    def test_empty_table_exits_2(self, runner, tmp_path):
+        # admissibility raised ValueError from max() over no stage
+        spec = tmp_path / "seq.json"
+        spec.write_text(json.dumps({"family": "table", "values": []}))
+        result = runner.invoke(main, ["probe-sequence", str(spec)])
+        assert result.exit_code == 2
+        assert str(spec) in result.output
 
     def test_bad_description(self, runner, tmp_path):
         spec = tmp_path / "seq.json"
