@@ -215,6 +215,8 @@ def load_sequence(spec: dict) -> ScaledSequence:
     "square-cycle" gives ||(1..n^2)|| = n^2 (inadmissible for s_n = n);
     "table" takes explicit [n, norm] pairs.
     """
+    if not isinstance(spec, dict):
+        raise TypeError(f"a sequence description is a JSON object, got {spec!r}")
     scaling = scaling_by_name(spec.get("scaling", "n"), spec.get("alpha", 1.0))
     family = spec["family"]
     if family == "table":

@@ -4,13 +4,14 @@
 satisfies three Lipschitz bounds (step bound 2|k-m|, non-expansive on equal
 supports, factor 2 in general) plus the norm decrease that feeds the
 contraction machinery.  ``cut_images`` is the same map on a batch of
-0-based image arrays; ``cut`` stays its reference.  ``verify_cut_lemmas``
-audits all four bounds on a sample.
+0-based image arrays; ``cut`` stays its reference.  ``cut_bounds`` is the
+one audit of the four bounds over index pairs into an array of cut images;
+``verify_cut_lemmas`` runs it on permutation pairs cut by ``cut``, and the
+cutting suite's exhaustive and random checks run it on ``cut_images``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,37 +136,84 @@ def displaced_set(sigma: Permutation) -> frozenset[int]:
     return frozenset(moved)
 
 
-@dataclass
-class LemmaAudit:
-    """Worst observed ratio for one bound, with a witness when violated."""
+# name -> (lemma, bound) of each cutting bound, in report order
+CUT_BOUNDS = {
+    "step": ("cut-step", "d(c_k s, c_m s) <= 2|k-m|"),
+    "equal-support": ("cut-equal-support", "d(c_k s, c_k t) <= d(s, t)"),
+    "general": ("cut-general", "d(c_k s, c_k t) <= 2 d(s, t)"),
+    "norm-decrease": ("cut-norm", "supp(c_k s) <= max(supp(s) - k, 0)"),
+}
 
-    lemma: str
-    bound: str
-    sample_size: int = 0
-    max_ratio: float = 0.0
-    violations: int = 0
-    witness: str | None = None
 
-    def record(self, observed: float, allowed: float, witness: Callable[[], str]) -> None:
-        """Count one sample; ``witness()`` is formatted only for a violation."""
-        self.sample_size += 1
-        ratio = observed / allowed if allowed else (0.0 if observed == 0 else float("inf"))
-        if ratio > self.max_ratio:
-            self.max_ratio = ratio
-        if observed > allowed:
-            self.violations += 1
-            if self.witness is None:
-                self.witness = witness()
+@dataclass(frozen=True)
+class BoundAudit:
+    """One cutting bound over a sample: its size, how many samples broke the
+    bound, the worst observed/allowed ratio, and the first violation."""
 
-    def as_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "bound": self.bound,
-            "sample_size": self.sample_size,
-            "max_ratio": self.max_ratio,
-            "violations": self.violations,
-            "witness": self.witness,
-        }
+    sample_size: int
+    violations: int
+    max_ratio: float
+    # (pair, k), or (pair, k, m) for the step bound: the first violation in
+    # pair order, then k (and m) ascending; None when the bound held
+    first: tuple[int, ...] | None
+
+
+def _audit(observed, allowed, first_pair, labels, weight=1) -> BoundAudit:
+    """One bound over rows of samples: row r holds the samples of one element
+    or pair, counted weight[r] times, and first_pair[r] is the first pair it
+    stands for; labels[c] is the k (or k, m) of column c."""
+    weight = np.broadcast_to(weight, first_pair.shape)
+    allowed = np.broadcast_to(allowed, observed.shape)
+    # where nothing is allowed the ratio is inf, or nan (ignored: 0) for 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = observed / allowed
+    bad = observed > allowed
+    first = None
+    if bad.any():
+        rows = np.flatnonzero(bad.any(axis=1))
+        row = rows[np.argmin(first_pair[rows])]
+        first = (int(first_pair[row]), *(int(x) for x in labels[np.argmax(bad[row])]))
+    return BoundAudit(
+        sample_size=int(weight.sum()) * observed.shape[1],
+        violations=int(weight @ bad.sum(axis=1)),
+        max_ratio=float(np.nanmax(ratio, initial=0.0)),
+        first=first,
+    )
+
+
+def cut_bounds(cuts: np.ndarray, left: np.ndarray, right: np.ndarray) -> dict[str, BoundAudit]:
+    """The four cutting bounds on the pairs (s, t) = (left[p], right[p]).
+
+    ``cuts`` is an (N, K+1, d) array whose row i holds c_0 s .. c_K s of
+    element i as 0-based image arrays, c_0 s being s itself; d(x, y) is the
+    number of points where x and y differ.  The step and norm-decrease
+    bounds belong to s alone: they are evaluated once per element and
+    counted once per pair it starts.  Keys and order follow CUT_BOUNDS.
+    """
+    base = np.arange(cuts.shape[2])
+    ks = np.arange(cuts.shape[1])
+    elements, first_seen, counts = np.unique(left, return_index=True, return_counts=True)
+    own = cuts[elements]
+    support = (own != base).sum(axis=2)
+    k, m = np.triu_indices(cuts.shape[1], 1)
+    steps = (own[:, k] != own[:, m]).sum(axis=2)
+    dist = (cuts[left] != cuts[right]).sum(axis=2)
+    pairs = np.arange(len(left))
+    same = ((cuts[left, 0] != base) == (cuts[right, 0] != base)).all(axis=1)
+    return {
+        "step": _audit(steps, 2 * (m - k), first_seen, np.stack([k, m], axis=1), counts),
+        "equal-support": _audit(dist[same, 1:], dist[same, :1], pairs[same], ks[1:, None]),
+        "general": _audit(dist[:, 1:], 2 * dist[:, :1], pairs, ks[1:, None]),
+        "norm-decrease": _audit(support, np.maximum(support[:, :1] - ks, 0), first_seen,
+                                ks[:, None], counts),
+    }
+
+
+def witness_text(name: str, first: tuple[int, ...], sigma: Permutation, tau: Permutation) -> str:
+    """The first violation of bound ``name``, at the pair (sigma, tau)."""
+    _, k, *m = first
+    pair = f"sigma={sigma}" if name in ("step", "norm-decrease") else f"sigma={sigma} tau={tau}"
+    return f"{pair} k={k}" + "".join(f" m={x}" for x in m)
 
 
 def verify_cut_lemmas(pairs, max_k: int = 8) -> dict:
@@ -173,43 +221,33 @@ def verify_cut_lemmas(pairs, max_k: int = 8) -> dict:
 
     Checks, for k, m up to ``max_k``: d(c_k s, c_m s) <= 2|k-m|;
     d(c_k s, c_k t) <= d(s, t) when supports coincide and <= 2 d(s, t)
-    always; supp(c_k s) <= max(supp(s) - k, 0).
+    always; supp(c_k s) <= max(supp(s) - k, 0).  Each distinct permutation
+    is cut by ``cut``; ``cut_bounds`` evaluates the bounds.
     """
-    audits = {
-        "step": LemmaAudit("cut-step", "d(c_k s, c_m s) <= 2|k-m|"),
-        "equal-support": LemmaAudit("cut-equal-support", "d(c_k s, c_k t) <= d(s, t)"),
-        "general": LemmaAudit("cut-general", "d(c_k s, c_k t) <= 2 d(s, t)"),
-        "norm-decrease": LemmaAudit("cut-norm", "supp(c_k s) <= max(supp(s) - k, 0)"),
-    }
-    profiles: dict[Permutation, tuple] = {}
-
-    def profile(p: Permutation) -> tuple:
-        # everything that depends on p alone: its cuts, their inverses, its
-        # inverse, and its (observed, allowed) norm-decrease and step samples
-        if p not in profiles:
-            cs = [cut(p, k).image for k in range(max_k + 1)]
-            inv = [c.inverse() for c in cs]
-            n_p = supp_norm(p)
-            norms = [(supp_norm(cs[k]), max(n_p - k, 0)) for k in range(max_k + 1)]
-            steps = [
-                [(supp_norm(cs[k].then(inv[m])), 2 * (m - k)) for m in range(k + 1, max_k + 1)]
-                for k in range(max_k + 1)
-            ]
-            profiles[p] = (cs, inv, p.inverse(), norms, steps)
-        return profiles[p]
-
+    index: dict[Permutation, int] = {}
+    left, right = [], []
     for sigma, tau in pairs:
-        cs, _, _, norms, steps = profile(sigma)
-        _, ct_inv, tau_inv, _, _ = profile(tau)
-        for k in range(max_k + 1):
-            audits["norm-decrease"].record(*norms[k], lambda: f"sigma={sigma} k={k}")
-            for m, (d, allowed) in enumerate(steps[k], start=k + 1):
-                audits["step"].record(d, allowed, lambda: f"sigma={sigma} k={k} m={m}")
-        d0 = supp_norm(sigma.then(tau_inv))
-        equal_support = sigma.support() == tau.support()
-        for k in range(1, max_k + 1):
-            dk = supp_norm(cs[k].then(ct_inv[k]))
-            audits["general"].record(dk, 2 * d0, lambda: f"sigma={sigma} tau={tau} k={k}")
-            if equal_support:
-                audits["equal-support"].record(dk, d0, lambda: f"sigma={sigma} tau={tau} k={k}")
-    return {name: audit.as_dict() for name, audit in audits.items()}
+        left.append(index.setdefault(sigma, len(index)))
+        right.append(index.setdefault(tau, len(index)))
+    perms = list(index)
+    cuts = [[cut(p, k).image for k in range(max_k + 1)] for p in perms]
+    # distances and supports do not change when the moved points are relabelled 0..d-1
+    points = sorted({x for row in cuts for c in row for x in c.support()})
+    label = {x: i for i, x in enumerate(points)}
+    images = np.array([[[label[c(x)] for x in points] for c in row] for row in cuts],
+                      dtype=np.min_scalar_type(len(points))).reshape(len(perms), max_k + 1,
+                                                                     len(points))
+    left, right = np.array(left, dtype=np.intp), np.array(right, dtype=np.intp)
+    report = {}
+    for name, audit in cut_bounds(images, left, right).items():
+        lemma, bound = CUT_BOUNDS[name]
+        report[name] = {
+            "lemma": lemma,
+            "bound": bound,
+            "sample_size": audit.sample_size,
+            "max_ratio": audit.max_ratio,
+            "violations": audit.violations,
+            "witness": audit.first and witness_text(
+                name, audit.first, perms[left[audit.first[0]]], perms[right[audit.first[0]]]),
+        }
+    return report

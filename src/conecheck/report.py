@@ -60,7 +60,8 @@ def _span(lo, hi) -> str:
             else f"lie in {lo}..{hi}")
 
 
-# The rules lo..hi cannot state: open ends and relations between two fields.
+# The rules lo..hi cannot state: open ends, relations between two fields, and
+# the report path.
 # Each is (fields it reads, test, message over the config's fields).
 _RELATIONS = (
     (("suites",), lambda c: set(c.suites) <= {*SUITE_NAMES, "all"},
@@ -73,6 +74,11 @@ _RELATIONS = (
      "sum_terms must be below sum_indices, got {sum_terms} >= {sum_indices}"),
     (("so_min_n", "so_max_n"), lambda c: c.so_min_n <= c.so_max_n,
      "so_min_n must not exceed so_max_n, got {so_min_n} > {so_max_n}"),
+    # the report is written after every suite has run, so a path that cannot
+    # take it is refused before the first one
+    (("out",), lambda c: c.out is None or not os.path.isdir(c.out)
+     and os.path.isdir(os.path.dirname(os.path.abspath(c.out))),
+     "out must name a file in an existing directory, got {out!r}"),
 )
 
 
@@ -97,8 +103,9 @@ class RunConfig:
     alternating_degree: int = _field(6, 4, MAX_THREE_CYCLE_DEGREE - 1, degree=True)
     # exhaustive cutting beyond S_7 is not sensible
     cutting_degree: int = _field(6, 2, 7, degree=True)
-    # k = 0 leaves exhaustive_s6 no pair to examine
-    cutting_max_k: int = _field(8, 1)
+    # k = 0 leaves exhaustive_s6 no pair to examine; the cutting suite's cost
+    # grows with k^2 (12 s at 12, 66 s at 32)
+    cutting_max_k: int = _field(8, 1, 12)
     # a sampled check that draws nothing would pass having examined nothing
     random_pairs: int = _field(100_000, 1)
     # S_1 holds only the identity, which every cut bound trivially meets

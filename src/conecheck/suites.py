@@ -286,47 +286,45 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 # random_s30 pairs are cut in blocks of this many; the (block, k, m, d) step
 # comparison makes larger blocks raise the run's peak memory
 CUT_BLOCK = 512
+# exhaustive_s6 audits about this many pairs per cut_bounds call, for the
+# same reason: every element against every element is (d!)^2 pairs
+EXHAUSTIVE_PAIR_BLOCK = 1 << 13
+
+
+def _bound_witness(bounds, rows, left, right) -> str | None:
+    """The first violation among cutting.cut_bounds results, bound by bound,
+    on pairs of image rows."""
+    for name, audit in bounds.items():
+        if audit.first is not None:
+            p = audit.first[0]
+            sigma, tau = _perm(rows[left[p]]), _perm(rows[right[p]])
+            return f"{name}: {cutting.witness_text(name, audit.first, sigma, tau)}"
+    return None
 
 
 def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     degree, kmax = cfg.cutting_degree, cfg.cutting_max_k
-    ks = np.arange(kmax + 1, dtype=np.int16)
-    allowed_steps = 2 * np.abs(ks[:, None] - ks[None, :])
 
-    # exhaustive pairs: cut every element at once per k, vectorize the pair loop
+    # exhaustive pairs: cut every element at once per k, then audit a block
+    # of left elements against every element at a time
     elements = sorted(itertools.permutations(range(degree)))
     n_el = len(elements)
     images = np.array(elements, dtype=np.int16).reshape(n_el, degree)
-    base = np.arange(degree, dtype=np.int16)
     cuts = np.stack([cutting.cut_images(images, k) for k in range(kmax + 1)], axis=1)
-    supp_of = (images != base).sum(axis=1)
-    masks = (images != base) @ (1 << np.arange(degree, dtype=np.int64))
-
-    # norm decrease and the step bound, per element
-    cut_supports = (cuts != base).sum(axis=2)  # (n_el, kmax+1)
-    norm_bad = cut_supports > np.maximum(supp_of[:, None] - ks[None, :], 0)
-    step_diffs = (cuts[:, :, None, :] != cuts[:, None, :, :]).sum(axis=3)
-    step_bad = step_diffs > allowed_steps
-    norm_violations = int(norm_bad.sum())
-    step_violations = int(step_bad.sum())
-
-    general_violations = 0
-    equal_violations = 0
+    bound_violations = dict.fromkeys(cutting.CUT_BOUNDS, 0)
     pair_count = 0
     pair_witness = None
-    d0 = (cuts[:, 0, None, :] != cuts[None, :, 0, :]).sum(axis=2, dtype=np.int16)
-    equal_mask = masks[:, None] == masks[None, :]
-    for k in range(1, kmax + 1):
-        dk = (cuts[:, k, None, :] != cuts[None, :, k, :]).sum(axis=2, dtype=np.int16)
-        general = int((dk > 2 * d0).sum())
-        equal = int(((dk > d0) & equal_mask).sum())
-        general_violations += general
-        equal_violations += equal
-        pair_count += n_el * n_el
-        if pair_witness is None and general + equal:
-            i, j = np.argwhere((dk > 2 * d0) | ((dk > d0) & equal_mask))[0]
-            pair_witness = f"{_perm(elements[i])} | {_perm(elements[j])} k={k}"
+    everyone = np.arange(n_el)
+    rows = max(1, EXHAUSTIVE_PAIR_BLOCK // n_el)
+    for start in range(0, n_el, rows):
+        block = everyone[start:start + rows]
+        left, right = np.repeat(block, n_el), np.tile(everyone, len(block))
+        bounds = cutting.cut_bounds(cuts, left, right)
+        for name, audit in bounds.items():
+            bound_violations[name] += audit.violations
+        pair_count += bounds["general"].sample_size
+        pair_witness = pair_witness or _bound_witness(bounds, images, left, right)
 
     # the batched cuts and distances must match the reference on a seeded sample
     rng = np.random.default_rng(cfg.seed)
@@ -340,29 +338,20 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
                 or supp_norm(a.then(b.inverse())) != int((cuts[i, k] != cuts[j, k]).sum())):
             ref_ok = False
             break
-    if not ref_ok:
-        witness = f"reference cut disagrees at {_perm(elements[i])} | {_perm(elements[j])} k={k}"
-    elif norm_violations:
-        i, k = np.argwhere(norm_bad)[0]
-        witness = f"norm {_perm(elements[i])} k={k}"
-    elif step_violations:
-        i, k, m = np.argwhere(step_bad)[0]
-        witness = f"step {_perm(elements[i])} k={k} m={m}"
-    else:
-        witness = pair_witness
+    witness = (pair_witness if ref_ok else
+               f"reference cut disagrees at {_perm(elements[i])} | {_perm(elements[j])} k={k}")
     checks.append(PASS(
         "cutting.exhaustive_s6",
         f"cut bounds (2|k-m| step, equal-support non-expansive, 2-Lipschitz, "
         f"norm decrease) on exhaustive S_{degree} pairs, k,m <= {kmax}",
-        ref_ok and norm_violations == 0 and step_violations == 0
-        and general_violations == 0 and equal_violations == 0,
+        ref_ok and not any(bound_violations.values()),
         pair_count,
         constants={"step_factor": 2, "general_factor": 2},
         observed={
-            "norm_violations": norm_violations,
-            "step_violations": step_violations,
-            "general_violations": general_violations,
-            "equal_support_violations": equal_violations,
+            "norm_violations": bound_violations["norm-decrease"],
+            "step_violations": bound_violations["step"],
+            "general_violations": bound_violations["general"],
+            "equal_support_violations": bound_violations["equal-support"],
             "vectorization_crosschecked": ref_ok,
         },
         witness=witness,
@@ -373,7 +362,6 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 1)
     oracle_rng = np.random.default_rng(cfg.seed + 8)
     rd = cfg.random_degree
-    base_rd = np.arange(rd, dtype=np.int16)
     violations = 0
     witness = None
     audits_checked = 0
@@ -388,28 +376,12 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
                 violations += 1
                 witness = witness or f"reference cut disagrees at {p} k={k}"
                 break
-        ca, cb = block[0::2], block[1::2]  # (size, kmax+1, rd), draw order a, b
-        d0 = (ca[:, 0] != cb[:, 0]).sum(axis=1)
-        dk = (ca != cb).sum(axis=2)
-        supp_a = (ca[:, 0] != base_rd).sum(axis=1)
-        cut_supp = (ca != base_rd).sum(axis=2)
-        lipschitz = ((dk > 2 * d0[:, None]).any(axis=1)
-                     | (cut_supp > np.maximum(supp_a[:, None] - ks, 0)).any(axis=1))
-        same_support = ((ca[:, 0] != base_rd) == (cb[:, 0] != base_rd)).all(axis=1)
-        equal = ~lipschitz & same_support & (dk > d0[:, None]).any(axis=1)
-        steps = (ca[:, :, None, :] != ca[:, None, :, :]).sum(axis=3)
-        step = ~lipschitz & (steps > allowed_steps).any(axis=(1, 2))
+        # pair i is drawn as rows 2i, 2i + 1
+        left, right = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
+        bounds = cutting.cut_bounds(block, left, right)
         audits_checked += size
-        violations += int(lipschitz.sum() + equal.sum() + step.sum())
-        if witness is None and (lipschitz | equal | step).any():
-            i = int(np.argmax(lipschitz | equal | step))
-            pa, pb = _perm(ca[i, 0]), _perm(cb[i, 0])
-            if lipschitz[i]:
-                witness = f"{pa} | {pb}"
-            elif equal[i]:
-                witness = f"equal-support {pa} | {pb}"
-            else:
-                witness = f"step {pa}"
+        violations += sum(audit.violations for audit in bounds.values())
+        witness = witness or _bound_witness(bounds, drawn, left, right)
     checks.append(PASS(
         "cutting.random_s30",
         f"the same cut bounds on {cfg.random_pairs} random S_{rd} pairs",
@@ -470,6 +442,8 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
         all(entry["violations"] == 0 and entry["max_ratio"] <= 1.0 for entry in audit.values()),
         sum(entry["sample_size"] for entry in audit.values()),
         observed={name: entry["max_ratio"] for name, entry in audit.items()},
+        witness=next((f"{name}: {entry['witness']}" for name, entry in audit.items()
+                      if entry["witness"]), None),
     ))
     return checks
 

@@ -82,6 +82,9 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"suites": ["cutting"], "cutting_max_k": -1}, "cutting_max_k"),
     # ... and 0 examined nothing
     ({"suites": ["cutting"], "cutting_max_k": 0}, "cutting_max_k"),
+    # the cutting suite's time and memory grow with k^2: 66 s at 32, about 3 GB at 400
+    ({"cutting_max_k": 13}, "cutting_max_k"),
+    ({"cutting_max_k": 400}, "cutting_max_k"),
     # estimate_limit raised ValueError mid-run
     ({"suites": ["coneprobe"], "tail_fraction": 2}, "tail_fraction"),
     ({"suites": ["coneprobe"], "tail_fraction": 0}, "tail_fraction"),
@@ -113,7 +116,8 @@ def test_invalid_config_exits_2(runner, tmp_path):
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
-        "cutting_max_k_0", "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool",
+        "cutting_max_k_0", "cutting_max_k_13", "cutting_max_k_400", "tail_fraction_2",
+        "tail_fraction_0", "seed_float", "seed_bool",
         "norm_degree_str", "tau_str", "brenner_degrees_scalar", "out_int",
         "split_degree_10", "displacement_degree_11", "certificate_degree_30",
         "triangular_max_n_0", "spd_max_n_1", "intnorm_exact_max_0",
@@ -126,6 +130,16 @@ def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     result = runner.invoke(main, ["norms", "--config", str(cfg)])
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_exits_2_before_running(runner, tmp_path, where):
+    # the report used to be lost after the whole run, in a FileNotFoundError
+    # (or IsADirectoryError) traceback with exit 1
+    result = runner.invoke(main, ["intnorm", "--out", str(tmp_path / where)])
+    assert result.exit_code == 2
+    assert "out must name a file in an existing directory" in result.output
+    assert "[PASS]" not in result.output
 
 
 def test_jobs_flag_is_gone(runner):
@@ -404,6 +418,15 @@ class TestProbeSequenceCommand:
         result = runner.invoke(main, ["probe-sequence", str(spec)])
         assert result.exit_code == 2
         assert str(spec) in result.output
+
+    @pytest.mark.parametrize("content", [[1, 2], 5, "cycle", None])
+    def test_description_not_an_object_exits_2(self, runner, tmp_path, content):
+        # load_sequence raised AttributeError on .get
+        spec = tmp_path / "seq.json"
+        spec.write_text(json.dumps(content))
+        result = runner.invoke(main, ["probe-sequence", str(spec)])
+        assert result.exit_code == 2
+        assert f"bad sequence description in {spec}" in result.output
 
     def test_bad_description(self, runner, tmp_path):
         spec = tmp_path / "seq.json"

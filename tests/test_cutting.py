@@ -1,13 +1,15 @@
 """Cutting maps, splitting and displacement."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conecheck import cutting
 from conecheck.cutting import (
+    CutResult,
     IdentityInputError,
     OutOfRangeError,
     cut,
@@ -189,6 +191,67 @@ class TestDisplacedSet:
             assert 3 * len(moved) >= supp_norm(sigma)
 
 
+class ReferenceAudit:
+    """Worst observed ratio for one bound, with a witness when violated."""
+
+    def __init__(self, lemma, bound):
+        self.lemma, self.bound = lemma, bound
+        self.sample_size, self.max_ratio, self.violations, self.witness = 0, 0.0, 0, None
+
+    def record(self, observed, allowed, witness):
+        self.sample_size += 1
+        ratio = observed / allowed if allowed else (0.0 if observed == 0 else float("inf"))
+        if ratio > self.max_ratio:
+            self.max_ratio = ratio
+        if observed > allowed:
+            self.violations += 1
+            if self.witness is None:
+                self.witness = witness()
+
+    def as_dict(self):
+        return {"lemma": self.lemma, "bound": self.bound, "sample_size": self.sample_size,
+                "max_ratio": self.max_ratio, "violations": self.violations,
+                "witness": self.witness}
+
+
+def reference_cut_lemmas(pairs, max_k):
+    """verify_cut_lemmas as one Permutation loop per pair, cutting through
+    whatever ``cutting.cut`` is at call time."""
+    audits = {
+        "step": ReferenceAudit("cut-step", "d(c_k s, c_m s) <= 2|k-m|"),
+        "equal-support": ReferenceAudit("cut-equal-support", "d(c_k s, c_k t) <= d(s, t)"),
+        "general": ReferenceAudit("cut-general", "d(c_k s, c_k t) <= 2 d(s, t)"),
+        "norm-decrease": ReferenceAudit("cut-norm", "supp(c_k s) <= max(supp(s) - k, 0)"),
+    }
+    for sigma, tau in pairs:
+        cs = [cutting.cut(sigma, k).image for k in range(max_k + 1)]
+        ct = [cutting.cut(tau, k).image for k in range(max_k + 1)]
+        for k in range(max_k + 1):
+            audits["norm-decrease"].record(supp_norm(cs[k]), max(supp_norm(sigma) - k, 0),
+                                           lambda: f"sigma={sigma} k={k}")
+            for m in range(k + 1, max_k + 1):
+                audits["step"].record(supp_norm(cs[k].then(cs[m].inverse())), 2 * (m - k),
+                                      lambda: f"sigma={sigma} k={k} m={m}")
+        d0 = supp_norm(sigma.then(tau.inverse()))
+        for k in range(1, max_k + 1):
+            dk = supp_norm(cs[k].then(ct[k].inverse()))
+            audits["general"].record(dk, 2 * d0, lambda: f"sigma={sigma} tau={tau} k={k}")
+            if sigma.support() == tau.support():
+                audits["equal-support"].record(
+                    dk, d0, lambda: f"sigma={sigma} tau={tau} k={k}")
+    return {name: audit.as_dict() for name, audit in audits.items()}
+
+
+def collapsing_cut(sigma, k):
+    """A broken cut: everything is erased at the first cut."""
+    return CutResult(sigma, ()) if k == 0 else CutResult(
+        IDENTITY, tuple(reversed(sigma.support())))
+
+
+small_perm = st.integers(0, 8).flatmap(
+    lambda d: st.permutations(range(d)).map(lambda t: Permutation.from_images(tuple(t))))
+
+
 class TestAudit:
     def test_same_element_pair(self):
         sigma = Permutation.parse("(1 4 2)(3 6)")
@@ -236,6 +299,23 @@ class TestAudit:
         assert report["step"]["witness"] == "sigma=(1 2 3 4 5 6) k=0 m=1"
         assert report["norm-decrease"]["witness"] is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(small_perm, small_perm), max_size=12).flatmap(
+        lambda pairs: st.lists(st.sampled_from(pairs or [(IDENTITY, IDENTITY)]),
+                               max_size=6).map(lambda repeats: pairs + repeats)),
+        st.integers(0, 9), st.booleans())
+    def test_matches_reference_loop(self, pairs, max_k, broken):
+        # repeats of earlier pairs and identity pairs are drawn on purpose:
+        # per-element bounds are evaluated once and counted per pair
+        with pytest.MonkeyPatch.context() as patch:
+            if broken:
+                patch.setattr(cutting, "cut", collapsing_cut)
+            assert verify_cut_lemmas(pairs, max_k) == reference_cut_lemmas(pairs, max_k)
+
+    @pytest.mark.parametrize("max_k", [0, 3])
+    def test_empty_pair_list_matches_reference(self, max_k):
+        assert verify_cut_lemmas([], max_k) == reference_cut_lemmas([], max_k)
+
     def test_exhaustive_s5_pinned(self):
         perms = all_perms(5)
         report = verify_cut_lemmas(
@@ -270,3 +350,34 @@ def test_broken_kernel_fails_both_cut_checks(monkeypatch):
     for check_id in ("cutting.random_s30", "cutting.exhaustive_s6"):
         assert rows[check_id].status == "fail", check_id
         assert rows[check_id].witness is not None, check_id
+
+
+def test_small_config_cut_checks_pinned():
+    # read from the per-check implementations this audit replaced
+    rows = {c.check_id: c for c in run_cutting(RunConfig.small())}
+    no_violations = {"norm_violations": 0, "step_violations": 0, "general_violations": 0,
+                     "equal_support_violations": 0, "vectorization_crosschecked": True}
+    assert (rows["cutting.exhaustive_s6"].sample_size,
+            rows["cutting.exhaustive_s6"].observed) == (86400, no_violations)
+    assert (rows["cutting.random_s30"].sample_size,
+            rows["cutting.random_s30"].observed) == (200, {"violations": 0})
+    assert (rows["cutting.audit_report"].sample_size,
+            rows["cutting.audit_report"].observed) == (503992, {
+                "step": 1.0, "equal-support": 1.0, "general": 0.75, "norm-decrease": 1.0})
+
+
+def test_every_cut_check_goes_through_cut_bounds(monkeypatch):
+    # cut_bounds is the only place the four bounds are evaluated: a violation
+    # it reports must fail each check that audits them, with a witness
+    real_cut_bounds = cutting.cut_bounds
+
+    def one_violation(cuts, left, right):
+        bounds = real_cut_bounds(cuts, left, right)
+        bounds["general"] = dataclasses.replace(bounds["general"], violations=1, first=(0, 1))
+        return bounds
+
+    monkeypatch.setattr(cutting, "cut_bounds", one_violation)
+    rows = {c.check_id: c for c in run_cutting(RunConfig.small())}
+    for check_id in ("cutting.exhaustive_s6", "cutting.random_s30", "cutting.audit_report"):
+        assert rows[check_id].status == "fail", check_id
+        assert rows[check_id].witness.startswith("general: sigma="), check_id
