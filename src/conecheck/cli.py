@@ -225,11 +225,13 @@ def verify_certificate(path) -> str:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedCertificateError(str(exc)) from exc
+    if not isinstance(data, dict):
+        raise MalformedCertificateError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "conjugate-product":
         try:
             cert = ConjugateProductCertificate.from_json_dict(data)
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedCertificateError(str(exc)) from exc
         recomposed = cert.recomposed()
         if recomposed != cert.target:

@@ -5,6 +5,12 @@ the SO(n) elementary-rotation projection.
 Two independent rank backends: fraction-free (Bareiss) elimination for exact
 inputs, singular-value thresholding for orthogonal ones.  The naive Fraction
 elimination is kept as a second oracle and never removed.
+
+Integer stacks (N, n, n) have a batched exact backend: elimination mod two
+primes just below 2^31 (modular_rank, leading_minor_signs), exact wherever
+Hadamard's bound stays below 2^60 and handed to the Bareiss routines
+elsewhere.  Its int64 products and inverses refuse inputs whose entry bound
+reaches 2^62 (EntryBoundError).
 """
 
 from __future__ import annotations
@@ -233,6 +239,148 @@ def bareiss_determinant(rows) -> "int | Fraction":
     return det if denominator == 1 else Fraction(det, denominator)
 
 
+# --- exact ranks and minors of int64 stacks, by two primes ----------------------
+
+# Every residue product stays below 2^62, and P1 * P2 > 2^61: two residues fix
+# an integer of absolute value below 2^60 (Garner's CRT), and a nonzero minor
+# below 2^60 is divisible by at most one of the primes.  (Modular rank and
+# determinant: von zur Gathen & Gerhard, Modern Computer Algebra.)
+P1 = 2_147_483_647
+P2 = 2_147_483_629
+HADAMARD_LOG2_LIMIT = 60
+ENTRY_LIMIT = 2 ** 62
+
+
+class EntryBoundError(ArithmeticError):
+    """An int64 stack operation whose entries could reach 2^62."""
+
+
+def _max_abs(stack) -> int:
+    return max(int(stack.max()), -int(stack.min())) if stack.size else 0
+
+
+def hadamard_log2(stack) -> np.ndarray:
+    """log2 of prod_i max(1, |row_i|) for each matrix of an (N, r, c) stack.
+
+    It bounds every minor of every size.  Float rounding shifts it by far less
+    than the bit between HADAMARD_LOG2_LIMIT and what the primes cover.
+    """
+    norms = np.sqrt(np.square(stack, dtype=float).sum(-1))
+    return np.log2(np.maximum(norms, 1.0)).sum(-1)
+
+
+def int64_matmul(a, b) -> np.ndarray:
+    """a @ b on int64 stacks; EntryBoundError unless max|a| max|b| n < 2^62."""
+    if _max_abs(a) * _max_abs(b) * a.shape[-1] >= ENTRY_LIMIT:
+        raise EntryBoundError(f"int64 product of {a.shape[-1]}-wide stacks may overflow")
+    return a @ b
+
+
+def unit_triangular_inverse(stack) -> np.ndarray:
+    """Inverses of an (N, n, n) stack of upper triangular int64 matrices with
+    diagonal entries +-1, by back substitution.
+
+    With s the largest off-diagonal |entry|, an inverse entry i < j is at most
+    s (1 + s)^(j - i - 1) (induction on j - i), so every sum formed stays below
+    max(s, 1) (1 + s)^(n - 1) n, which must be below 2^62 (EntryBoundError).
+    """
+    n = stack.shape[-1]
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    if np.tril(stack, -1).any() or not np.isin(diagonal, (-1, 1)).all():
+        raise ValueError("not upper triangular with diagonal entries +-1")
+    s = _max_abs(np.triu(stack, 1))
+    if max(s, 1) * (1 + s) ** max(n - 1, 0) * n >= ENTRY_LIMIT:
+        raise EntryBoundError(f"unit triangular inverse at n={n} may overflow")
+    inverse = np.zeros_like(stack)
+    for i in range(n - 1, -1, -1):
+        row = -(stack[:, i : i + 1, i + 1 :] @ inverse[:, i + 1 :, :])[:, 0]
+        row[:, i] += 1
+        inverse[:, i, :] = diagonal[:, i, None] * row
+    return inverse
+
+
+def _residues(stack) -> tuple[np.ndarray, np.ndarray]:
+    """The stack mod P1 and mod P2, stacked on a new first axis, and the primes
+    shaped to broadcast against it."""
+    primes = np.array([P1, P2], dtype=np.int64).reshape(2, *(1,) * stack.ndim)
+    return stack % primes, primes
+
+
+def modular_rank(stack) -> np.ndarray:
+    """Exact ranks of an (N, r, c) integer stack.
+
+    Fraction-free elimination mod P1 and mod P2; the rank is the larger of the
+    two.  A matrix whose Hadamard bound reaches 2^60 goes to bareiss_rank.
+    """
+    stack = np.asarray(stack, dtype=np.int64)
+    ranks = np.zeros(stack.shape[0], dtype=np.int64)
+    if stack.shape[1] == 0 or stack.shape[2] == 0:
+        return ranks
+    exact = hadamard_log2(stack) < HADAMARD_LOG2_LIMIT
+    a, primes = _residues(stack[exact])
+    used = np.zeros(a.shape[:3], dtype=bool)
+    rows = np.arange(a.shape[2])
+    for col in range(a.shape[3]):
+        # the columns left of col are zero in every row not yet used
+        rest = a[..., col:]
+        free = (rest[..., 0] != 0) & ~used
+        pivot = free.argmax(-1)
+        pivot_row = np.take_along_axis(rest, pivot[..., None, None], axis=-2)
+        used |= (rows == pivot[..., None]) & free.any(-1)[..., None]
+        reduced = (rest * pivot_row[..., :1] - rest[..., :1] * pivot_row) % primes
+        a[..., col:] = np.where((free & ~used)[..., None], reduced, rest)
+    ranks[exact] = used.sum(-1).max(0)
+    for k in np.flatnonzero(~exact):
+        ranks[k] = bareiss_rank(stack[k].tolist())
+    return ranks
+
+
+def _inverse_mod(x, primes) -> np.ndarray:
+    """x^(p - 2) mod p elementwise: the inverse mod each prime (0 for 0)."""
+    result = np.ones_like(x)
+    base = x % primes
+    for bit in range(31):
+        odd = ((primes - 2) >> bit) & 1 == 1
+        result = np.where(odd, result * base % primes, result)
+        base = base * base % primes
+    return result
+
+
+def leading_minor_signs(stack) -> np.ndarray:
+    """Signs of the k x k leading minors, k = 1..n, of an (N, n, n) integer stack.
+
+    Gaussian elimination without pivoting mod P1 and mod P2 gives each minor's
+    residues; Garner's CRT recovers the minor in (-P1 P2 / 2, P1 P2 / 2).  A
+    matrix whose Hadamard bound reaches 2^60, or that meets a pivot divisible
+    by either prime, goes to bareiss_determinant.
+    """
+    stack = np.asarray(stack, dtype=np.int64)
+    count, n = stack.shape[:2]
+    a, primes = _residues(stack)
+    p = primes[:, :, 0, 0]
+    minors = np.ones((2, count, n), dtype=np.int64)
+    running = np.ones((2, count), dtype=np.int64)
+    for k in range(n):
+        pivot = a[:, :, k, k]
+        running = running * pivot % p
+        minors[:, :, k] = running
+        factor = a[:, :, k + 1 :, k] * _inverse_mod(pivot, p)[..., None] % primes[..., 0]
+        a[:, :, k + 1 :, k + 1 :] = (
+            a[:, :, k + 1 :, k + 1 :] - factor[..., None] * a[:, :, k : k + 1, k + 1 :]
+        ) % primes
+    r1, r2 = minors
+    value = r1 + P1 * ((r2 - r1) % P2 * pow(P1, -1, P2) % P2)
+    signs = np.sign(np.where(value > P1 * P2 // 2, value - P1 * P2, value))
+    fallback = (hadamard_log2(stack) >= HADAMARD_LOG2_LIMIT) | (minors == 0).any((0, 2))
+    for j in np.flatnonzero(fallback):
+        rows = stack[j].tolist()
+        signs[j] = [
+            (d > 0) - (d < 0)
+            for d in (bareiss_determinant([r[:k] for r in rows[:k]]) for k in range(1, n + 1))
+        ]
+    return signs
+
+
 @dataclass(frozen=True)
 class RankNormValue:
     """rk(g - id) with the backend that produced it."""
@@ -411,6 +559,21 @@ def random_unit_triangular(rng: np.random.Generator, n: int, spread: int = 2) ->
     return RationalMatrix(rows)
 
 
+def random_unit_triangular_stack(
+    rng: np.random.Generator, n: int, count: int, spread: int = 2
+) -> np.ndarray:
+    """count successive random_unit_triangular draws as an (count, n, n) int64
+    stack, from one rng.integers call over the same stream."""
+    i, j = np.triu_indices(n)
+    diagonal = i == j
+    # rng.choice((-1, 1)) draws its index as integers(0, 2)
+    flat = rng.integers(np.where(diagonal, 0, -spread), np.where(diagonal, 2, spread + 1),
+                        size=(count, i.size))
+    stack = np.zeros((count, n, n), dtype=np.int64)
+    stack[:, i, j] = np.where(diagonal, 2 * flat - 1, flat)
+    return stack
+
+
 def random_rational_triangular(rng: np.random.Generator, n: int) -> RationalMatrix:
     """Upper triangular with fractional diagonal entries; exercises Fractions."""
     choices = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
@@ -432,6 +595,15 @@ def random_spd(rng: np.random.Generator, n: int, spread: int = 2) -> RationalMat
     return (m.transpose() @ m) - RationalMatrix(
         tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
     )
+
+
+def random_spd_stack(
+    rng: np.random.Generator, n: int, count: int, spread: int = 2
+) -> np.ndarray:
+    """count successive random_spd draws as an (count, n, n) int64 stack, from
+    one rng.integers call over the same stream."""
+    m = rng.integers(-spread, spread + 1, size=(count, n, n))
+    return int64_matmul(m.transpose(0, 2, 1), m) + np.eye(n, dtype=np.int64)
 
 
 def random_so(rng: np.random.Generator, n: int) -> FloatMatrix:

@@ -129,8 +129,12 @@ class RunConfig:
     # the window is [-w, w]; w = -1 would pass over no integer
     intnorm_axiom_window: int = _field(200, 0)
     intnorm_depth: int = 12
-    triangular_max_n: int = _field(10, 1, degree=True)
-    spd_max_n: int = _field(8, 2, degree=True)
+    # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
+    # 5 s at the defaults): 7.5 s at triangular n 16 and 10 s at 18; 7.2 s at
+    # SPD n 12 and 10.4 s at 13, where Hadamard's bound sends most SPD
+    # matrices from the two-prime kernel to Bareiss
+    triangular_max_n: int = _field(10, 1, 16, degree=True)
+    spd_max_n: int = _field(8, 2, 12, degree=True)
     # SO(1) is the trivial group
     so_min_n: int = _field(4, 2)
     so_max_n: int = _field(12, degree=True)

@@ -687,31 +687,160 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------- matnorm
 
 
+def _stacked_cases(rng, n, pairs, seed, stacked, reference):
+    """One n-block of a matrix check, as cases for _first_witness.
+
+    stacked(rng, n, pairs, oracle) runs the whole block on int64 stacks and
+    returns (flagged, disagreement): whether any pair failed, and the witness
+    of its in-check oracle, which re-runs the seeded pair `oracle` through
+    RationalMatrix and bareiss_rank (None when they agree).  A flagged pair,
+    a disagreement, or a block the int64 guards refuse replays the reference
+    per-pair loop from the block's rng state, so that a failure reads
+    (witness, count, later draws) as the reference alone would have it.  A
+    disagreement the reference loop does not explain fails as one more case.
+    """
+    state = rng.bit_generator.state
+    oracle = int(np.random.default_rng((seed, n)).integers(pairs))
+    try:
+        flagged, disagreement = stacked(rng, n, pairs, oracle)
+    except matnorm.EntryBoundError:
+        flagged, disagreement = True, None
+    if not flagged and disagreement is None:
+        yield from itertools.repeat(None, pairs)
+        return
+    rng.bit_generator.state = state
+    yield from reference(rng, n, pairs)
+    if disagreement is not None:
+        yield disagreement
+
+
+def _zero_last(stack):
+    """The stack with its last row and column zeroed: the leading block,
+    padded back to n x n without changing its rank."""
+    out = stack.copy()
+    out[:, -1, :] = 0
+    out[:, :, -1] = 0
+    return out
+
+
+def _disagreement(n, oracle, stacked: dict, reference: dict) -> str | None:
+    """The oracle's witness: the first quantity on which the stacked kernel and
+    the reference differ at the oracle pair, or None."""
+    for name, value in stacked.items():
+        if value != reference[name]:
+            return f"{name}: stacked {value} != reference {reference[name]} " \
+                   f"at n={n} pair {oracle}"
+    return None
+
+
+def _triangular_pairs(rng, n, pairs):
+    """The reference loop of matnorm.triangular's integer block at one n."""
+    for _ in range(pairs):
+        g = matnorm.random_unit_triangular(rng, n)
+        h = matnorm.random_unit_triangular(rng, n)
+        if matnorm.triangular_project(g @ h) != \
+           matnorm.triangular_project(g) @ matnorm.triangular_project(h):
+            yield f"homomorphism n={n}"
+            continue
+        x = g @ h.inverse()
+        drop = matnorm.embed(matnorm.triangular_project(g), n) @ g.inverse()
+        if matnorm.bareiss_rank(drop.minus_identity().rows) > 1:
+            yield f"rank drop n={n}"
+        elif matnorm.bareiss_rank(
+            matnorm.triangular_project(x).minus_identity().rows
+        ) > matnorm.bareiss_rank(x.minus_identity().rows):
+            yield f"expansion n={n}"
+        else:
+            yield None
+
+
+def _triangular_stacked(rng, n, pairs, oracle):
+    """_triangular_pairs on int64 stacks; see _stacked_cases."""
+    stack = matnorm.random_unit_triangular_stack(rng, n, 2 * pairs)
+    g, h = stack[0::2], stack[1::2]
+    eye = np.eye(n, dtype=np.int64)
+    lead = np.s_[:, : n - 1, : n - 1]
+    gh = matnorm.int64_matmul(g, h)
+    g_inv = matnorm.unit_triangular_inverse(g)
+    x = matnorm.int64_matmul(g, matnorm.unit_triangular_inverse(h))
+    embedded = g.copy()  # embed(triangular_project(g), n)
+    embedded[:, -1, :] = eye[-1]
+    embedded[:, :, -1] = eye[:, -1]
+    drop = matnorm.int64_matmul(embedded, g_inv)
+    ranks = matnorm.modular_rank(np.concatenate([drop - eye, _zero_last(x - eye), x - eye]))
+    rk_drop, rk_lead, rk_x = ranks.reshape(3, pairs)
+    flagged = not (
+        (gh[lead] == matnorm.int64_matmul(g[lead], h[lead])).all()
+        and (rk_drop <= 1).all() and (rk_lead <= rk_x).all())
+    gr = matnorm.RationalMatrix(g[oracle].tolist())
+    hr = matnorm.RationalMatrix(h[oracle].tolist())
+    xr = gr @ hr.inverse()
+    dropr = matnorm.embed(matnorm.triangular_project(gr), n) @ gr.inverse()
+    reference = {"x": xr.rows, "drop": dropr.rows, "ranks": [
+        matnorm.bareiss_rank(dropr.minus_identity().rows),
+        matnorm.bareiss_rank(matnorm.triangular_project(xr).minus_identity().rows),
+        matnorm.bareiss_rank(xr.minus_identity().rows)]}
+    got = {"x": matnorm.RationalMatrix(x[oracle].tolist()).rows,
+           "drop": matnorm.RationalMatrix(drop[oracle].tolist()).rows,
+           "ranks": [int(r[oracle]) for r in (rk_drop, rk_lead, rk_x)]}
+    return flagged, _disagreement(n, oracle, got, reference)
+
+
+def _spd_pairs(rng, n, pairs):
+    """The reference loop of matnorm.spd at one n."""
+    for _ in range(pairs):
+        a = matnorm.random_spd(rng, n)
+        b = matnorm.random_spd(rng, n)
+        ap, bp = matnorm.spd_project(a), matnorm.spd_project(b)
+        if not ap.is_symmetric():
+            yield f"symmetry n={n}"
+        elif matnorm.bareiss_rank((ap - bp).rows) > matnorm.bareiss_rank((a - b).rows):
+            yield f"rank inequality n={n}"
+        elif matnorm.bareiss_rank((matnorm.embed(ap, n) - a).rows) > 2:
+            yield f"rank drop n={n}"
+        else:
+            yield None
+
+
+def _spd_stacked(rng, n, pairs, oracle):
+    """_spd_pairs on int64 stacks; see _stacked_cases."""
+    stack = matnorm.random_spd_stack(rng, n, 2 * pairs)
+    a, b = stack[0::2], stack[1::2]
+    signs = matnorm.leading_minor_signs(stack)
+    drop = -a  # embed(spd_project(a), n) - a
+    drop[:, : n - 1, : n - 1] = 0
+    drop[:, -1, -1] += 1
+    ranks = matnorm.modular_rank(np.concatenate([_zero_last(a - b), a - b, drop]))
+    rk_lead, rk_diff, rk_drop = ranks.reshape(3, pairs)
+    # spd_project's conditions; its leading block of a symmetric matrix is symmetric
+    flagged = not (
+        (stack == stack.transpose(0, 2, 1)).all() and (signs > 0).all()
+        and (rk_lead <= rk_diff).all() and (rk_drop <= 2).all())
+    ar = matnorm.RationalMatrix(a[oracle].tolist())
+    br = matnorm.RationalMatrix(b[oracle].tolist())
+    apr, bpr = ar.leading(n - 1), br.leading(n - 1)
+    reference = {
+        "leading minor signs": [[(d > 0) - (d < 0) for d in (
+            matnorm.bareiss_determinant(m.leading(k).rows) for k in range(1, n + 1))]
+            for m in (ar, br)],
+        "ranks": [matnorm.bareiss_rank((apr - bpr).rows),
+                  matnorm.bareiss_rank((ar - br).rows),
+                  matnorm.bareiss_rank((matnorm.embed(apr, n) - ar).rows)]}
+    got = {"leading minor signs": signs[2 * oracle : 2 * oracle + 2].tolist(),
+           "ranks": [int(r[oracle]) for r in (rk_lead, rk_diff, rk_drop)]}
+    return flagged, _disagreement(n, oracle, got, reference)
+
+
 def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     rng = np.random.default_rng(cfg.seed + 3)
 
-    # B_n: homomorphism, rank drop <= 1, non-expansive; exact integers plus
-    # a rational-diagonal slice
+    # B_n: homomorphism, rank drop <= 1, non-expansive; exact integers on
+    # int64 stacks plus a rational-diagonal slice
     def triangular_cases():
         for n in range(1, cfg.triangular_max_n + 1):
-            for i in range(cfg.matrix_pairs):
-                g = matnorm.random_unit_triangular(rng, n)
-                h = matnorm.random_unit_triangular(rng, n)
-                if matnorm.triangular_project(g @ h) != \
-                   matnorm.triangular_project(g) @ matnorm.triangular_project(h):
-                    yield f"homomorphism n={n}"
-                    continue
-                x = g @ h.inverse()
-                drop = matnorm.embed(matnorm.triangular_project(g), n) @ g.inverse()
-                if matnorm.bareiss_rank(drop.minus_identity().rows) > 1:
-                    yield f"rank drop n={n}"
-                elif matnorm.bareiss_rank(
-                    matnorm.triangular_project(x).minus_identity().rows
-                ) > matnorm.bareiss_rank(x.minus_identity().rows):
-                    yield f"expansion n={n}"
-                else:
-                    yield None
+            yield from _stacked_cases(rng, n, cfg.matrix_pairs, cfg.seed,
+                                      _triangular_stacked, _triangular_pairs)
         # rational diagonals exercise the Fraction path
         for n in range(2, min(cfg.triangular_max_n, 6) + 1):
             for _ in range(20):
@@ -735,18 +864,8 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     # SPD
     def spd_cases():
         for n in range(2, cfg.spd_max_n + 1):
-            for _ in range(cfg.matrix_pairs):
-                a = matnorm.random_spd(rng, n)
-                b = matnorm.random_spd(rng, n)
-                ap, bp = matnorm.spd_project(a), matnorm.spd_project(b)
-                if not ap.is_symmetric():
-                    yield f"symmetry n={n}"
-                elif matnorm.bareiss_rank((ap - bp).rows) > matnorm.bareiss_rank((a - b).rows):
-                    yield f"rank inequality n={n}"
-                elif matnorm.bareiss_rank((matnorm.embed(ap, n) - a).rows) > 2:
-                    yield f"rank drop n={n}"
-                else:
-                    yield None
+            yield from _stacked_cases(rng, n, cfg.matrix_pairs, cfg.seed,
+                                      _spd_stacked, _spd_pairs)
 
     bad, pairs = _first_witness(spd_cases())
     checks.append(PASS(
@@ -817,10 +936,16 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
 
     bad, total = _first_witness(map(permutation_cross, itertools.permutations(range(6))))
     rng2 = np.random.default_rng(cfg.seed + 4)
-    for _ in range(100):
+    padded = np.zeros((100, 6, 6), dtype=np.int64)  # zero padding keeps the rank
+    samples = []
+    for k in range(100):
         n = int(rng2.integers(1, 7))
         rows = [[int(rng2.integers(-3, 4)) for _ in range(n)] for _ in range(n)]
-        if matnorm.bareiss_rank(rows) != matnorm.gauss_rank(rows):
+        padded[k, :n, :n] = rows
+        samples.append(rows)
+    for rows, modular in zip(samples, matnorm.modular_rank(padded)):
+        rank = matnorm.bareiss_rank(rows)
+        if rank != matnorm.gauss_rank(rows) or rank != modular:
             bad = "rank backends disagree"
             break
     checks.append(PASS(

@@ -113,6 +113,9 @@ def test_invalid_config_exits_2(runner, tmp_path):
     # the axioms check passed over the empty window [1, -1]
     ({"intnorm_axiom_window": -1}, "intnorm_axiom_window"),
     ({"so_min_n": 13}, "so_min_n"),
+    # above these the matnorm suite outgrows its budget of 8 s (default pairs)
+    ({"triangular_max_n": 17}, "triangular_max_n must lie in 1..16"),
+    ({"spd_max_n": 13}, "spd_max_n must lie in 2..12"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
@@ -123,7 +126,7 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "triangular_max_n_0", "spd_max_n_1", "intnorm_exact_max_0",
         "intnorm_sandwich_max_0", "circle_roundtrip_max_0", "circle_mod_max_0",
         "sum_indices_1", "word_l1_budget_0", "intnorm_axiom_window_negative",
-        "so_min_n_above_max"])
+        "so_min_n_above_max", "triangular_max_n_17", "spd_max_n_13"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
@@ -487,6 +490,23 @@ class TestVerifyCertificate:
         path.write_text("{not json")
         result = runner.invoke(main, ["verify-certificate", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("content", [
+        [1, 2], 5, "cert", None,
+        {"kind": "conjugate-product", "base": 5, "target": "(1 2 3)", "factors": 5},
+        {"kind": "conjugate-product", "base": "(1 2)(3 4)", "target": "(1 2 3)",
+         "factors": 5},
+        {"kind": "conjugate-product", "base": "(1 2)(3 4)", "target": "(1 2 3)",
+         "factors": [5]},
+    ], ids=["list", "number", "string", "null", "int base", "int factors",
+            "int factor"])
+    def test_malformed_shape_exits_2(self, runner, tmp_path, content):
+        # each used to end in an AttributeError or TypeError traceback, exit 1
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(content))
+        result = runner.invoke(main, ["verify-certificate", str(path)])
+        assert result.exit_code == 2
+        assert "malformed certificate:" in result.output
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"

@@ -1,11 +1,18 @@
-"""Rank norms and the three matrix projections."""
+"""Rank norms, the three matrix projections and the two-prime stack kernel."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conecheck import matnorm, suites
 from conecheck.matnorm import (
+    HADAMARD_LOG2_LIMIT,
+    P1,
+    P2,
+    EntryBoundError,
     FloatMatrix,
     NotOrthogonalError,
     NotPositiveDefiniteError,
@@ -19,17 +26,25 @@ from conecheck.matnorm import (
     elementary_rotation,
     embed,
     gauss_rank,
+    hadamard_log2,
+    int64_matmul,
+    leading_minor_signs,
+    modular_rank,
     permutation_matrix,
     random_so,
     random_spd,
+    random_spd_stack,
     random_unit_triangular,
+    random_unit_triangular_stack,
     rank_norm_exact,
     rank_norm_numeric,
     so_project,
     spd_project,
     triangular_project,
+    unit_triangular_inverse,
 )
 from conecheck.perms import Permutation, tr_norm
+from conecheck.report import RunConfig
 
 
 class TestExactRank:
@@ -238,3 +253,183 @@ class TestPermutationMatrices:
         for images in itertools.permutations(range(5)):
             p = Permutation.from_images(images)
             assert rank_norm_exact(permutation_matrix(p, 5)).value == tr_norm(p)
+
+
+# --- the two-prime kernel on int64 stacks -----------------------------------------
+
+
+@st.composite
+def integer_stacks(draw):
+    """(N, n, n) stacks with n = 0..10: random entries, some rows zeroed, and
+    products of n x r and r x n factors that cannot have rank above r."""
+    n = draw(st.integers(0, 10))
+    count = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    spread = draw(st.sampled_from((1, 3, 50)))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(("random", "zero rows", "low rank", "zero")))
+    stack = rng.integers(-spread, spread + 1, size=(count, n, n))
+    if kind == "zero rows":
+        stack[:, rng.random(n) < 0.5, :] = 0
+    elif kind == "low rank":
+        r = draw(st.integers(0, max(n - 1, 0)))
+        stack = rng.integers(-3, 4, size=(count, n, r)) @ rng.integers(-3, 4, size=(count, r, n))
+    elif kind == "zero":
+        stack[:] = 0
+    return stack
+
+
+class TestModularKernel:
+    def test_primes(self):
+        for p in (P1, P2):
+            assert 2 ** 30 < p < 2 ** 31
+            assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+        # two residues fix any |value| < 2^60 with room to spare
+        assert P1 * P2 > 2 ** 61
+
+    @settings(max_examples=80, deadline=None)
+    @given(integer_stacks())
+    def test_rank_matches_both_oracles(self, stack):
+        ranks = modular_rank(stack)
+        for matrix, rank in zip(stack.tolist(), ranks):
+            assert rank == bareiss_rank(matrix) == gauss_rank(matrix)
+
+    def test_large_entries_fall_back_to_bareiss(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        stack = rng.integers(2 ** 19, 2 ** 20, size=(6, 4, 4)) * rng.choice((-1, 1), (6, 4, 4))
+        stack[0, 3] = stack[0, 0] + stack[0, 1]  # rank 3
+        assert (hadamard_log2(stack) >= HADAMARD_LOG2_LIMIT).all()
+        calls = []
+        real = matnorm.bareiss_rank
+        monkeypatch.setattr(matnorm, "bareiss_rank", lambda rows: calls.append(rows) or real(rows))
+        ranks = modular_rank(stack)
+        assert len(calls) == 6
+        assert list(ranks) == [real(m) for m in stack.tolist()] and ranks[0] == 3
+
+    def test_signs_match_bareiss_determinant(self):
+        rng = np.random.default_rng(13)
+        for n in range(0, 9):
+            stacks = [random_spd_stack(rng, n, 30), rng.integers(-3, 4, size=(30, n, n))]
+            singular = rng.integers(-2, 3, size=(10, n, n))
+            if n > 1:
+                singular[:, 1] = singular[:, 0]  # every leading minor from k = 2 on is 0
+            stacks.append(singular)
+            for stack in stacks:
+                signs = leading_minor_signs(stack)
+                for matrix, row in zip(stack.tolist(), signs.tolist()):
+                    assert row == [int(np.sign(bareiss_determinant([r[:k] for r in matrix[:k]])))
+                                   for k in range(1, n + 1)]
+
+    def test_signs_of_large_minors(self):
+        # minors near 2^59 still come back exactly; beyond 2^60 Bareiss decides
+        a = np.diag([2 ** 29, 2 ** 30]).astype(np.int64)
+        a[1, 0] = 1
+        assert leading_minor_signs(a[None]).tolist() == [[1, 1]]
+        b = np.array([[[2 ** 31, 1], [1, -(2 ** 31)]]], dtype=np.int64)
+        assert hadamard_log2(b)[0] >= HADAMARD_LOG2_LIMIT
+        assert leading_minor_signs(b).tolist() == [[1, -1]]
+
+    def test_matmul_guard(self):
+        def full(value):
+            return np.full((2, 4, 4), value, dtype=np.int64)
+
+        # max|a| max|b| n = 2^61: exact
+        assert (int64_matmul(full(2 ** 29), full(2 ** 30)) == 2 ** 61).all()
+        # 2^62 is refused; 2^64 would wrap around in int64
+        for a, b in ((2 ** 30, 2 ** 30), (2 ** 31, -(2 ** 31))):
+            with pytest.raises(EntryBoundError):
+                int64_matmul(full(a), full(b))
+
+    def test_unit_triangular_inverse_and_its_guard(self):
+        rng = np.random.default_rng(14)
+        for n in range(0, 11):
+            u = random_unit_triangular_stack(rng, n, 20)
+            inverse = unit_triangular_inverse(u)
+            assert (int64_matmul(u, inverse) == np.eye(n, dtype=np.int64)).all()
+            for matrix, inv in zip(u.tolist(), inverse.tolist()):
+                assert RationalMatrix(matrix).inverse().rows == RationalMatrix(inv).rows
+        wide = np.triu(np.full((1, 12, 12), 2 ** 5, dtype=np.int64), 1) + np.eye(12, dtype=np.int64)
+        with pytest.raises(EntryBoundError):
+            unit_triangular_inverse(wide)  # 33^11 * 32 * 12 > 2^62
+        with pytest.raises(ValueError):
+            unit_triangular_inverse(np.array([[[2, 0], [0, 1]]]))
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_batched_draws_replay_the_per_matrix_stream(self, n):
+        for draw_one, draw_stack in ((random_unit_triangular, random_unit_triangular_stack),
+                                     (random_spd, random_spd_stack)):
+            one, many = np.random.default_rng(n), np.random.default_rng(n)
+            reference = [draw_one(one, n).rows for _ in range(25)]
+            stack = draw_stack(many, n, 25)
+            assert [RationalMatrix(m).rows for m in stack.tolist()] == reference
+            assert one.bit_generator.state == many.bit_generator.state
+            assert one.normal() == many.normal()
+
+
+class TestStackedMatnormChecks:
+    """matnorm.triangular and matnorm.spd run on stacks, with an oracle pair per
+    block and the reference loop replayed on any failure."""
+
+    @staticmethod
+    def _checks(**overrides):
+        cfg = RunConfig.small()
+        for name, value in overrides.items():
+            setattr(cfg, name, value)
+        return {c.check_id: c for c in suites.run_matnorm(cfg)}
+
+    def test_modular_rank_off_by_one_fails_triangular(self, monkeypatch):
+        real = matnorm.modular_rank
+        monkeypatch.setattr(matnorm, "modular_rank", lambda stack: real(stack) + 1)
+        checks = self._checks()
+        for check_id in ("matnorm.triangular", "matnorm.spd"):
+            assert checks[check_id].status == "fail"
+            assert checks[check_id].witness.startswith("ranks: stacked ")
+        assert checks["matnorm.permutation_cross"].witness == "rank backends disagree"
+
+    def test_broken_bareiss_rank_fails_both_through_the_oracle(self, monkeypatch):
+        # Every rank below 6 x 6 reads 0: the reference loops alone pass under
+        # this patch (so did the per-pair check before the stacks), so only the
+        # oracle pair of each block can catch it.
+        real = matnorm.bareiss_rank
+        monkeypatch.setattr(matnorm, "bareiss_rank",
+                            lambda rows: 0 if len(rows) < 6 else real(rows))
+        checks = self._checks()
+        assert checks["matnorm.triangular"].witness == \
+            "ranks: stacked [0, 0, 1] != reference [0, 0, 0] at n=1 pair 21"
+        assert checks["matnorm.spd"].witness == \
+            "ranks: stacked [1, 2, 2] != reference [0, 0, 0] at n=2 pair 21"
+        # the oracle's disagreement is one more case after the replayed block
+        assert checks["matnorm.triangular"].sample_size == 41
+        assert checks["matnorm.spd"].sample_size == 41
+
+    def test_broken_projection_replays_the_reference_witness(self, monkeypatch):
+        # values read from the per-pair check before the stacks, under this patch
+        real = matnorm.triangular_project
+
+        def broken(g):
+            p = real(g)
+            if g.n < 4:
+                return p
+            rows = [list(r) for r in p.rows]
+            rows[0][0] = -rows[0][0]
+            return RationalMatrix(rows)
+
+        monkeypatch.setattr(matnorm, "triangular_project", broken)
+        check = self._checks()["matnorm.triangular"]
+        assert (check.status, check.witness, check.sample_size) == \
+            ("fail", "homomorphism n=4", 121)
+
+    def test_refused_block_replays_the_reference(self, monkeypatch):
+        def refuse(*args):
+            raise EntryBoundError("refused")
+
+        reference = self._checks()
+        monkeypatch.setattr(matnorm, "unit_triangular_inverse", refuse)
+        monkeypatch.setattr(matnorm, "random_spd_stack", refuse)
+        calls = []
+        real = matnorm.bareiss_rank
+        monkeypatch.setattr(matnorm, "bareiss_rank", lambda rows: calls.append(1) or real(rows))
+        checks = self._checks()
+        assert [c.as_dict() for c in checks.values()] == \
+            [c.as_dict() for c in reference.values()]
+        assert len(calls) > 3 * 40 * 5  # every pair went through bareiss_rank
