@@ -3,11 +3,18 @@
 ``cut`` erases the k largest support points by first-return routing and
 satisfies three Lipschitz bounds (step bound 2|k-m|, non-expansive on equal
 supports, factor 2 in general) plus the norm decrease that feeds the
-contraction machinery.  ``cut_images`` is the same map on a batch of
-0-based image arrays; ``cut`` stays its reference.  ``cut_bounds`` is the
-one audit of the four bounds over index pairs into an array of cut images;
-``verify_cut_lemmas`` runs it on permutation pairs cut by ``cut``, and the
-cutting suite's exhaustive and random checks run it on ``cut_images``.
+contraction machinery.  ``split`` factors a permutation at its k-th support
+point, and ``displaced_set`` picks a third of the support disjoint from its
+image.
+
+Each has a batched form on (N, d) arrays of 0-based image arrays, which the
+cutting suite runs: ``cut_stack`` (every k up to kmax, one step per k),
+``split_stack`` (every k) and ``displaced_stack``, the last two read off one
+walk of each cycle from its minimum.  The ``Permutation`` functions stay
+their references and run inside each check on a seeded sample.
+``cut_bounds`` is the one audit of the four bounds over index pairs into an
+array of cut images; ``verify_cut_lemmas`` runs it on permutation pairs cut
+by ``cut``, and the suite's exhaustive and random checks on ``cut_stack``.
 """
 
 from __future__ import annotations
@@ -73,25 +80,38 @@ def cut(sigma: Permutation, k: int) -> CutResult:
     return CutResult(Permutation(mapping), erased)
 
 
-def cut_images(images: np.ndarray, k: int) -> np.ndarray:
-    """``cut(., k)`` on every row of an (N, d) array of 0-based image arrays.
+def cut_stack(images: np.ndarray, kmax: int) -> np.ndarray:
+    """``cut(., k)`` for k = 0..kmax on every row of an (N, d) array of 0-based
+    image arrays, as an (N, kmax+1, d) array of the input's dtype.
 
-    A point is above the threshold when at most k moved points sit at or
-    after it; those points are fixed, and every other point follows its
-    orbit through them (at most k steps) to the first return.  The result
-    has the input's dtype.
+    c_k is the first-return map of c_(k-1) off p_k, the k-th largest moved
+    point of the original row (not of c_(k-1): routing can fix points early,
+    as erasing 5 fixes 1 in (1 5)).  So each k takes one step: the entry equal
+    to p_k becomes c_(k-1)(p_k), and p_k becomes fixed.  A row with fewer than
+    k moved points stays as it is.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if kmax < 0:
+        raise ValueError("kmax must be non-negative")
     images = np.asarray(images)
-    base = np.arange(images.shape[1], dtype=images.dtype)
-    moved = images != base
-    above = np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] <= k
-    rows = np.arange(images.shape[0])[:, None]
-    routed = images
-    for _ in range(min(k, images.shape[1])):
-        routed = np.where(above[rows, routed], images[rows, routed], routed)
-    return np.where(above, base, routed)
+    n, d = images.shape
+    moved = images != np.arange(d)
+    # rank[i, j]: moved points of row i at or after j, so p_k has rank k
+    rank = np.cumsum(moved[:, ::-1], axis=1)[:, ::-1]
+    row, col = np.nonzero(moved & (rank <= kmax))
+    erased = np.full((n, kmax + 1), -1, dtype=np.intp)
+    erased[row, rank[row, col]] = col
+    rows = np.arange(n)
+    out = np.empty((n, kmax + 1, d), dtype=images.dtype)
+    out[:, 0] = cuts = images
+    for k in range(1, kmax + 1):
+        p = erased[:, k]
+        has = p >= 0
+        if has.any():
+            jump = cuts[rows, np.where(has, p, 0)]
+            cuts = np.where(cuts == p[:, None], jump[:, None], cuts)
+            cuts[rows[has], p[has]] = p[has]
+        out[:, k] = cuts
+    return out
 
 
 def split(sigma: Permutation, k: int) -> SplitPair:
@@ -134,6 +154,63 @@ def displaced_set(sigma: Permutation) -> frozenset[int]:
         stop = k if k % 2 == 0 else k - 1
         moved.update(cyc[0:stop:2])
     return frozenset(moved)
+
+
+def _cycle_walk(images: np.ndarray):
+    """Per point of each row of an (N, d) image array: the minimum of its
+    cycle, its position counted from that minimum, and its cycle length.
+    Fixed points are their own minimum at position 0 of a 1-cycle.  Takes d
+    gathers; each result has the input's dtype."""
+    points = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
+    low = points.copy()
+    to_low = np.zeros_like(low)  # steps forward from the point to its minimum
+    length = np.zeros_like(low)
+    walk = points
+    for step in range(1, images.shape[1] + 1):
+        walk = np.take_along_axis(images, walk, axis=1)
+        lower = walk < low
+        low = np.where(lower, walk, low)
+        to_low = np.where(lower, step, to_low)
+        length = np.where((length == 0) & (walk == points), step, length)
+    return low, (length - to_low) % length, length
+
+
+def split_stack(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``split(., k)`` for k = 1..d on every row of an (N, d) image array.
+
+    Returns (left, right), each (N, d, d): [i, k-1] holds the factors of row
+    i at k as 0-based image arrays, for 1 <= k <= supp; a larger k repeats
+    k = supp.  In canonical cycle order the k-th moved point sits at
+    position m of its cycle (a_1 .. a_j), with m clipped to 1..j for the
+    cycles wholly after or before it; that cycle splits as (a_1 .. a_m) *
+    (a_1 a_(m+1) .. a_j), which at m = j is the cycle boundary.
+    """
+    n, d = images.shape
+    low, pos, length = _cycle_walk(images)
+    point = np.arange(d, dtype=images.dtype)
+    moved = images != point
+    # moved points in cycles with a smaller minimum: the points before x's cycle
+    before = ((low[:, None, :] < low[:, :, None]) & moved[:, None, :]).sum(axis=2,
+                                                                          dtype=np.int16)
+    ks = np.arange(1, d + 1, dtype=np.int16)[:, None]
+    m = np.clip(ks - before[:, None, :], 1, length[:, None, :])
+    # the point at each (cycle minimum, position) of a row, read for a_(m+1):
+    # the right factor's image of a_1, which is a_1 itself at m = j
+    at = np.zeros((n, d, d), dtype=images.dtype)
+    at[np.arange(n)[:, None], low, pos] = point
+    after = at[np.arange(n)[:, None, None], low[:, None, :], m % length[:, None, :]]
+    sigma, p = images[:, None, :], pos[:, None, :]
+    left = np.where(p < m - 1, sigma, np.where(p == m - 1, low[:, None, :], point))
+    right = np.where(p == 0, after, np.where(p < m, point, sigma))
+    return left, right
+
+
+def displaced_stack(images: np.ndarray) -> np.ndarray:
+    """``displaced_set`` on every row of an (N, d) image array, as an (N, d)
+    mask of 0-based points: per cycle, the even positions from its minimum
+    below its length rounded down to even (empty for the identity)."""
+    _, pos, length = _cycle_walk(images)
+    return (pos % 2 == 0) & (pos < length - length % 2)
 
 
 # name -> (lemma, bound) of each cutting bound, in report order

@@ -399,9 +399,19 @@ class RankNormValue:
         return self.smallest_retained < margin * self.threshold * scale
 
 
+def _is_permutation_matrix(rows) -> bool:
+    """Entries 0 or 1, with exactly one 1 in each row and in each column."""
+    return (all(x == 0 or x == 1 for row in rows for x in row)
+            and all(sum(line) == 1 for line in (*rows, *zip(*rows))))
+
+
 def rank_norm_exact(g: RationalMatrix) -> RankNormValue:
-    """Exact rank of g - id by fraction-free elimination; g must be invertible."""
-    if bareiss_rank(g.rows) != g.n:
+    """Exact rank of g - id by fraction-free elimination; g must be invertible.
+
+    A permutation matrix is invertible by construction; any other g is shown
+    invertible by one more elimination.
+    """
+    if not _is_permutation_matrix(g.rows) and bareiss_rank(g.rows) != g.n:
         raise SingularError("rank norm is defined on invertible matrices")
     return RankNormValue(bareiss_rank(g.minus_identity().rows), "exact-elimination")
 

@@ -103,13 +103,18 @@ class RunConfig:
     alternating_degree: int = _field(6, 4, MAX_THREE_CYCLE_DEGREE - 1, degree=True)
     # exhaustive cutting beyond S_7 is not sensible
     cutting_degree: int = _field(6, 2, 7, degree=True)
-    # k = 0 leaves exhaustive_s6 no pair to examine; the cutting suite's cost
-    # grows with k^2 (12 s at 12, 66 s at 32)
-    cutting_max_k: int = _field(8, 1, 12)
+    # k = 0 leaves exhaustive_s6 no pair to examine; caps keep the cutting
+    # suite within 8 s at the default random_pairs (about 2 s at the
+    # defaults).  cut_bounds compares every pair k < m of cuts, so the suite
+    # grows with k^2: 5.5 s at 20, 6.7-7.4 s at 24, 11.7 s at 32
+    cutting_max_k: int = _field(8, 1, 20)
     # a sampled check that draws nothing would pass having examined nothing
     random_pairs: int = _field(100_000, 1)
-    # S_1 holds only the identity, which every cut bound trivially meets
-    random_degree: int = _field(30, 2)
+    # S_1 holds only the identity, which every cut bound trivially meets; the
+    # cap keeps the cutting suite within the same 8 s, as it grows linearly
+    # in the degree: 5.5 s and 58 MB peak RSS at 150, 9.2 s at 300.  The
+    # image arrays are int16, so the degree must stay below 2^15 in any case
+    random_degree: int = _field(30, 2, 150)
     # both checks enumerate S_n: splitting on S_9 and displacement on S_10
     # each run for most of a minute or more
     split_degree: int = _field(7, 2, 8, degree=True)

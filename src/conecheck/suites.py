@@ -30,6 +30,7 @@ from .perms import (
     _even_tuples,
     _full_cycle_type,
     _tuple_even,
+    _unrank_images,
     commutator,
     compose_all,
     supp_norm,
@@ -289,6 +290,9 @@ CUT_BLOCK = 512
 # exhaustive_s6 audits about this many pairs per cut_bounds call, for the
 # same reason: every element against every element is (d!)^2 pairs
 EXHAUSTIVE_PAIR_BLOCK = 1 << 13
+# (sigma, k) cases re-run through cutting.split, and elements through
+# cutting.displaced_set, to cross-check the batched checks
+ORACLE_SAMPLES = 50
 
 
 def _bound_witness(bounds, rows, left, right) -> str | None:
@@ -306,12 +310,12 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     degree, kmax = cfg.cutting_degree, cfg.cutting_max_k
 
-    # exhaustive pairs: cut every element at once per k, then audit a block
+    # exhaustive pairs: cut every element at every k at once, then audit a block
     # of left elements against every element at a time
     elements = sorted(itertools.permutations(range(degree)))
     n_el = len(elements)
     images = np.array(elements, dtype=np.int16).reshape(n_el, degree)
-    cuts = np.stack([cutting.cut_images(images, k) for k in range(kmax + 1)], axis=1)
+    cuts = cutting.cut_stack(images, kmax)
     bound_violations = dict.fromkeys(cutting.CUT_BOUNDS, 0)
     pair_count = 0
     pair_witness = None
@@ -367,8 +371,9 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     audits_checked = 0
     for start in range(0, cfg.random_pairs, CUT_BLOCK):
         size = min(CUT_BLOCK, cfg.random_pairs - start)
-        drawn = np.array([rng.permutation(rd) for _ in range(2 * size)], dtype=np.int16)
-        block = np.stack([cutting.cut_images(drawn, k) for k in range(kmax + 1)], axis=1)
+        # one shuffle per row draws what rng.permutation(rd) does row by row
+        drawn = rng.permuted(np.tile(np.arange(rd, dtype=np.int16), (2 * size, 1)), axis=1)
+        block = cutting.cut_stack(drawn, kmax)
         row = int(oracle_rng.integers(2 * size))
         p = _perm(drawn[row])
         for k in range(kmax + 1):
@@ -389,7 +394,9 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
         observed={"violations": violations},
     ))
 
-    # splitting, exhaustive
+    # splitting, exhaustive: every (sigma, k) at once, with split itself run
+    # on a seeded sample of them; a failure or a disagreement replays the
+    # per-permutation loop, so a failing report names its first witness
     sd = cfg.split_degree
 
     def split_cases():
@@ -401,14 +408,31 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
                           or supp_norm(pair.right) > n - k + 1)
                 yield f"{p} at k={k}" if failed else None
 
-    bad, total = _first_witness(split_cases())
+    images = _unrank_images(np.arange(math.factorial(sd)), sd)
+    point = np.arange(sd)
+    left, right = cutting.split_stack(images)
+    supp = (images != point).sum(axis=1)[:, None]
+    ks = point + 1
+    cases = ks <= supp
+    held = ((np.take_along_axis(right, left, axis=2) == images[:, None]).all(axis=2)
+            & ((left != point).sum(axis=2) <= ks)
+            & ((right != point).sum(axis=2) <= supp - ks + 1))
+    rng = np.random.default_rng((cfg.seed, 7))
+    sample = np.flatnonzero(cases)[rng.integers(cases.sum(), size=ORACLE_SAMPLES)]
+    agree = all(cutting.split(_perm(images[i]), k + 1)
+                == cutting.SplitPair(_perm(left[i, k]), _perm(right[i, k]))
+                for i, k in zip(*np.divmod(sample, sd)))
+    if agree and held[cases].all():
+        bad, total = None, int(cases.sum())
+    else:
+        bad, total = _first_witness(split_cases())
     checks.append(PASS(
         "cutting.splitting_s7",
         f"split recomposes with supp(left) <= k, supp(right) <= n-k+1, exhaustive S_{sd}",
         bad is None, total, witness=bad,
     ))
 
-    # displacement, exhaustive
+    # displacement, exhaustive: the same scheme, on every non-identity element
     dd = cfg.displacement_degree
 
     def displacement(p):
@@ -416,8 +440,20 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
         failed = {p(x) for x in moved} & moved or 3 * len(moved) < supp_norm(p)
         return str(p) if failed else None
 
-    perms_dd = map(Permutation.from_images, itertools.permutations(range(dd)))
-    bad, total = _first_witness(displacement(p) for p in perms_dd if not p.is_identity())
+    # rank 0 is the identity
+    images = _unrank_images(np.arange(1, math.factorial(dd)), dd)
+    moved = cutting.displaced_stack(images)
+    held = (~(moved & np.take_along_axis(moved, images, axis=1)).any(axis=1)
+            & (3 * moved.sum(axis=1) >= (images != np.arange(dd)).sum(axis=1)))
+    rng = np.random.default_rng((cfg.seed, 8))
+    agree = all(cutting.displaced_set(_perm(images[i]))
+                == frozenset((np.flatnonzero(moved[i]) + 1).tolist())
+                for i in rng.integers(len(images), size=ORACLE_SAMPLES))
+    if agree and held.all():
+        bad, total = None, len(images)
+    else:
+        perms_dd = map(Permutation.from_images, itertools.permutations(range(dd)))
+        bad, total = _first_witness(displacement(p) for p in perms_dd if not p.is_identity())
     checks.append(PASS(
         "cutting.displacement_s8",
         f"displaced set is disjoint from its image with |D| >= supp/3, exhaustive S_{dd}",

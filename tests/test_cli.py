@@ -82,9 +82,11 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"suites": ["cutting"], "cutting_max_k": -1}, "cutting_max_k"),
     # ... and 0 examined nothing
     ({"suites": ["cutting"], "cutting_max_k": 0}, "cutting_max_k"),
-    # the cutting suite's time and memory grow with k^2: 66 s at 32, about 3 GB at 400
-    ({"cutting_max_k": 13}, "cutting_max_k"),
+    # the cutting suite's time and memory grow with k^2: 11.7 s at 32, about 3 GB at 400
+    ({"cutting_max_k": 21}, "cutting_max_k must lie in 1..20"),
     ({"cutting_max_k": 400}, "cutting_max_k"),
+    # ... and linearly in the random degree: still running after 20 s at 5000
+    ({"suites": ["cutting"], "random_degree": 5000}, "random_degree must lie in 2..150"),
     # estimate_limit raised ValueError mid-run
     ({"suites": ["coneprobe"], "tail_fraction": 2}, "tail_fraction"),
     ({"suites": ["coneprobe"], "tail_fraction": 0}, "tail_fraction"),
@@ -119,8 +121,8 @@ def test_invalid_config_exits_2(runner, tmp_path):
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
-        "cutting_max_k_0", "cutting_max_k_13", "cutting_max_k_400", "tail_fraction_2",
-        "tail_fraction_0", "seed_float", "seed_bool",
+        "cutting_max_k_0", "cutting_max_k_21", "cutting_max_k_400", "random_degree_5000",
+        "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool",
         "norm_degree_str", "tau_str", "brenner_degrees_scalar", "out_int",
         "split_degree_10", "displacement_degree_11", "certificate_degree_30",
         "triangular_max_n_0", "spd_max_n_1", "intnorm_exact_max_0",

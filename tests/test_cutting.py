@@ -2,23 +2,26 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conecheck import cutting
+from conecheck import cutting, suites
 from conecheck.cutting import (
     CutResult,
     IdentityInputError,
     OutOfRangeError,
     cut,
-    cut_images,
+    cut_stack,
     displaced_set,
+    displaced_stack,
     split,
+    split_stack,
     verify_cut_lemmas,
 )
-from conecheck.perms import IDENTITY, Permutation, compose, supp_norm
+from conecheck.perms import IDENTITY, Permutation, _unrank_images, compose, supp_norm
 from conecheck.report import RunConfig
 from conecheck.suites import run_cutting
 
@@ -91,44 +94,96 @@ def reference_cuts(rows, k):
 
 
 class TestCutImages:
+    """The cut image arrays of ``cut_stack``, column k against ``cut(., k)``."""
+
     @pytest.mark.parametrize("degree", [5, 6])
     def test_matches_cut_exhaustive(self, degree):
         rows = np.array(sorted(itertools.permutations(range(degree))), dtype=np.int16)
-        for k in range(9):  # k past every support size included
-            assert np.array_equal(cut_images(rows, k), reference_cuts(rows, k)), k
+        stack = cut_stack(rows, 8)  # k past every support size included
+        for k in range(9):
+            assert np.array_equal(stack[:, k], reference_cuts(rows, k)), k
 
     def test_matches_cut_random_s30(self):
         rng = np.random.default_rng(2020)
         rows = np.array([rng.permutation(30) for _ in range(2000)])
+        stack = cut_stack(rows, 8)
         for k in range(9):
-            assert np.array_equal(cut_images(rows, k), reference_cuts(rows, k)), k
+            assert np.array_equal(stack[:, k], reference_cuts(rows, k)), k
 
     def test_identity_rows(self):
         rows = np.tile(np.arange(7), (3, 1))
+        stack = cut_stack(rows, 3)
         for k in range(4):
-            assert np.array_equal(cut_images(rows, k), rows)
+            assert np.array_equal(stack[:, k], rows)
 
     def test_empty_batch(self):
         rows = np.empty((0, 6), dtype=np.int16)
-        out = cut_images(rows, 3)
-        assert out.shape == (0, 6)
+        out = cut_stack(rows, 3)
+        assert out.shape == (0, 4, 6)
         assert out.dtype == np.int16
 
     def test_zero_returns_input(self):
         rows = np.array([[1, 2, 0, 4, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0]])
-        assert np.array_equal(cut_images(rows, 0), rows)
+        assert np.array_equal(cut_stack(rows, 0), rows[:, None])
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            cut_images(np.arange(3)[None, :], -1)
+            cut_stack(np.arange(3)[None, :], -1)
 
     @given(st.integers(0, 12).flatmap(lambda d: st.tuples(
         st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=5))),
         st.integers(0, 14))
-    def test_matches_cut_property(self, batch, k):
+    def test_matches_cut_property(self, batch, kmax):
         degree, rows = batch
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree)
-        assert np.array_equal(cut_images(rows, k), reference_cuts(rows, k))
+        stack = cut_stack(rows, kmax)
+        assert stack.shape == (len(rows), kmax + 1, degree)
+        for k in range(kmax + 1):
+            assert np.array_equal(stack[:, k], reference_cuts(rows, k)), k
+
+
+@pytest.mark.parametrize("degree, size", [(30, 512), (12, 200), (2, 3), (150, 7)])
+def test_batched_draws_replay_the_permutation_loop(degree, size):
+    # random_s30 draws a block in one shuffle: the same rows as one
+    # rng.permutation per row, and the generator ends in the same state
+    loop, batched = np.random.default_rng(11), np.random.default_rng(11)
+    rows = np.array([loop.permutation(degree) for _ in range(2 * size)], dtype=np.int16)
+    drawn = batched.permuted(np.tile(np.arange(degree, dtype=np.int16), (2 * size, 1)),
+                             axis=1)
+    assert drawn.dtype == np.int16
+    assert np.array_equal(drawn, rows)
+    assert loop.integers(1 << 62) == batched.integers(1 << 62)
+
+
+def every_element(degree):
+    """S_degree as the suite enumerates it: lexicographic ranks unranked."""
+    return _unrank_images(np.arange(math.factorial(degree)), degree)
+
+
+class TestBatchedSplitAndDisplacement:
+    def test_enumeration_is_lexicographic(self):
+        assert every_element(8).tolist() == [list(t) for t in itertools.permutations(range(8))]
+
+    @pytest.mark.parametrize("degree", [2, 5, 6, 7])
+    def test_split_stack_equals_split(self, degree):
+        rows = every_element(degree)
+        left, right = split_stack(rows)
+        assert left.shape == right.shape == (len(rows), degree, degree)
+        for i, images in enumerate(rows.tolist()):
+            sigma = Permutation.from_images(images)
+            for k in range(1, supp_norm(sigma) + 1):
+                pair = split(sigma, k)
+                assert pair.left.to_images(degree) == tuple(left[i, k - 1].tolist()), (sigma, k)
+                assert pair.right.to_images(degree) == tuple(right[i, k - 1].tolist()), (sigma, k)
+
+    @pytest.mark.parametrize("degree", [2, 5, 6, 7, 8])
+    def test_displaced_stack_equals_displaced_set(self, degree):
+        rows = every_element(degree)
+        moved = displaced_stack(rows)
+        assert not moved[0].any()  # the identity displaces nothing
+        for images, mask in zip(rows[1:].tolist(), moved[1:]):
+            sigma = Permutation.from_images(images)
+            assert displaced_set(sigma) == frozenset((np.flatnonzero(mask) + 1).tolist()), sigma
 
 
 class TestSplit:
@@ -338,18 +393,62 @@ class TestAudit:
 def test_broken_kernel_fails_both_cut_checks(monkeypatch):
     # a kernel that erases everything at k >= 1 must be caught by the bounds
     # and by the reference cut inside both batched checks
-    def collapsing_kernel(images, k):
+    def collapsing_kernel(images, kmax):
         images = np.asarray(images)
-        if k == 0:
-            return images.copy()
-        return np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype),
-                               images.shape).copy()
+        out = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype),
+                              (images.shape[0], kmax + 1, images.shape[1])).copy()
+        out[:, 0] = images
+        return out
 
-    monkeypatch.setattr(cutting, "cut_images", collapsing_kernel)
+    monkeypatch.setattr(cutting, "cut_stack", collapsing_kernel)
     rows = {c.check_id: c for c in run_cutting(RunConfig.small())}
     for check_id in ("cutting.random_s30", "cutting.exhaustive_s6"):
         assert rows[check_id].status == "fail", check_id
         assert rows[check_id].witness is not None, check_id
+
+
+def swapped_split(sigma, k):
+    pair = split(sigma, k)
+    return cutting.SplitPair(pair.right, pair.left)
+
+
+def whole_support(sigma):
+    displaced_set(sigma)  # the identity is still refused
+    return frozenset(sigma.support())
+
+
+@pytest.mark.parametrize("check_id, name, broken, witness", [
+    ("cutting.splitting_s7", "split", swapped_split, "(4 5) at k=1"),
+    ("cutting.displacement_s8", "displaced_set", whole_support, "(5 6)"),
+])
+def test_broken_reference_fails_through_the_oracle(monkeypatch, check_id, name, broken,
+                                                   witness):
+    # the batched check agrees with the true split and displaced set, so only
+    # the oracle sample can see the patch; the replayed loop then reports the
+    # witness and sample size read at the per-permutation loop under this patch
+    monkeypatch.setattr(cutting, name, broken)
+    row = {c.check_id: c for c in run_cutting(RunConfig.small())}[check_id]
+    assert (row.status, row.witness, row.sample_size) == ("fail", witness, 1)
+
+
+def test_cutting_runs_each_kernel_once_and_each_reference_on_its_sample(monkeypatch):
+    # a per-element or per-k loop must not creep back into the cutting suite
+    calls = dict.fromkeys(("cut_stack", "split", "displaced_set"), 0)
+    for name in calls:
+        real = getattr(cutting, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cutting, name, counted)
+    cfg = RunConfig.small()
+    rows = run_cutting(cfg)
+    assert all(row.status == "pass" for row in rows)
+    # one exhaustive image array, and one random block per CUT_BLOCK pairs
+    assert calls == {"cut_stack": 1 + -(-cfg.random_pairs // suites.CUT_BLOCK),
+                     "split": suites.ORACLE_SAMPLES, "displaced_set": suites.ORACLE_SAMPLES}
+    assert not hasattr(cutting, "cut_images")
 
 
 def test_small_config_cut_checks_pinned():

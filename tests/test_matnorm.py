@@ -254,6 +254,26 @@ class TestPermutationMatrices:
             p = Permutation.from_images(images)
             assert rank_norm_exact(permutation_matrix(p, 5)).value == tr_norm(p)
 
+    def test_one_elimination_per_permutation_matrix(self, monkeypatch):
+        # a permutation matrix is invertible by construction: only P - id is eliminated
+        eliminated = []
+        real = matnorm.bareiss_rank
+        monkeypatch.setattr(matnorm, "bareiss_rank", lambda rows: eliminated.append(rows)
+                            or real(rows))
+        g = permutation_matrix(Permutation.parse("(1 3)(2 5 4)"), 6)
+        assert rank_norm_exact(g).value == 3
+        assert eliminated == [g.minus_identity().rows]
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [1, 0]],  # one 1 per row, not per column
+        [[1, 1], [0, 0]],  # one 1 per column, not per row
+        [[1, 1, 0], [0, 0, 1], [1, 1, 0]],
+        [[0, 0], [0, 0]],
+    ])
+    def test_singular_zero_one_matrix_is_not_a_permutation_matrix(self, rows):
+        with pytest.raises(SingularError):
+            rank_norm_exact(RationalMatrix(rows))
+
 
 # --- the two-prime kernel on int64 stacks -----------------------------------------
 
