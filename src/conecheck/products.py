@@ -8,12 +8,23 @@ The single-projection conditions verified here:
   (iv)  p(g) = 1 whenever ||g|| <= 1
 On finite carriers the check is exhaustive; a failing condition is reported
 with a witness rather than asserted.
+
+verify_contraction_conditions audits any carrier through its Python
+callables, one pair at a time.  Direct sums of Z/i under the discrete norm
+also have a coordinate form: an element is an int16 row whose column j holds
+the residue at the j-th index (0 is the identity), the support norm counts
+the nonzero entries, the support distance counts the columns that differ,
+and the least-index collapse zeroes the least nonzero column.
+verify_coordinate_conditions audits such rows with one blocked (N, N)
+comparison and returns the same report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -292,7 +303,101 @@ class DirectSum:
         return out
 
 
+def sum_coordinates(elements) -> tuple[tuple, np.ndarray]:
+    """The indices the elements are supported on, in order, and one int16
+    row per element: column j holds its residue at indices[j], 0 none."""
+    indices = tuple(sorted({idx for g in elements for idx, _ in g.terms}))
+    column = {idx: j for j, idx in enumerate(indices)}
+    coords = np.zeros((len(elements), len(indices)), dtype=np.int16)
+    for row, g in enumerate(elements):
+        for idx, el in g.terms:
+            coords[row, column[idx]] = el
+    return indices, coords
+
+
+def sum_element(indices, row) -> SparseSumElement:
+    """The element a coordinate row stands for."""
+    return SparseSumElement(tuple((idx, int(v)) for idx, v in zip(indices, row) if v))
+
+
+def collapse_least(coords: np.ndarray) -> np.ndarray:
+    """DirectSum.sum_project on coordinate rows when every factor's projection
+    collapses (cyclic_factor(i, "discrete")): zero each least nonzero column."""
+    nonzero = coords != 0
+    return np.where(nonzero & (nonzero.cumsum(axis=1) == 1), 0, coords)
+
+
+def support_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The support distance supp(a - b) between broadcast coordinate rows:
+    the number of columns in which they differ."""
+    return (a != b).sum(axis=-1)
+
+
 # --- the single-projection audit ------------------------------------------------
+
+CONDITIONS = ("non-expansive", "displacement", "norm-decrease", "identity-collapse")
+
+# the non-expansive audit compares a block of rows against every row, about
+# this many entries at a time
+PAIR_BLOCK_ENTRIES = 1 << 17
+
+
+def _empty_report(displacement_bound: int, singles: int) -> dict:
+    descriptions = ("d(p(g), p(h)) <= d(g, h)", f"d(p(g), g) <= {displacement_bound}",
+                    "||p(g)|| <= ||g|| - 1 for ||g|| >= 1", "p(g) = 1 for ||g|| <= 1")
+    report = {
+        name: {"condition": desc, "violations": 0, "witness": None, "checked": singles}
+        for name, desc in zip(CONDITIONS, descriptions)
+    }
+    report["non-expansive"]["checked"] = singles * (singles - 1) // 2
+    return report
+
+
+def _conclude(report: dict) -> dict:
+    report["all_hold"] = all(report[name]["violations"] == 0 for name in CONDITIONS)
+    return report
+
+
+def report_witness(*reports) -> str | None:
+    """The first witness over the reports' conditions, in order."""
+    return next((rep[name]["witness"] for rep in reports for name in CONDITIONS
+                 if rep[name]["witness"]), None)
+
+
+def verify_coordinate_conditions(elements, coords: np.ndarray, images: np.ndarray,
+                                 displacement_bound: int = 1) -> dict:
+    """verify_contraction_conditions under the support norm on coordinate
+    rows: coords[i] is elements[i] and images[i] its projection.
+
+    The report is the one the pairwise audit gives, with the same counts and
+    the same first witnesses; elements only name the witnesses.
+    """
+    report = _empty_report(displacement_bound, len(elements))
+
+    def flag(name, failed, witness):
+        count = int(np.count_nonzero(failed))
+        if count:
+            entry = report[name]
+            entry["violations"] += count
+            if entry["witness"] is None:
+                entry["witness"] = witness(np.argwhere(failed)[0])
+
+    norms, image_norms = (coords != 0).sum(axis=1), (images != 0).sum(axis=1)
+    single = lambda at: str(elements[at[0]])
+    flag("displacement", support_distance(images, coords) > displacement_bound, single)
+    flag("norm-decrease", (norms >= 1) & (image_norms > norms - 1), single)
+    flag("identity-collapse", (norms <= 1) & (image_norms > 0), single)
+    n = len(elements)
+    rows = max(1, PAIR_BLOCK_ENTRIES // max(1, n * coords.shape[1]))
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        failed = (support_distance(images[block, None], images[None])
+                  > support_distance(coords[block, None], coords[None]))
+        # only the pairs i < j
+        failed &= np.arange(n) > np.arange(start, block.stop)[:, None]
+        flag("non-expansive", failed,
+             lambda at: f"{elements[start + at[0]]} | {elements[at[1]]}")
+    return _conclude(report)
 
 
 def verify_contraction_conditions(projection, elements, norm, distance,
@@ -303,15 +408,8 @@ def verify_contraction_conditions(projection, elements, norm, distance,
     caller decides whether a failure is an error (a registered projection)
     or the expected outcome (a negative control).
     """
-    report = {
-        name: {"condition": desc, "violations": 0, "witness": None, "checked": 0}
-        for name, desc in [
-            ("non-expansive", "d(p(g), p(h)) <= d(g, h)"),
-            ("displacement", f"d(p(g), g) <= {displacement_bound}"),
-            ("norm-decrease", "||p(g)|| <= ||g|| - 1 for ||g|| >= 1"),
-            ("identity-collapse", "p(g) = 1 for ||g|| <= 1"),
-        ]
-    }
+    elements = list(elements)
+    report = _empty_report(displacement_bound, len(elements))
 
     def flag(name, witness):
         entry = report[name]
@@ -319,7 +417,6 @@ def verify_contraction_conditions(projection, elements, norm, distance,
         if entry["witness"] is None:
             entry["witness"] = witness
 
-    elements = list(elements)
     images = [projection(g) for g in elements]
     for g, pg in zip(elements, images):
         if distance(pg, g) > displacement_bound:
@@ -334,13 +431,4 @@ def verify_contraction_conditions(projection, elements, norm, distance,
         for j in range(i + 1, len(elements)):
             if distance(pg, images[j]) > distance(g, elements[j]):
                 flag("non-expansive", f"{g} | {elements[j]}")
-    singles = len(elements)
-    pairs = singles * (singles - 1) // 2
-    for name in ("displacement", "norm-decrease", "identity-collapse"):
-        report[name]["checked"] = singles
-    report["non-expansive"]["checked"] = pairs
-    report["all_hold"] = all(
-        report[name]["violations"] == 0
-        for name in ("non-expansive", "displacement", "norm-decrease", "identity-collapse")
-    )
-    return report
+    return _conclude(report)

@@ -996,6 +996,33 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------ products
 
 
+def _direct_sum_audit(ds, elements, rng) -> dict:
+    """The four conditions for ds.sum_project under the support norm, audited on
+    coordinate rows.  DirectSum itself re-runs ORACLE_SAMPLES seeded elements
+    and pairs, drawn from rng; a violation or a disagreement replays the
+    pairwise audit, so a failing report names its first witness."""
+    indices, coords = products.sum_coordinates(elements)
+    images = products.collapse_least(coords)
+    rep = products.verify_coordinate_conditions(elements, coords, images, 1)
+    singles = rng.integers(len(elements), size=ORACLE_SAMPLES)
+    pairs = rng.integers(len(elements), size=(ORACLE_SAMPLES, 2))
+    agree = all(ds.sum_project(elements[i]) == products.sum_element(indices, images[i])
+                and ds.supp_norm(elements[i]) == np.count_nonzero(coords[i])
+                for i in singles)
+    agree = agree and all(
+        ds.distance(elements[i], elements[j], ds.supp_norm)
+        == products.support_distance(coords[i], coords[j])
+        and ds.distance(ds.sum_project(elements[i]), ds.sum_project(elements[j]), ds.supp_norm)
+        == products.support_distance(images[i], images[j])
+        for i, j in pairs)
+    if agree and rep["all_hold"]:
+        return rep
+    return products.verify_contraction_conditions(
+        ds.sum_project, elements, ds.supp_norm,
+        lambda a, b: ds.distance(a, b, ds.supp_norm),
+        lambda a: a.is_identity(), 1)
+
+
 def run_products(cfg: RunConfig) -> list[CheckResult]:
     checks = []
 
@@ -1012,17 +1039,13 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
         f"all four single-projection conditions on Z/2 * Z/3 words of l1 <= {cfg.word_l1_budget}",
         rep["all_hold"], rep["non-expansive"]["checked"],
         observed={"words": len(words)},
-        witness=next((rep[k]["witness"] for k in rep if isinstance(rep[k], dict) and rep[k]["witness"]), None),
+        witness=products.report_witness(rep),
     ))
 
     top = cfg.sum_indices
     ds = products.DirectSum({i: products.cyclic_factor(i, "discrete") for i in range(2, top + 1)})
     dense_indices = range(2, min(7, top + 1))
     dense = ds.enumerate_elements(dense_indices, cfg.sum_terms)
-    rep_dense = products.verify_contraction_conditions(
-        ds.sum_project, dense, ds.supp_norm,
-        lambda a, b: ds.distance(a, b, ds.supp_norm),
-        lambda a: a.is_identity(), 1)
     rng = np.random.default_rng(cfg.seed + 5)
     sampled = []
     for _ in range(200):
@@ -1031,10 +1054,9 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
         sampled.append(ds.element({
             int(i): int(rng.integers(1, int(i))) for i in indices
         }))
-    rep_sampled = products.verify_contraction_conditions(
-        ds.sum_project, sampled, ds.supp_norm,
-        lambda a, b: ds.distance(a, b, ds.supp_norm),
-        lambda a: a.is_identity(), 1)
+    oracle_rng = np.random.default_rng((cfg.seed, 9))
+    rep_dense, rep_sampled = (_direct_sum_audit(ds, carrier, oracle_rng)
+                              for carrier in (dense, sampled))
     checks.append(PASS(
         "products.direct_sum_conditions",
         f"all four conditions on direct sums: exhaustive over Z/2..Z/6 with <= {cfg.sum_terms} "
@@ -1042,6 +1064,7 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
         rep_dense["all_hold"] and rep_sampled["all_hold"],
         rep_dense["non-expansive"]["checked"] + rep_sampled["non-expansive"]["checked"],
         observed={"dense_elements": len(dense), "sampled_elements": len(sampled)},
+        witness=products.report_witness(rep_dense, rep_sampled),
     ))
 
     fpi = products.FreeProduct({

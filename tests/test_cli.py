@@ -118,6 +118,10 @@ def test_invalid_config_exits_2(runner, tmp_path):
     # above these the matnorm suite outgrows its budget of 8 s (default pairs)
     ({"triangular_max_n": 17}, "triangular_max_n must lie in 1..16"),
     ({"spd_max_n": 13}, "spd_max_n must lie in 2..12"),
+    # the free-product audits did not finish at this budget
+    ({"word_l1_budget": 40}, "word_l1_budget must lie in 1..11"),
+    # the direct sum's factors alone took most of the memory at this size
+    ({"sum_indices": 1001}, "sum_indices must lie in 2..1000"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
@@ -128,7 +132,8 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "triangular_max_n_0", "spd_max_n_1", "intnorm_exact_max_0",
         "intnorm_sandwich_max_0", "circle_roundtrip_max_0", "circle_mod_max_0",
         "sum_indices_1", "word_l1_budget_0", "intnorm_axiom_window_negative",
-        "so_min_n_above_max", "triangular_max_n_17", "spd_max_n_13"])
+        "so_min_n_above_max", "triangular_max_n_17", "spd_max_n_13",
+        "word_l1_budget_40", "sum_indices_1001"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))

@@ -1,16 +1,26 @@
 """Free products, direct sums and the single-projection conditions."""
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from conecheck import products, suites
 from conecheck.products import (
     DirectSum,
     FreeProduct,
     ReducedWord,
+    collapse_least,
     cyclic_factor,
     integer_factor,
     oracle_factor,
+    sum_coordinates,
+    sum_element,
+    support_distance,
     verify_contraction_conditions,
+    verify_coordinate_conditions,
 )
+from conecheck.report import RunConfig
+from conecheck.suites import run_products
 from conecheck.wordnorm import symmetric_oracle
 
 
@@ -171,3 +181,155 @@ def test_serialization_roundtrip():
     word = fp.reduce([(1, 1), (2, 2), (1, 1)])
     assert fp.parse(str(word)) == word
     assert fp.parse("()").is_identity()
+
+
+# --- direct sums on coordinate rows -------------------------------------------------
+
+Z2_Z7 = DirectSum({i: cyclic_factor(i, "discrete") for i in range(2, 8)})
+
+
+def collapse_and_bump(coords, indices):
+    """A broken projection: the least nonzero column dies, and the column
+    after it moves up by one."""
+    out = collapse_least(coords)
+    for row, first in enumerate(np.flatnonzero(r)[:1] for r in coords):
+        if len(first) and first[0] + 1 < len(indices):
+            j = first[0] + 1
+            out[row, j] = (out[row, j] + 1) % indices[j]
+    return out
+
+
+ARRAY_PROJECTIONS = {
+    "collapse": lambda coords, indices: collapse_least(coords),
+    "identity": lambda coords, indices: coords.copy(),
+    "collapse_and_bump": collapse_and_bump,
+}
+
+
+def both_audits(elements, projection):
+    """The coordinate audit and the pairwise audit of one projection, given on
+    coordinate rows and carried to elements through the rows."""
+    indices, coords = sum_coordinates(elements)
+    images = ARRAY_PROJECTIONS[projection](coords, indices)
+    image_of = {g: sum_element(indices, row) for g, row in zip(elements, images)}
+    pairwise = verify_contraction_conditions(
+        image_of.__getitem__, elements, Z2_Z7.supp_norm,
+        lambda a, b: Z2_Z7.distance(a, b, Z2_Z7.supp_norm), lambda a: a.is_identity(), 1)
+    return verify_coordinate_conditions(elements, coords, images, 1), pairwise
+
+
+class TestCoordinates:
+    def test_round_trip(self):
+        elements = Z2_Z7.enumerate_elements(range(2, 8), 2)
+        indices, coords = sum_coordinates(elements)
+        assert indices == (2, 3, 4, 5, 6, 7)
+        assert coords.dtype == np.int16 and coords.shape == (len(elements), 6)
+        assert [sum_element(indices, row) for row in coords] == elements
+
+    def test_indices_are_the_union_of_supports(self):
+        elements = [Z2_Z7.element({5: 2}), Z2_Z7.element({3: 1, 7: 6}), Z2_Z7.element({})]
+        indices, coords = sum_coordinates(elements)
+        assert indices == (3, 5, 7)
+        assert coords.tolist() == [[0, 2, 0], [1, 0, 6], [0, 0, 0]]
+
+    def test_no_support(self):
+        indices, coords = sum_coordinates([Z2_Z7.element({})] * 3)
+        assert indices == () and coords.shape == (3, 0)
+        assert collapse_least(coords).shape == (3, 0)
+        report = verify_coordinate_conditions([Z2_Z7.element({})] * 3, coords, coords)
+        assert report["all_hold"] and report["non-expansive"]["checked"] == 3
+
+    def test_collapse_is_sum_project(self):
+        elements = Z2_Z7.enumerate_elements(range(2, 8), 3)
+        indices, coords = sum_coordinates(elements)
+        images = collapse_least(coords)
+        assert images.dtype == np.int16
+        assert [sum_element(indices, row) for row in images] == [
+            Z2_Z7.sum_project(g) for g in elements]
+
+    def test_support_distance_is_the_distance(self):
+        elements = Z2_Z7.enumerate_elements(range(2, 6), 2)
+        _, coords = sum_coordinates(elements)
+        table = support_distance(coords[:, None], coords[None])
+        assert table.tolist() == [[Z2_Z7.distance(a, b, Z2_Z7.supp_norm) for b in elements]
+                                  for a in elements]
+
+    @pytest.mark.parametrize("projection", list(ARRAY_PROJECTIONS))
+    def test_dense_carrier_reports_equal(self, projection):
+        elements = Z2_Z7.enumerate_elements(range(2, 7), 3)
+        array, pairwise = both_audits(elements, projection)
+        assert array == pairwise
+        assert array["all_hold"] is (projection == "collapse")
+
+    def test_pair_blocks_keep_the_first_witness(self, monkeypatch):
+        # blocks of one row each must count and name what one block does
+        elements = Z2_Z7.enumerate_elements(range(2, 6), 3)
+        want, _ = both_audits(elements, "collapse_and_bump")
+        monkeypatch.setattr(products, "PAIR_BLOCK_ENTRIES", 1)
+        got, _ = both_audits(elements, "collapse_and_bump")
+        assert got == want and want["non-expansive"]["violations"] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(2, 7), st.integers(0, 6), max_size=4),
+                    max_size=12),
+           st.sampled_from(sorted(ARRAY_PROJECTIONS)))
+    def test_array_audit_equals_the_pairwise_audit(self, assignments, projection):
+        elements = [Z2_Z7.element(a) for a in assignments]
+        array, pairwise = both_audits(elements, projection)
+        assert array == pairwise
+        if projection == "collapse":
+            assert array == verify_contraction_conditions(
+                Z2_Z7.sum_project, elements, Z2_Z7.supp_norm,
+                lambda a, b: Z2_Z7.distance(a, b, Z2_Z7.supp_norm),
+                lambda a: a.is_identity(), 1)
+
+
+def _direct_sum_row(cfg):
+    return {r.check_id: r for r in run_products(cfg)}["products.direct_sum_conditions"]
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestDirectSumCheck:
+    def test_runs_the_pairwise_audit_only_on_free_products(self, monkeypatch):
+        # the dense pairwise loop over direct sums must not creep back in
+        audits = _count_calls(monkeypatch, products, "verify_contraction_conditions")
+        distances = _count_calls(monkeypatch, DirectSum, "distance")
+        rows = run_products(RunConfig.small())
+        assert all(row.status == "pass" for row in rows)
+        # free_product_conditions and negative_control
+        assert len(audits) == 2
+        # two carriers, each with ORACLE_SAMPLES pairs of elements and of images
+        assert len(distances) == 2 * 2 * suites.ORACLE_SAMPLES
+
+    def test_kernel_off_by_one_replays_the_pairwise_audit(self, monkeypatch):
+        want = _direct_sum_row(RunConfig.small())
+        real = products.support_distance
+
+        # rows one column apart read as two apart
+        def off_by_one(a, b):
+            d = real(a, b)
+            return d + (d == 1)
+
+        monkeypatch.setattr(products, "support_distance", off_by_one)
+        audits = _count_calls(monkeypatch, products, "verify_contraction_conditions")
+        got = _direct_sum_row(RunConfig.small())
+        # the pairwise audit replays both carriers and its verdict stands
+        assert len(audits) == 2 + 2
+        assert got == want and got.status == "pass"
+
+    def test_identity_projection_fails_with_the_pairwise_witness(self, monkeypatch):
+        monkeypatch.setattr(DirectSum, "sum_project", lambda self, a: a)
+        row = _direct_sum_row(RunConfig.small())
+        # the pairwise audit's sample size, and the dense carrier's first witness
+        assert (row.status, row.sample_size, row.witness) == ("fail", 72875, "1@2")
