@@ -22,7 +22,7 @@ comparison and returns the same report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class Factor:
     invert: Callable
     identity: object
     norm: Callable[[object], int]
-    elements: Optional[tuple] = None
+    elements: Optional[Sequence] = None
     projection: Optional[Callable] = None
     declared_displacement: int = 1
 
@@ -71,7 +71,7 @@ def cyclic_factor(n: int, norm: str = "word", projection: str = "collapse") -> F
         invert=lambda a: (-a) % n,
         identity=0,
         norm=norm_fn,
-        elements=tuple(range(n)),
+        elements=range(n),
         projection=proj,
         declared_displacement=disp,
     )

@@ -3,7 +3,10 @@
 Each suite function takes a RunConfig and returns CheckResult rows.  Heavy
 checks run batched kernels over image arrays and vectorize the pairwise
 bookkeeping; every batched kernel and vectorized shortcut is cross-checked
-against the reference implementation inside the same check.
+against the reference implementation inside the same check.  Every check
+stops at its first failure through _first_witness, and every batched kernel
+has one replay policy, _batched_cases: a failure replays the reference loop,
+and a disagreement the reference does not explain fails as one more case.
 """
 
 from __future__ import annotations
@@ -55,6 +58,25 @@ def _first_witness(cases) -> tuple[str | None, int]:
         if witness is not None:
             return witness, examined
     return None, examined
+
+
+def _batched_cases(count, held, oracle, reference):
+    """A batched check's count cases, for _first_witness.
+
+    held says whether the batched kernel found every case to hold; oracle
+    yields its seeded oracle's cases, a witness where the oracle disagrees
+    with the kernel.  When the kernel held and the oracle agreed, the cases
+    pass.  Otherwise the cases are the reference loop's, so that a failure
+    reads as the reference alone would have it, then the oracle's
+    disagreement, if any, as one more case.
+    """
+    disagreement, _ = _first_witness(oracle)
+    if held and disagreement is None:
+        yield from itertools.repeat(None, count)
+        return
+    yield from reference
+    if disagreement is not None:
+        yield disagreement
 
 
 # --------------------------------------------------------------------------- norms
@@ -117,15 +139,16 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     # closed-form tr norm against the BFS oracle
     oracle = wordnorm.symmetric_oracle(degree)
     table = wordnorm.bfs_norm(oracle, wordnorm.transposition_generators(degree))
-    mismatch = next(
-        (t for t in oracle.elements if table[t] != tr_norm(Permutation.from_images(t))),
-        None,
-    )
+
+    def tr_agreement(t):
+        p = Permutation.from_images(t)
+        return None if table[t] == tr_norm(p) else str(p)
+
+    bad, _ = _first_witness(map(tr_agreement, oracle.elements))
     checks.append(PASS(
         "norms.bfs_tr_agreement",
         f"closed-form transposition norm equals BFS word length on S_{degree}",
-        mismatch is None, oracle.order(),
-        witness=str(Permutation.from_images(mismatch)) if mismatch else None,
+        bad is None, oracle.order(), witness=bad,
     ))
 
     # alternating sandwich: tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_m
@@ -332,23 +355,23 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
 
     # the batched cuts and distances must match the reference on a seeded sample
     rng = np.random.default_rng(cfg.seed)
-    ref_ok = True
-    for _ in range(50):
-        i, j = int(rng.integers(n_el)), int(rng.integers(n_el))
-        k = int(rng.integers(kmax + 1))
-        a = cutting.cut(_perm(elements[i]), k).image
-        b = cutting.cut(_perm(elements[j]), k).image
-        if (a.to_images(degree) != tuple(cuts[i, k])
-                or supp_norm(a.then(b.inverse())) != int((cuts[i, k] != cuts[j, k]).sum())):
-            ref_ok = False
-            break
-    witness = (pair_witness if ref_ok else
-               f"reference cut disagrees at {_perm(elements[i])} | {_perm(elements[j])} k={k}")
+
+    def reference_cases():
+        for _ in range(50):
+            i, j = int(rng.integers(n_el)), int(rng.integers(n_el))
+            k = int(rng.integers(kmax + 1))
+            p, q = _perm(elements[i]), _perm(elements[j])
+            a, b = cutting.cut(p, k).image, cutting.cut(q, k).image
+            agree = (a.to_images(degree) == tuple(cuts[i, k])
+                     and supp_norm(a.then(b.inverse())) == int((cuts[i, k] != cuts[j, k]).sum()))
+            yield None if agree else f"reference cut disagrees at {p} | {q} k={k}"
+
+    ref_bad, _ = _first_witness(reference_cases())
     checks.append(PASS(
         "cutting.exhaustive_s6",
         f"cut bounds (2|k-m| step, equal-support non-expansive, 2-Lipschitz, "
         f"norm decrease) on exhaustive S_{degree} pairs, k,m <= {kmax}",
-        ref_ok and not any(bound_violations.values()),
+        ref_bad is None and not any(bound_violations.values()),
         pair_count,
         constants={"step_factor": 2, "general_factor": 2},
         observed={
@@ -356,9 +379,9 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
             "step_violations": bound_violations["step"],
             "general_violations": bound_violations["general"],
             "equal_support_violations": bound_violations["equal-support"],
-            "vectorization_crosschecked": ref_ok,
+            "vectorization_crosschecked": ref_bad is None,
         },
-        witness=witness,
+        witness=ref_bad or pair_witness,
     ))
 
     # random large-degree pairs, cut in blocks; per block one row is also
@@ -376,11 +399,11 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
         block = cutting.cut_stack(drawn, kmax)
         row = int(oracle_rng.integers(2 * size))
         p = _perm(drawn[row])
-        for k in range(kmax + 1):
-            if cutting.cut(p, k).image.to_images(rd) != tuple(block[row, k]):
-                violations += 1
-                witness = witness or f"reference cut disagrees at {p} k={k}"
-                break
+        disagreement, _ = _first_witness(
+            None if cutting.cut(p, k).image.to_images(rd) == tuple(block[row, k])
+            else f"reference cut disagrees at {p} k={k}" for k in range(kmax + 1))
+        violations += int(disagreement is not None)
+        witness = witness or disagreement
         # pair i is drawn as rows 2i, 2i + 1
         left, right = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
         bounds = cutting.cut_bounds(block, left, right)
@@ -395,8 +418,7 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # splitting, exhaustive: every (sigma, k) at once, with split itself run
-    # on a seeded sample of them; a failure or a disagreement replays the
-    # per-permutation loop, so a failing report names its first witness
+    # on a seeded sample of them as the oracle (see _batched_cases)
     sd = cfg.split_degree
 
     def split_cases():
@@ -419,13 +441,14 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
             & ((right != point).sum(axis=2) <= supp - ks + 1))
     rng = np.random.default_rng((cfg.seed, 7))
     sample = np.flatnonzero(cases)[rng.integers(cases.sum(), size=ORACLE_SAMPLES)]
-    agree = all(cutting.split(_perm(images[i]), k + 1)
-                == cutting.SplitPair(_perm(left[i, k]), _perm(right[i, k]))
-                for i, k in zip(*np.divmod(sample, sd)))
-    if agree and held[cases].all():
-        bad, total = None, int(cases.sum())
-    else:
-        bad, total = _first_witness(split_cases())
+
+    def split_oracle():
+        for i, k in zip(*np.divmod(sample, sd)):
+            p, pair = _perm(images[i]), cutting.SplitPair(_perm(left[i, k]), _perm(right[i, k]))
+            yield None if cutting.split(p, k + 1) == pair else f"split disagrees at {p} k={k + 1}"
+
+    bad, total = _first_witness(
+        _batched_cases(int(cases.sum()), held[cases].all(), split_oracle(), split_cases()))
     checks.append(PASS(
         "cutting.splitting_s7",
         f"split recomposes with supp(left) <= k, supp(right) <= n-k+1, exhaustive S_{sd}",
@@ -446,14 +469,17 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     held = (~(moved & np.take_along_axis(moved, images, axis=1)).any(axis=1)
             & (3 * moved.sum(axis=1) >= (images != np.arange(dd)).sum(axis=1)))
     rng = np.random.default_rng((cfg.seed, 8))
-    agree = all(cutting.displaced_set(_perm(images[i]))
-                == frozenset((np.flatnonzero(moved[i]) + 1).tolist())
-                for i in rng.integers(len(images), size=ORACLE_SAMPLES))
-    if agree and held.all():
-        bad, total = None, len(images)
-    else:
-        perms_dd = map(Permutation.from_images, itertools.permutations(range(dd)))
-        bad, total = _first_witness(displacement(p) for p in perms_dd if not p.is_identity())
+
+    def displacement_oracle():
+        for i in rng.integers(len(images), size=ORACLE_SAMPLES):
+            p = _perm(images[i])
+            agree = cutting.displaced_set(p) == frozenset((np.flatnonzero(moved[i]) + 1).tolist())
+            yield None if agree else f"displaced set disagrees at {p}"
+
+    perms_dd = map(Permutation.from_images, itertools.permutations(range(dd)))
+    bad, total = _first_witness(_batched_cases(
+        len(images), held.all(), displacement_oracle(),
+        (displacement(p) for p in perms_dd if not p.is_identity())))
     checks.append(PASS(
         "cutting.displacement_s8",
         f"displaced set is disjoint from its image with |D| >= supp/3, exhaustive S_{dd}",
@@ -512,35 +538,32 @@ _TUPLE_REFERENCE_MAX_DEGREE = 6
 def run_covering(cfg: RunConfig) -> list[CheckResult]:
     checks = []
 
-    covered_elements = 0
     unmet_classes = []
     reports = []
-    bad = None
-    for n in cfg.brenner_degrees:
-        for ctype in _even_cycle_types(n):
-            rep = canonical_of_type(ctype)
-            reason = brenner_hypotheses(rep, n)
-            if reason is not None:
-                unmet_classes.append(f"A_{n} type {ctype}: {reason}")
-                continue
-            result = brenner_check(rep, n)
-            reports.append(result)
-            covered_elements += result.class_size
-            if n <= _TUPLE_REFERENCE_MAX_DEGREE:
-                reference = _tuple_brenner_check(rep, n).exponent
-                if reference != result.exponent:
-                    bad = (f"A_{n} type {ctype}: exponent {result.exponent} from the "
+
+    def brenner_cases():
+        for n in cfg.brenner_degrees:
+            for ctype in _even_cycle_types(n):
+                rep = canonical_of_type(ctype)
+                reason = brenner_hypotheses(rep, n)
+                if reason is not None:
+                    unmet_classes.append(f"A_{n} type {ctype}: {reason}")
+                    continue
+                result = brenner_check(rep, n)
+                reports.append(result)
+                if n <= _TUPLE_REFERENCE_MAX_DEGREE and \
+                        (reference := _tuple_brenner_check(rep, n).exponent) != result.exponent:
+                    yield (f"A_{n} type {ctype}: exponent {result.exponent} from the "
                            f"rank-mask kernel, {reference} from the tuple reference")
-                    break
-            if not result.covered or result.exponent > 4:
-                bad = f"A_{n} type {ctype}"
-                break
-        if bad:
-            break
+                else:
+                    held = result.covered and result.exponent <= 4
+                    yield None if held else f"A_{n} type {ctype}"
+
+    bad, _ = _first_witness(brenner_cases())
     checks.append(PASS(
         "covering.brenner",
         f"C_sigma^4 = A_n for every class meeting the hypotheses, n in {list(cfg.brenner_degrees)}",
-        bad is None, covered_elements,
+        bad is None, sum(r.class_size for r in reports),
         constants={"exponent": 4},
         observed={
             "classes_checked": len(reports),
@@ -724,30 +747,25 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _stacked_cases(rng, n, pairs, seed, stacked, reference):
-    """One n-block of a matrix check, as cases for _first_witness.
+    """One n-block of a matrix check, as _batched_cases.
 
-    stacked(rng, n, pairs, oracle) runs the whole block on int64 stacks and
-    returns (flagged, disagreement): whether any pair failed, and the witness
-    of its in-check oracle, which re-runs the seeded pair `oracle` through
-    RationalMatrix and bareiss_rank (None when they agree).  A flagged pair,
-    a disagreement, or a block the int64 guards refuse replays the reference
-    per-pair loop from the block's rng state, so that a failure reads
-    (witness, count, later draws) as the reference alone would have it.  A
-    disagreement the reference loop does not explain fails as one more case.
-    """
+    stacked(rng, n, pairs, oracle) runs the block on int64 stacks and returns
+    whether any pair failed, and the cases of its oracle, which re-runs the
+    seeded pair `oracle` through RationalMatrix and bareiss_rank.  A block the
+    int64 guards refuse counts as failed.  A replay restores the block's rng
+    state, so that later draws too are the reference's."""
     state = rng.bit_generator.state
     oracle = int(np.random.default_rng((seed, n)).integers(pairs))
     try:
-        flagged, disagreement = stacked(rng, n, pairs, oracle)
+        flagged, disagreements = stacked(rng, n, pairs, oracle)
     except matnorm.EntryBoundError:
-        flagged, disagreement = True, None
-    if not flagged and disagreement is None:
-        yield from itertools.repeat(None, pairs)
-        return
-    rng.bit_generator.state = state
-    yield from reference(rng, n, pairs)
-    if disagreement is not None:
-        yield disagreement
+        flagged, disagreements = True, ()
+
+    def replay():
+        rng.bit_generator.state = state
+        yield from reference(rng, n, pairs)
+
+    yield from _batched_cases(pairs, not flagged, disagreements, replay())
 
 
 def _zero_last(stack):
@@ -759,14 +777,11 @@ def _zero_last(stack):
     return out
 
 
-def _disagreement(n, oracle, stacked: dict, reference: dict) -> str | None:
-    """The oracle's witness: the first quantity on which the stacked kernel and
-    the reference differ at the oracle pair, or None."""
-    for name, value in stacked.items():
-        if value != reference[name]:
-            return f"{name}: stacked {value} != reference {reference[name]} " \
-                   f"at n={n} pair {oracle}"
-    return None
+def _disagreements(n, oracle, stacked: dict, reference: dict):
+    """The oracle's cases: a witness for each quantity on which the stacked
+    kernel and the reference differ at the oracle pair."""
+    return (f"{name}: stacked {value} != reference {reference[name]} at n={n} pair {oracle}"
+            for name, value in stacked.items() if value != reference[name])
 
 
 def _triangular_pairs(rng, n, pairs):
@@ -819,7 +834,7 @@ def _triangular_stacked(rng, n, pairs, oracle):
     got = {"x": matnorm.RationalMatrix(x[oracle].tolist()).rows,
            "drop": matnorm.RationalMatrix(drop[oracle].tolist()).rows,
            "ranks": [int(r[oracle]) for r in (rk_drop, rk_lead, rk_x)]}
-    return flagged, _disagreement(n, oracle, got, reference)
+    return flagged, _disagreements(n, oracle, got, reference)
 
 
 def _spd_pairs(rng, n, pairs):
@@ -864,7 +879,32 @@ def _spd_stacked(rng, n, pairs, oracle):
                   matnorm.bareiss_rank((matnorm.embed(apr, n) - ar).rows)]}
     got = {"leading minor signs": signs[2 * oracle : 2 * oracle + 2].tolist(),
            "ranks": [int(r[oracle]) for r in (rk_lead, rk_diff, rk_drop)]}
-    return flagged, _disagreement(n, oracle, got, reference)
+    return flagged, _disagreements(n, oracle, got, reference)
+
+
+def _so_pairs(rng, n, pairs, tau, stats):
+    """The reference loop of matnorm.so at one n.  stats counts the pairs with a
+    borderline rank and the failing ones among them, and the least retained
+    singular value."""
+    for _ in range(pairs):
+        g = matnorm.random_so(rng, n)
+        h = matnorm.random_so(rng, n)
+        rk_g = matnorm.rank_norm_numeric(g, tau)
+        rk_gh = matnorm.numeric_rank(g.data @ h.data.T - np.eye(n), tau)
+        pg, ph = matnorm.so_project(g, tau), matnorm.so_project(h, tau)
+        rk_p = matnorm.numeric_rank(pg.data @ ph.data.T - np.eye(n - 1), tau)
+        rk_drop = matnorm.numeric_rank(matnorm.embed(pg, n).data @ g.data.T - np.eye(n), tau)
+        ranks = [rk_g, rk_gh, rk_p, rk_drop]
+        for r in ranks:
+            if r.smallest_retained is not None:
+                if stats["worst"] is None or r.smallest_retained < stats["worst"]:
+                    stats["worst"] = r.smallest_retained
+        flagged = any(r.borderline() for r in ranks)
+        failed = (rk_g.value % 2 != 0 or rk_gh.value % 2 != 0
+                  or rk_p.value > rk_gh.value or rk_drop.value > 2)
+        stats["flagged"] += int(flagged)
+        stats["flagged_failures"] += int(flagged and failed)
+        yield f"n={n} ranks={[r.value for r in ranks]}" if failed else None
 
 
 def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
@@ -913,52 +953,18 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
 
     # SO(n), numeric at tau
     tau = cfg.tau
-    pairs = 0
-    flagged = 0
-    flagged_failures = 0
-    bad = None
-    parity_samples = 0
-    worst_margin = None
-    for n in range(cfg.so_min_n, cfg.so_max_n + 1):
-        for _ in range(cfg.matrix_pairs):
-            g = matnorm.random_so(rng, n)
-            h = matnorm.random_so(rng, n)
-            pairs += 1
-            rk_g = matnorm.rank_norm_numeric(g, tau)
-            rk_gh = matnorm.numeric_rank(g.data @ h.data.T - np.eye(n), tau)
-            pg, ph = matnorm.so_project(g, tau), matnorm.so_project(h, tau)
-            rk_p = matnorm.numeric_rank(pg.data @ ph.data.T - np.eye(n - 1), tau)
-            rk_drop = matnorm.numeric_rank(
-                matnorm.embed(pg, n).data @ g.data.T - np.eye(n), tau)
-            ranks = [rk_g, rk_gh, rk_p, rk_drop]
-            parity_samples += 2
-            for r in ranks:
-                if r.smallest_retained is not None:
-                    if worst_margin is None or r.smallest_retained < worst_margin:
-                        worst_margin = r.smallest_retained
-            sample_flagged = any(r.borderline() for r in ranks)
-            failed = (
-                rk_g.value % 2 != 0
-                or rk_gh.value % 2 != 0
-                or rk_p.value > rk_gh.value
-                or rk_drop.value > 2
-            )
-            flagged += int(sample_flagged)
-            flagged_failures += int(sample_flagged and failed)
-            if failed:
-                bad = f"n={n} ranks={[r.value for r in ranks]}"
-                break
-        if bad:
-            break
+    so = {"flagged": 0, "flagged_failures": 0, "worst": None}
+    bad, pairs = _first_witness(itertools.chain.from_iterable(
+        _so_pairs(rng, n, cfg.matrix_pairs, tau, so)
+        for n in range(cfg.so_min_n, cfg.so_max_n + 1)))
     checks.append(PASS(
         "matnorm.so",
         f"SO(n) rotation projection: rank parity, non-expansive, drop <= 2 at "
         f"tau={tau:g}, {cfg.matrix_pairs} pairs per n in {cfg.so_min_n}..{cfg.so_max_n}",
-        bad is None and flagged_failures == 0, pairs,
+        bad is None, pairs,
         constants={"tau": tau, "drop_bound": 2},
-        observed={"borderline_flagged": flagged, "flagged_failures": flagged_failures,
-                  "parity_samples": parity_samples,
-                  "worst_retained_singular_value": worst_margin},
+        observed={"borderline_flagged": so["flagged"], "flagged_failures": so["flagged_failures"],
+                  "parity_samples": 2 * pairs, "worst_retained_singular_value": so["worst"]},
         witness=bad,
     ))
 
@@ -979,11 +985,11 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
         rows = [[int(rng2.integers(-3, 4)) for _ in range(n)] for _ in range(n)]
         padded[k, :n, :n] = rows
         samples.append(rows)
-    for rows, modular in zip(samples, matnorm.modular_rank(padded)):
-        rank = matnorm.bareiss_rank(rows)
-        if rank != matnorm.gauss_rank(rows) or rank != modular:
-            bad = "rank backends disagree"
-            break
+    backend_bad, _ = _first_witness(
+        None if matnorm.bareiss_rank(rows) == matnorm.gauss_rank(rows) == modular
+        else "rank backends disagree"
+        for rows, modular in zip(samples, matnorm.modular_rank(padded)))
+    bad = backend_bad or bad
     checks.append(PASS(
         "matnorm.permutation_cross",
         "rk(P - id) <= supp <= 3 rk(P - id) on exhaustive S_6; "
@@ -996,31 +1002,37 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------ products
 
 
-def _direct_sum_audit(ds, elements, rng) -> dict:
+def _direct_sum_cases(ds, elements, rng):
     """The four conditions for ds.sum_project under the support norm, audited on
-    coordinate rows.  DirectSum itself re-runs ORACLE_SAMPLES seeded elements
-    and pairs, drawn from rng; a violation or a disagreement replays the
-    pairwise audit, so a failing report names its first witness."""
+    coordinate rows, as one case for _first_witness.  DirectSum itself re-runs
+    ORACLE_SAMPLES seeded elements and pairs, drawn from rng, as the oracle,
+    and the pairwise audit is the reference."""
     indices, coords = products.sum_coordinates(elements)
     images = products.collapse_least(coords)
-    rep = products.verify_coordinate_conditions(elements, coords, images, 1)
+    held = products.verify_coordinate_conditions(elements, coords, images, 1)["all_hold"]
     singles = rng.integers(len(elements), size=ORACLE_SAMPLES)
     pairs = rng.integers(len(elements), size=(ORACLE_SAMPLES, 2))
-    agree = all(ds.sum_project(elements[i]) == products.sum_element(indices, images[i])
-                and ds.supp_norm(elements[i]) == np.count_nonzero(coords[i])
-                for i in singles)
-    agree = agree and all(
-        ds.distance(elements[i], elements[j], ds.supp_norm)
-        == products.support_distance(coords[i], coords[j])
-        and ds.distance(ds.sum_project(elements[i]), ds.sum_project(elements[j]), ds.supp_norm)
-        == products.support_distance(images[i], images[j])
-        for i, j in pairs)
-    if agree and rep["all_hold"]:
-        return rep
-    return products.verify_contraction_conditions(
-        ds.sum_project, elements, ds.supp_norm,
-        lambda a, b: ds.distance(a, b, ds.supp_norm),
-        lambda a: a.is_identity(), 1)
+
+    def oracle():
+        for i in singles:
+            g = elements[i]
+            agree = (ds.sum_project(g) == products.sum_element(indices, images[i])
+                     and ds.supp_norm(g) == np.count_nonzero(coords[i]))
+            yield None if agree else f"DirectSum disagrees at {g}"
+        for i, j in pairs:
+            g, h = elements[i], elements[j]
+            agree = (ds.distance(g, h, ds.supp_norm)
+                     == products.support_distance(coords[i], coords[j])
+                     and ds.distance(ds.sum_project(g), ds.sum_project(h), ds.supp_norm)
+                     == products.support_distance(images[i], images[j]))
+            yield None if agree else f"DirectSum distance disagrees at {g} | {h}"
+
+    def reference():
+        yield products.report_witness(products.verify_contraction_conditions(
+            ds.sum_project, elements, ds.supp_norm,
+            lambda a, b: ds.distance(a, b, ds.supp_norm), lambda a: a.is_identity(), 1))
+
+    return _batched_cases(1, held, oracle(), reference())
 
 
 def run_products(cfg: RunConfig) -> list[CheckResult]:
@@ -1055,16 +1067,15 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
             int(i): int(rng.integers(1, int(i))) for i in indices
         }))
     oracle_rng = np.random.default_rng((cfg.seed, 9))
-    rep_dense, rep_sampled = (_direct_sum_audit(ds, carrier, oracle_rng)
-                              for carrier in (dense, sampled))
+    bad, _ = _first_witness(itertools.chain(*(
+        _direct_sum_cases(ds, carrier, oracle_rng) for carrier in (dense, sampled))))
     checks.append(PASS(
         "products.direct_sum_conditions",
         f"all four conditions on direct sums: exhaustive over Z/2..Z/6 with <= {cfg.sum_terms} "
         f"terms, plus a seeded sample over indices 2..{top}",
-        rep_dense["all_hold"] and rep_sampled["all_hold"],
-        rep_dense["non-expansive"]["checked"] + rep_sampled["non-expansive"]["checked"],
+        bad is None, math.comb(len(dense), 2) + math.comb(len(sampled), 2),
         observed={"dense_elements": len(dense), "sampled_elements": len(sampled)},
-        witness=products.report_witness(rep_dense, rep_sampled),
+        witness=bad,
     ))
 
     fpi = products.FreeProduct({
@@ -1095,21 +1106,17 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
     words57 = fp57.enumerate_words(5)
     sup_norm = max(f.norm(e) for f in fp57.factors.values() for e in f.non_identity_elements())
     inf_norm = min(f.norm(e) for f in fp57.factors.values() for e in f.non_identity_elements())
-    equiv_ok = True
-    tight_hi = tight_lo = False
-    for wd in words57:
-        l1, supp = fp57.l1_norm(wd), fp57.supp_norm(wd)
-        if not inf_norm * supp <= l1 <= sup_norm * supp:
-            equiv_ok = False
-            break
-        if supp:
-            tight_hi = tight_hi or l1 == sup_norm * supp
-            tight_lo = tight_lo or l1 == inf_norm * supp
+    norms57 = [(fp57.l1_norm(wd), fp57.supp_norm(wd)) for wd in words57]
+    equiv_bad, _ = _first_witness(
+        None if inf_norm * supp <= l1 <= sup_norm * supp else str(wd)
+        for wd, (l1, supp) in zip(words57, norms57))
+    tight_hi = any(supp and l1 == sup_norm * supp for l1, supp in norms57)
+    tight_lo = any(supp and l1 == inf_norm * supp for l1, supp in norms57)
     checks.append(PASS(
         "products.isometry_equivalence",
         "factor inclusion is a l1 isometry; l1 and support norms are equivalent "
         "with constants inf/sup of the factor norms, both attained",
-        iso_ok and equiv_ok and tight_hi and tight_lo,
+        iso_ok and equiv_bad is None and tight_hi and tight_lo,
         5 + len(words57),
         constants={"sup_factor_norm": sup_norm, "inf_factor_norm": inf_norm},
     ))
@@ -1210,46 +1217,47 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
     # Lipschitz bound on the angle grid
     rng = np.random.default_rng(cfg.seed + 6)
     grid = np.linspace(0.0, 2.0 * math.pi, cfg.circle_grid, endpoint=False)
-    bad = None
     pair_checks = 0
     pointwise_checks = 0
-    for n in range(1, cfg.circle_mod_max + 1):
-        scaled = (grid / (2.0 * math.pi)) % 1.0 * n
-        k = np.floor(scaled)
-        frac = scaled - k
-        residues = (k + (frac > 0.5)).astype(np.int64) % n
-        # pointwise nearest-root property: implies the pair bound everywhere
-        arc_to_root = np.abs((grid - 2.0 * math.pi * residues / n + math.pi)
-                             % (2.0 * math.pi) - math.pi)
-        pointwise_checks += grid.size
-        if (arc_to_root > math.pi / n + 1e-9).any():
-            bad = f"nearest-root property at n={n}"
-            break
-        # the literal pair inequality on consecutive and seeded random pairs
-        for idx_a, idx_b in (
-            (np.arange(grid.size - 1), np.arange(1, grid.size)),
-            (rng.integers(0, grid.size, 2000), rng.integers(0, grid.size, 2000)),
-        ):
-            diff = np.abs(residues[idx_a] - residues[idx_b])
-            cyc = np.minimum(diff, n - diff)
-            arc = np.abs((grid[idx_a] - grid[idx_b] + math.pi) % (2.0 * math.pi) - math.pi)
-            pair_checks += idx_a.size
-            if (cyc > arc * n / (2.0 * math.pi) + 2.0 + 1e-9).any():
-                bad = f"pair bound at n={n}"
-                break
-        if bad:
-            break
+
+    def grid_cases():
+        nonlocal pair_checks, pointwise_checks
+        for n in range(1, cfg.circle_mod_max + 1):
+            scaled = (grid / (2.0 * math.pi)) % 1.0 * n
+            k = np.floor(scaled)
+            frac = scaled - k
+            residues = (k + (frac > 0.5)).astype(np.int64) % n
+            # pointwise nearest-root property: implies the pair bound everywhere
+            arc_to_root = np.abs((grid - 2.0 * math.pi * residues / n + math.pi)
+                                 % (2.0 * math.pi) - math.pi)
+            pointwise_checks += grid.size
+            yield f"nearest-root property at n={n}" if (arc_to_root > math.pi / n + 1e-9).any() \
+                else None
+            # the literal pair inequality on consecutive and seeded random pairs
+            for idx_a, idx_b in (
+                (np.arange(grid.size - 1), np.arange(1, grid.size)),
+                (rng.integers(0, grid.size, 2000), rng.integers(0, grid.size, 2000)),
+            ):
+                diff = np.abs(residues[idx_a] - residues[idx_b])
+                cyc = np.minimum(diff, n - diff)
+                arc = np.abs((grid[idx_a] - grid[idx_b] + math.pi) % (2.0 * math.pi) - math.pi)
+                pair_checks += idx_a.size
+                yield f"pair bound at n={n}" \
+                    if (cyc > arc * n / (2.0 * math.pi) + 2.0 + 1e-9).any() else None
+
+    bad, _ = _first_witness(grid_cases())
+
     # the vectorized residues must match circle_to_zmod
-    ref_ok = True
-    for _ in range(500):
-        n = int(rng.integers(1, cfg.circle_mod_max + 1))
-        angle = float(rng.uniform(0, 2 * math.pi))
-        scaled = (angle / (2 * math.pi)) % 1.0 * n
-        k = math.floor(scaled)
-        vec = int((k + ((scaled - k) > 0.5)) % n)
-        if vec != coneprobe.circle_to_zmod(angle, n):
-            ref_ok = False
-            break
+    def residue_cases():
+        for _ in range(500):
+            n = int(rng.integers(1, cfg.circle_mod_max + 1))
+            angle = float(rng.uniform(0, 2 * math.pi))
+            scaled = (angle / (2 * math.pi)) % 1.0 * n
+            k = math.floor(scaled)
+            vec = int((k + ((scaled - k) > 0.5)) % n)
+            yield None if vec == coneprobe.circle_to_zmod(angle, n) else f"angle={angle} n={n}"
+
+    ref_ok = _first_witness(residue_cases())[0] is None
     checks.append(PASS(
         "coneprobe.lipschitz_grid",
         f"theta is within half a root spacing pointwise (hence the +2 pair bound "

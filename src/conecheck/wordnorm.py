@@ -1,13 +1,11 @@
 """Exact word norms on finite groups with conjugation-closed generating sets.
 
 The engine is generic over a :class:`FiniteGroupOracle`; built-in carriers
-cover symmetric, alternating and cyclic groups and direct products of these.
+cover symmetric, alternating and cyclic groups.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -90,24 +88,6 @@ class NormTable:
         for g, n in self.values.items():
             for t in self.oracle.elements:
                 assert self.values[mul(mul(t, g), inv(t))] == n
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["element", "norm"])
-            for g in self.oracle.elements:
-                writer.writerow([self.oracle.describe(g), self.values[g]])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "carrier": self.oracle.name,
-                "order": self.oracle.order(),
-                "generators": sorted(self.oracle.describe(s) for s in self.generating_set),
-                "norms": {self.oracle.describe(g): self.values[g] for g in self.oracle.elements},
-            },
-            sort_keys=True,
-        )
 
 
 def bfs(starts: Iterable, step: Callable[[Hashable], Iterable]) -> dict:
@@ -214,17 +194,6 @@ def cyclic_oracle(n: int) -> FiniteGroupOracle:
     )
 
 
-def product_oracle(left: FiniteGroupOracle, right: FiniteGroupOracle) -> FiniteGroupOracle:
-    return FiniteGroupOracle(
-        name=f"{left.name}x{right.name}",
-        elements=tuple((a, b) for a in left.elements for b in right.elements),
-        multiply=lambda x, y: (left.multiply(x[0], y[0]), right.multiply(x[1], y[1])),
-        invert=lambda x: (left.invert(x[0]), right.invert(x[1])),
-        identity=(left.identity, right.identity),
-        describe=lambda x: f"({left.describe(x[0])},{right.describe(x[1])})",
-    )
-
-
 def transposition_generators(n: int) -> list[tuple[int, ...]]:
     gens = []
     for i in range(n):
@@ -233,30 +202,3 @@ def transposition_generators(n: int) -> list[tuple[int, ...]]:
             images[i], images[j] = j, i
             gens.append(tuple(images))
     return gens
-
-
-_FAMILIES = {
-    "symmetric": symmetric_oracle,
-    "alternating": alternating_oracle,
-    "cyclic": cyclic_oracle,
-}
-
-
-def load_carrier(spec: dict) -> FiniteGroupOracle:
-    """Build a carrier from a declarative description.
-
-    ``{"family": "symmetric", "degree": 5}`` or
-    ``{"family": "product", "factors": [spec, spec]}``.
-    """
-    family = spec.get("family")
-    if family == "product":
-        factors = [load_carrier(s) for s in spec["factors"]]
-        if len(factors) < 2:
-            raise ValueError("product needs at least two factors")
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = product_oracle(acc, f)
-        return acc
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown carrier family: {family!r}")
-    return _FAMILIES[family](int(spec["degree"]))

@@ -431,6 +431,31 @@ def test_broken_reference_fails_through_the_oracle(monkeypatch, check_id, name, 
     assert (row.status, row.witness, row.sample_size) == ("fail", witness, 1)
 
 
+def displaced_image(sigma):
+    return frozenset(map(sigma, displaced_set(sigma)))
+
+
+def swapped_split_stack(images):
+    left, right = split_stack(images)
+    return right, left
+
+
+@pytest.mark.parametrize("check_id, name, broken, witness, sample_size", [
+    # sigma(D) is as disjoint from its image as D, so the reference loop passes
+    ("cutting.displacement_s8", "displaced_set", displaced_image,
+     "displaced set disagrees at (1 4 5)(2 6)", 720),
+    # the kernel's swapped factors fail, the reference loop passes
+    ("cutting.splitting_s7", "split_stack", swapped_split_stack,
+     "split disagrees at (1 5 3 2 4) k=2", 481),
+], ids=["displaced_set", "split_stack"])
+def test_disagreement_the_reference_misses_fails(monkeypatch, check_id, name, broken,
+                                                  witness, sample_size):
+    # the whole reference loop, then the oracle's disagreement as one more case
+    monkeypatch.setattr(cutting, name, broken)
+    row = {c.check_id: c for c in run_cutting(RunConfig.small())}[check_id]
+    assert (row.status, row.witness, row.sample_size) == ("fail", witness, sample_size)
+
+
 def test_cutting_runs_each_kernel_once_and_each_reference_on_its_sample(monkeypatch):
     # a per-element or per-k loop must not creep back into the cutting suite
     calls = dict.fromkeys(("cut_stack", "split", "displaced_set"), 0)

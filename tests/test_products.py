@@ -324,9 +324,20 @@ class TestDirectSumCheck:
         monkeypatch.setattr(products, "support_distance", off_by_one)
         audits = _count_calls(monkeypatch, products, "verify_contraction_conditions")
         got = _direct_sum_row(RunConfig.small())
-        # the pairwise audit replays both carriers and its verdict stands
-        assert len(audits) == 2 + 2
-        assert got == want and got.status == "pass"
+        # the dense carrier replays the pairwise audit, which holds, so the
+        # oracle's disagreement fails the row and the sampled carrier is not
+        # replayed
+        assert len(audits) == 2 + 1
+        assert (got.status, got.sample_size, got.witness) == \
+            ("fail", want.sample_size, "DirectSum distance disagrees at 1@3 + 2@6 | 1@4")
+
+    def test_zero_distance_fails_with_the_oracle_witness(self, monkeypatch):
+        # the pairwise audit cannot see a metric that reads 0 everywhere; the
+        # coordinate audit holds, and only DirectSum's oracle sample sees it
+        monkeypatch.setattr(DirectSum, "distance", lambda self, a, b, norm=None: 0)
+        row = _direct_sum_row(RunConfig.small())
+        assert (row.status, row.sample_size, row.witness) == \
+            ("fail", 72875, "DirectSum distance disagrees at 1@3 + 2@5 + 4@6 | 2@3 + 5@6")
 
     def test_identity_projection_fails_with_the_pairwise_witness(self, monkeypatch):
         monkeypatch.setattr(DirectSum, "sum_project", lambda self, a: a)

@@ -1,7 +1,6 @@
 """The generic BFS word-norm engine and its audits."""
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,6 @@ from conecheck.wordnorm import (
     bfs_norm,
     conjugacy_closure,
     cyclic_oracle,
-    load_carrier,
     symmetric_oracle,
     transposition_generators,
 )
@@ -152,32 +150,6 @@ def test_audit_domination_three_cycle_constants():
     n3_versus, _ = audit_domination(tr_table, n3_table)
     assert tr_versus <= 2
     assert float(n3_versus) <= 1.5
-
-
-def test_exports(tmp_path):
-    table = bfs_norm(cyclic_oracle(4), {1})
-    csv_path = tmp_path / "norms.csv"
-    table.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "element,norm"
-    assert len(lines) == 5
-    payload = json.loads(table.to_json())
-    assert payload["order"] == 4
-    assert payload["norms"]["2"] == 2
-
-
-def test_load_carrier():
-    s4 = load_carrier({"family": "symmetric", "degree": 4})
-    assert s4.order() == 24
-    assert load_carrier({"family": "alternating", "degree": 4}).order() == 12
-    prod = load_carrier({
-        "family": "product",
-        "factors": [{"family": "cyclic", "degree": 2}, {"family": "cyclic", "degree": 3}],
-    })
-    assert prod.order() == 6
-    prod.check_axioms()
-    with pytest.raises(ValueError):
-        load_carrier({"family": "nonsense", "degree": 3})
 
 
 def test_group_axiom_spot_check():
