@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ScaledSequence:
@@ -135,12 +137,10 @@ def check_sequence_contraction(family: StageFamily, stages, samples_per_stage: i
     witness = None
     for n in stages:
         points = family.sample(n, samples_per_stage, seed)
-        for i, x in enumerate(points):
-            px = family.project(n, x)
-            d_disp = family.distance(n, family.include(n, px), x)
-            worst_k = max(worst_k, d_disp)
-            for y in points[i + 1:]:
-                py = family.project(n, y)
+        projected = [family.project(n, x) for x in points]
+        for i, (x, px) in enumerate(zip(points, projected)):
+            worst_k = max(worst_k, family.distance(n, family.include(n, px), x))
+            for y, py in zip(points[i + 1:], projected[i + 1:]):
                 checked += 1
                 if family.distance(n - 1, px, py) > family.distance(n, x, y) + 1e-12:
                     expansions += 1
@@ -188,6 +188,14 @@ def circle_to_zmod(angle: float, n: int) -> int:
     elif frac == 0.5:
         k = min(k, (k + 1) % n)
     return k % n
+
+
+def circle_to_zmod_array(angles, n: int):
+    """circle_to_zmod on an array of angles, with its tie rule."""
+    scaled = (np.asarray(angles) / (2.0 * math.pi)) % 1.0 * n
+    k = np.floor(scaled).astype(np.int64)
+    frac = scaled - k
+    return np.where(frac == 0.5, np.minimum(k, (k + 1) % n), k + (frac > 0.5)) % n
 
 
 def cyclic_norm(k: int, n: int) -> int:

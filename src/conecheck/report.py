@@ -135,14 +135,14 @@ class RunConfig:
     intnorm_axiom_window: int = _field(200, 0)
     intnorm_depth: int = 12
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
-    # 5 s at the defaults): 7.5 s at triangular n 16 and 10 s at 18; 7.2 s at
-    # SPD n 12 and 10.4 s at 13, where Hadamard's bound sends most SPD
-    # matrices from the two-prime kernel to Bareiss
+    # 5 s at the defaults): 7.5 s at triangular n 16, 10 s at 18; 7.2 s at SPD n
+    # 12, 10.4 s at 13 (Hadamard's bound sends most SPD matrices to Bareiss);
+    # 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at 17
     triangular_max_n: int = _field(10, 1, 16, degree=True)
     spd_max_n: int = _field(8, 2, 12, degree=True)
     # SO(1) is the trivial group
     so_min_n: int = _field(4, 2)
-    so_max_n: int = _field(12, degree=True)
+    so_max_n: int = _field(12, None, 15, degree=True)
     matrix_pairs: int = _field(1000, 1)
     circle_roundtrip_max: int = _field(1024, 1)
     circle_grid: int = _field(10_000, 1)

@@ -11,6 +11,7 @@ and a disagreement the reference does not explain fails as one more case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -30,8 +31,10 @@ from .covering import (
 )
 from .perms import (
     Permutation,
+    _compose_images,
     _even_tuples,
     _full_cycle_type,
+    _invert_images,
     _tuple_even,
     _unrank_images,
     commutator,
@@ -82,16 +85,25 @@ def _batched_cases(count, held, oracle, reference):
 # --------------------------------------------------------------------------- norms
 
 
-def _all_perms(degree: int) -> list[Permutation]:
-    return [Permutation.from_images(t) for t in sorted(itertools.permutations(range(degree)))]
-
-
 def _perm(images) -> Permutation:
     return Permutation.from_images(tuple(int(x) for x in images))
 
 
 def run_norms(cfg: RunConfig) -> list[CheckResult]:
     checks = []
+
+    @functools.cache
+    def group(n, even=False):
+        """S_n, or A_n when even, enumerated once per run: its oracle, the (supp, tr)
+        of each element by image tuple (each becomes a Permutation once), and its
+        BFS word norms over transpositions, or over 3-cycles for A_n."""
+        if even:
+            oracle, gens = wordnorm.alternating_oracle(n), three_cycle_generators(n)
+        else:
+            oracle, gens = wordnorm.symmetric_oracle(n), wordnorm.transposition_generators(n)
+        perms = map(Permutation.from_images, oracle.elements)
+        norms = {t: (supp_norm(p), tr_norm(p)) for t, p in zip(oracle.elements, perms)}
+        return oracle, norms, wordnorm.bfs_norm(oracle, gens)
 
     # composition convention regression: (x y)(y z) = (x z y)
     lhs = Permutation.parse("(1 2)").then(Permutation.parse("(2 3)"))
@@ -122,46 +134,33 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 
     # norm sandwich on exhaustive S_norm_degree
     degree = cfg.norm_degree
-    elements = _all_perms(degree)
+    s_d, norms_d, tr_words = group(degree)
 
-    def sandwich(p):
-        tr, supp = tr_norm(p), supp_norm(p)
-        return None if tr <= supp <= 2 * tr else str(p)
-
-    bad, _ = _first_witness(map(sandwich, elements))
+    bad, _ = _first_witness(None if tr <= supp <= 2 * tr else str(_perm(t))
+                            for t, (supp, tr) in norms_d.items())
     checks.append(PASS(
         "norms.sandwich_s7",
         f"tr <= supp <= 2 tr on exhaustive S_{degree}",
-        bad is None, len(elements),
+        bad is None, s_d.order(),
         constants={"upper_factor": 2}, witness=bad,
     ))
 
     # closed-form tr norm against the BFS oracle
-    oracle = wordnorm.symmetric_oracle(degree)
-    table = wordnorm.bfs_norm(oracle, wordnorm.transposition_generators(degree))
-
-    def tr_agreement(t):
-        p = Permutation.from_images(t)
-        return None if table[t] == tr_norm(p) else str(p)
-
-    bad, _ = _first_witness(map(tr_agreement, oracle.elements))
+    bad, _ = _first_witness(None if tr_words[t] == tr else str(_perm(t))
+                            for t, (_, tr) in norms_d.items())
     checks.append(PASS(
         "norms.bfs_tr_agreement",
         f"closed-form transposition norm equals BFS word length on S_{degree}",
-        bad is None, oracle.order(), witness=bad,
+        bad is None, s_d.order(), witness=bad,
     ))
 
     # alternating sandwich: tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_m
     m = cfg.alternating_degree
-    alt = wordnorm.alternating_oracle(m)
-    n3_table = wordnorm.bfs_norm(alt, three_cycle_generators(m))
+    alt, norms_m, n3_table = group(m, even=True)
 
-    def alternating_sandwich(t):
-        p = Permutation.from_images(t)
-        tr, n3 = tr_norm(p), n3_table[t]
-        return f"{p}: tr={tr} n3={n3}" if 2 * n3 < tr or 2 * n3 > 3 * tr else None
-
-    bad, _ = _first_witness(map(alternating_sandwich, alt.elements))
+    bad, _ = _first_witness(
+        f"{_perm(t)}: tr={tr} n3={n3}" if 2 * n3 < tr or 2 * n3 > 3 * tr else None
+        for (t, (_, tr)), n3 in zip(norms_m.items(), n3_table.norms()))
     checks.append(PASS(
         "norms.alternating_a6",
         f"tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_{m}",
@@ -184,7 +183,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         return None if stable else f"ambient instability at {p}"
 
     table_bad, _ = _first_witness(map(table_agreement, alt.elements))
-    small = wordnorm.alternating_oracle(max(m - 1, 4))
+    small = group(max(m - 1, 4), even=True)[0]
     ambient_bad, _ = _first_witness(map(ambient_stability, small.elements))
     bad = ambient_bad or table_bad
     checks.append(PASS(
@@ -193,43 +192,45 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         bad is None, alt.order() + small.order(), witness=bad,
     ))
 
-    # conjugation invariance + metric axioms, exhaustive S_sd (S_5 by default)
+    # conjugation invariance + metric axioms on image tuples, exhaustive S_sd (S_5 by default)
     sd = min(5, degree)
-    s5 = _all_perms(sd)
-    n3_of = {p: three_cycle_norm(p) for p in s5 if p.is_even()}
+    s5, norms_sd, tr_table = group(sd)
+    inverse = {t: _invert_images(t) for t in s5.elements}
+    n3_of = {t: three_cycle_norm(_perm(t)) for t in s5.elements if _tuple_even(t)}
 
     def conjugation_cases():
-        for p in s5:
-            norms_p = (supp_norm(p), tr_norm(p), n3_of.get(p))
-            for t in s5:
-                q = p.conjugated_by(t)
-                same = (supp_norm(q), tr_norm(q), n3_of.get(q)) == norms_p
-                yield None if same else f"{p} vs {t}"
+        for p in s5.elements:
+            for t, t_inv in inverse.items():
+                q = _compose_images(_compose_images(t, p), t_inv)
+                same = norms_sd[q] == norms_sd[p] and n3_of.get(q) == n3_of.get(p)
+                yield None if same else f"{_perm(p)} vs {_perm(t)}"
 
     bad, _ = _first_witness(conjugation_cases())
     checks.append(PASS(
         "norms.conjugation_invariance_s5",
         f"supp, tr and 3-cycle norms are conjugation invariant on exhaustive S_{sd}",
-        bad is None, len(s5) ** 2, witness=bad,
+        bad is None, s5.order() ** 2, witness=bad,
     ))
 
     def metric_axioms(p, q):
-        prod = p.then(q)
-        if supp_norm(prod) > supp_norm(p) + supp_norm(q) or tr_norm(prod) > tr_norm(p) + tr_norm(q):
-            return f"{p} * {q}"
-        return None if supp_norm(p.inverse()) == supp_norm(p) else f"symmetry at {p}"
+        (supp_p, tr_p), (supp_q, tr_q) = norms_sd[p], norms_sd[q]
+        supp, tr = norms_sd[_compose_images(p, q)]
+        if supp > supp_p + supp_q or tr > tr_p + tr_q:
+            return f"{_perm(p)} * {_perm(q)}"
+        return None if norms_sd[inverse[p]][0] == supp_p else f"symmetry at {_perm(p)}"
 
-    bad, _ = _first_witness(itertools.starmap(metric_axioms, itertools.product(s5, s5)))
+    bad, _ = _first_witness(
+        itertools.starmap(metric_axioms, itertools.product(s5.elements, repeat=2)))
     checks.append(PASS(
         "norms.metric_axioms_s5",
         f"triangle inequality and symmetry of the induced metric on exhaustive S_{sd}",
-        bad is None, len(s5) ** 2, witness=bad,
+        bad is None, s5.order() ** 2, witness=bad,
     ))
 
     # conjugacy closure of a transposition: exactly the 6 transpositions of S_4
-    s4 = wordnorm.symmetric_oracle(4)
+    s4, norms_4, tr_table_s4 = group(4)
     closure = wordnorm.conjugacy_closure(s4, {Permutation.parse("(1 2)").to_images(4)})
-    expected = {g for g in s4.elements if Permutation.from_images(g).cycle_type() == (2,)}
+    expected = {g for g, (supp, _) in norms_4.items() if supp == 2}  # the transpositions
     checks.append(PASS(
         "norms.closure_transpositions",
         "conjugacy closure of one transposition in S_4 is the transposition class",
@@ -238,41 +239,34 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # norm-table axioms + conjugation invariance on a finite carrier
-    tr_table_s4 = wordnorm.bfs_norm(s4, wordnorm.transposition_generators(4))
     axioms_ok = True
     try:
         tr_table_s4.check_axioms()
         tr_table_s4.check_conjugation_invariance()
     except AssertionError:
         axioms_ok = False
-    z5 = wordnorm.cyclic_oracle(5)
-    z5_table = wordnorm.bfs_norm(z5, {1})
+    z5_norms = wordnorm.bfs_norm(wordnorm.cyclic_oracle(5), {1}).norms()
     checks.append(PASS(
         "norms.table_axioms",
         "NormTable satisfies the norm axioms and conjugation invariance (S_4, Z/5)",
-        axioms_ok and [z5_table[k] for k in range(5)] == [0, 1, 2, 2, 1],
+        axioms_ok and z5_norms == [0, 1, 2, 2, 1],
         s4.order() ** 2 + 5,
-        observed={"z5_norms": [z5_table[k] for k in range(5)]},
+        observed={"z5_norms": z5_norms},
     ))
 
     # domination audits: supp vs tr on S_sd, tr vs n3 on A_ad (S_5 and A_5 by default)
     ad = min(5, m)
-    s5o = wordnorm.symmetric_oracle(sd)
-    supp_table = wordnorm.NormTable(
-        s5o, {t: supp_norm(Permutation.from_images(t)) for t in s5o.elements}, frozenset())
-    tr_table = wordnorm.bfs_norm(s5o, wordnorm.transposition_generators(sd))
+    supp_table = wordnorm.NormTable(s5, {t: supp for t, (supp, _) in norms_sd.items()}, frozenset())
     c_supp, _ = wordnorm.audit_domination(tr_table, supp_table)
-    a5 = wordnorm.alternating_oracle(ad)
-    tr_a5 = wordnorm.NormTable(
-        a5, {t: tr_norm(Permutation.from_images(t)) for t in a5.elements}, frozenset())
-    n3_a5 = wordnorm.bfs_norm(a5, three_cycle_generators(ad))
+    a5, norms_ad, n3_a5 = group(ad, even=True)
+    tr_a5 = wordnorm.NormTable(a5, {t: tr for t, (_, tr) in norms_ad.items()}, frozenset())
     c_tr, _ = wordnorm.audit_domination(n3_a5, tr_a5)   # tr <= C * n3
     c_n3, _ = wordnorm.audit_domination(tr_a5, n3_a5)   # n3 <= C * tr
     checks.append(PASS(
         "norms.domination",
         f"supp <= 2 tr on S_{sd}; tr <= 2 n3 and n3 <= 1.5 tr on A_{ad} (smallest constants)",
         c_supp == 2 and c_tr <= 2 and c_n3 <= Fraction(3, 2),
-        s5o.order() + 2 * a5.order(),
+        s5.order() + 2 * a5.order(),
         observed={"supp_vs_tr": str(c_supp), "tr_vs_n3": str(c_tr), "n3_vs_tr": str(c_n3)},
     ))
 
@@ -335,9 +329,8 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
 
     # exhaustive pairs: cut every element at every k at once, then audit a block
     # of left elements against every element at a time
-    elements = sorted(itertools.permutations(range(degree)))
-    n_el = len(elements)
-    images = np.array(elements, dtype=np.int16).reshape(n_el, degree)
+    n_el = math.factorial(degree)
+    images = _unrank_images(np.arange(n_el), degree)
     cuts = cutting.cut_stack(images, kmax)
     bound_violations = dict.fromkeys(cutting.CUT_BOUNDS, 0)
     pair_count = 0
@@ -360,7 +353,7 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
         for _ in range(50):
             i, j = int(rng.integers(n_el)), int(rng.integers(n_el))
             k = int(rng.integers(kmax + 1))
-            p, q = _perm(elements[i]), _perm(elements[j])
+            p, q = _perm(images[i]), _perm(images[j])
             a, b = cutting.cut(p, k).image, cutting.cut(q, k).image
             agree = (a.to_images(degree) == tuple(cuts[i, k])
                      and supp_norm(a.then(b.inverse())) == int((cuts[i, k] != cuts[j, k]).sum()))
@@ -422,7 +415,7 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     sd = cfg.split_degree
 
     def split_cases():
-        for p in _all_perms(sd):
+        for p in map(Permutation.from_images, itertools.permutations(range(sd))):
             n = supp_norm(p)
             for k in range(1, n + 1):
                 pair = cutting.split(p, k)
@@ -489,11 +482,11 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
 
     # the audit operation itself: the worked pair plus exhaustive S_ad pairs
     ad = min(5, degree)
-    sample = _all_perms(ad)
+    sample = map(Permutation.from_images, itertools.permutations(range(ad)))
     audit = cutting.verify_cut_lemmas(
         itertools.chain(
             [(Permutation.parse("(1 2 3)"), Permutation.parse("(1 3 2)"))],
-            itertools.product(sample, sample),
+            itertools.product(sample, repeat=2),
         ),
         max_k=6,
     )
@@ -1112,6 +1105,9 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
         for wd, (l1, supp) in zip(words57, norms57))
     tight_hi = any(supp and l1 == sup_norm * supp for l1, supp in norms57)
     tight_lo = any(supp and l1 == inf_norm * supp for l1, supp in norms57)
+    failed_clause = next((clause for clause, held in (
+        ("factor inclusion is not an l1 isometry", iso_ok), ("sup constant not attained", tight_hi),
+        ("inf constant not attained", tight_lo)) if not held), None)
     checks.append(PASS(
         "products.isometry_equivalence",
         "factor inclusion is a l1 isometry; l1 and support norms are equivalent "
@@ -1119,6 +1115,7 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
         iso_ok and equiv_bad is None and tight_hi and tight_lo,
         5 + len(words57),
         constants={"sup_factor_norm": sup_norm, "inf_factor_norm": inf_norm},
+        witness=equiv_bad or failed_clause,
     ))
 
     # prefix projection norm decrease and proximity on small carriers
@@ -1223,10 +1220,7 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
     def grid_cases():
         nonlocal pair_checks, pointwise_checks
         for n in range(1, cfg.circle_mod_max + 1):
-            scaled = (grid / (2.0 * math.pi)) % 1.0 * n
-            k = np.floor(scaled)
-            frac = scaled - k
-            residues = (k + (frac > 0.5)).astype(np.int64) % n
+            residues = coneprobe.circle_to_zmod_array(grid, n)
             # pointwise nearest-root property: implies the pair bound everywhere
             arc_to_root = np.abs((grid - 2.0 * math.pi * residues / n + math.pi)
                                  % (2.0 * math.pi) - math.pi)
@@ -1247,25 +1241,23 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
 
     bad, _ = _first_witness(grid_cases())
 
-    # the vectorized residues must match circle_to_zmod
+    # the vectorized theta the grid runs must match circle_to_zmod
     def residue_cases():
         for _ in range(500):
             n = int(rng.integers(1, cfg.circle_mod_max + 1))
             angle = float(rng.uniform(0, 2 * math.pi))
-            scaled = (angle / (2 * math.pi)) % 1.0 * n
-            k = math.floor(scaled)
-            vec = int((k + ((scaled - k) > 0.5)) % n)
-            yield None if vec == coneprobe.circle_to_zmod(angle, n) else f"angle={angle} n={n}"
+            agree = coneprobe.circle_to_zmod_array(angle, n) == coneprobe.circle_to_zmod(angle, n)
+            yield None if agree else f"angle={angle} n={n}"
 
-    ref_ok = _first_witness(residue_cases())[0] is None
+    ref_bad, _ = _first_witness(residue_cases())
     checks.append(PASS(
         "coneprobe.lipschitz_grid",
         f"theta is within half a root spacing pointwise (hence the +2 pair bound "
         f"everywhere), grid of {cfg.circle_grid} angles per n <= {cfg.circle_mod_max}",
-        bad is None and ref_ok, pointwise_checks + pair_checks,
+        bad is None and ref_bad is None, pointwise_checks + pair_checks,
         constants={"pair_constant": 2},
-        observed={"pair_checks": pair_checks, "vectorization_crosschecked": ref_ok},
-        witness=bad,
+        observed={"pair_checks": pair_checks, "vectorization_crosschecked": ref_bad is None},
+        witness=bad or ref_bad,
     ))
 
     # staged contraction hypotheses for the three matrix families

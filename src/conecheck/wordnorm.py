@@ -175,8 +175,8 @@ def _image_tuple_oracle(name: str, elements, n: int) -> FiniteGroupOracle:
 
 
 def symmetric_oracle(n: int) -> FiniteGroupOracle:
-    """S_n on 0-based image tuples, multiplied left to right."""
-    return _image_tuple_oracle(f"S_{n}", sorted(permutations(range(n))), n)
+    """S_n on 0-based image tuples in lexicographic order, multiplied left to right."""
+    return _image_tuple_oracle(f"S_{n}", permutations(range(n)), n)
 
 
 def alternating_oracle(n: int) -> FiniteGroupOracle:

@@ -122,6 +122,9 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"word_l1_budget": 40}, "word_l1_budget must lie in 1..11"),
     # the direct sum's factors alone took most of the memory at this size
     ({"sum_indices": 1001}, "sum_indices must lie in 2..1000"),
+    # SO(n) at n = 400 ran past 20 s; above the cap matnorm outgrows its 8 s
+    ({"so_max_n": 400}, "so_max_n must be at most 15"),
+    ({"so_max_n": 16}, "so_max_n must be at most 15"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
@@ -133,7 +136,7 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "intnorm_sandwich_max_0", "circle_roundtrip_max_0", "circle_mod_max_0",
         "sum_indices_1", "word_l1_budget_0", "intnorm_axiom_window_negative",
         "so_min_n_above_max", "triangular_max_n_17", "spd_max_n_13",
-        "word_l1_budget_40", "sum_indices_1001"])
+        "word_l1_budget_40", "sum_indices_1001", "so_max_n_400", "so_max_n_16"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conecheck import coneprobe, matnorm
+from conecheck.report import RunConfig
+from conecheck.suites import run_coneprobe
 from conecheck.coneprobe import (
     ScaledSequence,
     StageFamily,
@@ -13,6 +15,7 @@ from conecheck.coneprobe import (
     arc_identity_exact,
     check_sequence_contraction,
     circle_to_zmod,
+    circle_to_zmod_array,
     cyclic_norm,
     estimate_limit,
     load_sequence,
@@ -123,6 +126,50 @@ class TestCircleMaps:
             assert observed <= allowed + 1e-9
 
 
+class TestCircleToZmodArray:
+    # the default grid's exact ties between roots n - 1 and 0, where rounding
+    # ties up used to give n - 1 and theta gives 0
+    TIES = {2: 7500, 4: 8750, 5: 9000, 10: 9500, 20: 9750, 25: 9800, 40: 9875,
+            100: 9950, 125: 9960, 200: 9975, 250: 9980}
+    GRID = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
+
+    def test_ties_go_to_the_smaller_residue(self):
+        for n, index in self.TIES.items():
+            assert circle_to_zmod(float(self.GRID[index]), n) == 0
+            assert circle_to_zmod_array(self.GRID, n)[index] == 0
+            assert circle_to_zmod_array(self.GRID[index], n) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 25, 256])
+    def test_matches_circle_to_zmod_on_the_grid(self, n):
+        expected = [circle_to_zmod(float(angle), n) for angle in self.GRID]
+        assert circle_to_zmod_array(self.GRID, n).tolist() == expected
+
+
+def _lipschitz_row():
+    return next(c for c in run_coneprobe(RunConfig.small())
+                if c.check_id == "coneprobe.lipschitz_grid")
+
+
+class TestLipschitzGrid:
+    def test_shifted_array_theta_fails_with_the_grid_witness(self, monkeypatch):
+        true_theta = coneprobe.circle_to_zmod_array
+        monkeypatch.setattr(coneprobe, "circle_to_zmod_array",
+                            lambda angles, n: (true_theta(angles, n) + 1) % n)
+        row = _lipschitz_row()
+        assert row.status == "fail"
+        assert row.witness == "nearest-root property at n=2"
+        assert row.observed["vectorization_crosschecked"] is False
+
+    def test_reference_off_by_one_fails_with_the_cross_check_witness(self, monkeypatch):
+        # the grid's own bounds hold; only the cross-check sees the disagreement
+        true_theta = coneprobe.circle_to_zmod
+        monkeypatch.setattr(coneprobe, "circle_to_zmod",
+                            lambda angle, n: (true_theta(angle, n) + 1) % n)
+        row = _lipschitz_row()
+        assert row.status == "fail"
+        assert row.witness.startswith("angle=") and " n=" in row.witness
+
+
 class TestSequenceContraction:
     def test_triangular_family(self):
         def distance(n, x, y):
@@ -144,6 +191,26 @@ class TestSequenceContraction:
         assert report["expansions"] == 0
         assert report["inclusion_defects"] == 0
         assert report["smallest_working_k"] <= 1
+
+    def test_projects_each_sample_once_per_stage(self):
+        projected = []
+
+        def project(n, x):
+            projected.append(n)
+            return x[:-1]
+
+        family = StageFamily(
+            name="prefix",
+            distance=lambda n, x, y: sum(a != b for a, b in zip(x, y)),
+            project=project,
+            include=lambda n, x: x + (0,),
+            sample=lambda n, count, seed: [tuple((seed + i + j) % 3 for j in range(n))
+                                           for i in range(count)],
+            identity_at=lambda n: (0,) * n,
+        )
+        report = check_sequence_contraction(family, range(2, 6), 8, seed=4, expected_k=1)
+        assert report["pairs_checked"] == 4 * 28
+        assert projected == [n for n in range(2, 6) for _ in range(8)]
 
     def test_scaling_constant_rescales_exactly(self):
         seq = load_sequence({"family": "cycle", "stages": list(range(1, 20))})

@@ -344,3 +344,28 @@ class TestDirectSumCheck:
         row = _direct_sum_row(RunConfig.small())
         # the pairwise audit's sample size, and the dense carrier's first witness
         assert (row.status, row.sample_size, row.witness) == ("fail", 72875, "1@2")
+
+
+def test_isometry_equivalence_fails_with_the_first_non_equivalent_word(monkeypatch):
+    # under a doubled l1 norm the check used to fail with no witness
+    true_l1 = FreeProduct.l1_norm
+    monkeypatch.setattr(FreeProduct, "l1_norm", lambda self, word: 2 * true_l1(self, word))
+    row = {r.check_id: r for r in run_products(RunConfig.small())}[
+        "products.isometry_equivalence"]
+    low, high = row.constants["inf_factor_norm"], row.constants["sup_factor_norm"]
+    fp = FreeProduct({1: cyclic_factor(5, "word"), 2: cyclic_factor(7, "word")})
+    first = next(word for word in fp.enumerate_words(5) if not
+                 low * fp.supp_norm(word) <= 2 * true_l1(fp, word) <= high * fp.supp_norm(word))
+    assert row.status == "fail"
+    assert row.witness == str(first)
+
+
+def test_isometry_equivalence_names_the_failed_clause(monkeypatch):
+    # a factor norm off at one residue breaks only the isometric inclusion
+    true_include = FreeProduct.include
+    monkeypatch.setattr(FreeProduct, "include",
+                        lambda self, i, k: true_include(self, i, (k + 1) % 5 if k else 0))
+    row = {r.check_id: r for r in run_products(RunConfig.small())}[
+        "products.isometry_equivalence"]
+    assert row.status == "fail"
+    assert row.witness == "factor inclusion is not an l1 isometry"

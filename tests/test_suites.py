@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import conecheck
+from conecheck import suites
+from conecheck.report import RunConfig
 
 SUITES = Path(conecheck.__file__).parent / "suites.py"
 
@@ -65,3 +67,29 @@ def test_batched_cases_is_the_only_replay_choice():
                for stmt in (branch if isinstance(branch, list) else [branch])
                if id(stmt) not in inside and _called_names(stmt) & references]
     assert not choices
+
+
+def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
+    # run_norms tables supp and tr once per element of each group it enumerates,
+    # and reads the table by image tuple; under RunConfig.small() those are
+    # S_5 (120), A_5 (60), A_4 (12) and S_4 (24).  Reading them again per pair
+    # made 86 760 supp_norm and 58 080 tr_norm calls.
+    counts = dict.fromkeys(("supp_norm", "tr_norm"), 0)
+    for name in counts:
+        norm = getattr(suites, name)
+
+        def counted(sigma, norm=norm, name=name):
+            counts[name] += 1
+            return norm(sigma)
+
+        monkeypatch.setattr(suites, name, counted)
+    rows = suites.run_norms(RunConfig.small())
+    assert all(row.status == "pass" for row in rows)
+    assert counts == {"supp_norm": 216, "tr_norm": 216}
+
+
+def test_norms_enumerates_no_sorted_permutations():
+    # symmetric_oracle and every S_n loop take permutations() in its own
+    # lexicographic order
+    for path in SUITES.parent.glob("*.py"):
+        assert "sorted(permutations" not in path.read_text().replace("itertools.", "")
