@@ -24,9 +24,9 @@ from .perms import (
     _invert_images,
     _rank_images,
     _tuple_cycle_type,
+    _tuple_cycles,
     _tuple_even,
     _unrank_images,
-    commutator,
     supp_norm,
 )
 from .wordnorm import bfs
@@ -221,62 +221,49 @@ def canonical_of_type(cycle_type: tuple[int, ...]) -> Permutation:
     return Permutation.from_images(_images_of_type(sorted(cycle_type, reverse=True)))
 
 
-def conjugator_to(a: Permutation, b: Permutation, ambient: int | None = None) -> Permutation:
-    """Some tau with  tau a tau^{-1} = b  (left to right); any parity."""
-    if a.cycle_type() != b.cycle_type():
-        raise ValueError("conjugator requires equal cycle types")
-    points = set(a.support()) | set(b.support())
-    m = max(points | {ambient or 1})
-    by_length_a: dict[int, list] = {}
-    by_length_b: dict[int, list] = {}
-    for cyc in a.cycles():
-        by_length_a.setdefault(len(cyc), []).append(cyc)
-    for cyc in b.cycles():
-        by_length_b.setdefault(len(cyc), []).append(cyc)
-    mapping = {}
-    for length, cycs_a in by_length_a.items():
-        for ca, cb in zip(cycs_a, by_length_b[length]):
-            for pa, pb in zip(ca, cb):
-                mapping[pb] = pa
-    rest_a = sorted(set(range(1, m + 1)) - set(a.support()))
-    rest_b = sorted(set(range(1, m + 1)) - set(b.support()))
-    for pb, pa in zip(rest_b, rest_a):
-        if pb != pa or pb in mapping:
-            mapping[pb] = pa
-    tau = Permutation({p: q for p, q in mapping.items() if p != q})
-    assert a.conjugated_by(tau) == b
-    return tau
+def _layout(t: tuple[int, ...]) -> tuple[int, ...]:
+    """t's cycle points, longest cycle first and ties by least point, then its
+    fixed points ascending: the relabelling of points that carries
+    _images_of_type(cycle type, len(t)) onto t."""
+    # sorted is stable under reverse, so equal lengths stay by least point
+    cycles = sorted(_tuple_cycles(t), key=len, reverse=True)
+    return tuple(p for cycle in cycles for p in cycle) + tuple(
+        i for i, q in enumerate(t) if i == q)
 
 
-def even_conjugator_to(a: Permutation, b: Permutation, ambient: int) -> Permutation | None:
+def conjugator_to(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Some tau with  tau a tau^{-1} = b  (left to right) on image tuples of
+    one degree; any parity."""
+    if len(a) != len(b) or _tuple_cycle_type(a) != _tuple_cycle_type(b):
+        raise ValueError("conjugator requires one degree and equal cycle types")
+    return _compose_images(_invert_images(_layout(b)), _layout(a))
+
+
+def even_conjugator_to(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     """An even tau with  tau a tau^{-1} = b, or None when none exists.
 
     If tau0 works, every solution is z * tau0 with z centralizing b; odd
     centralizer elements come from >= 2 free points, an even-length cycle,
     or two cycles of equal odd length.  That list is complete.
     """
-    tau0 = conjugator_to(a, b, ambient)
-    if tau0.is_even():
+    tau0 = conjugator_to(a, b)
+    if _tuple_even(tau0):
         return tau0
-    free = sorted(set(range(1, ambient + 1)) - set(b.support()))
+    free = [i for i, q in enumerate(b) if i == q]
+    cycles = _tuple_cycles(b)
+    even = [c for c in cycles if len(c) % 2 == 0]
+    # the first cycle with a later one of its length, and the first such one
+    equal = [(c, d) for i, c in enumerate(cycles) for d in cycles[i + 1:] if len(c) == len(d)]
     if len(free) >= 2:
-        z = Permutation.transposition(free[0], free[1])
-        return z.then(tau0)
-    lengths: dict[int, list] = {}
-    for cyc in b.cycles():
-        lengths.setdefault(len(cyc), []).append(cyc)
-        if len(cyc) % 2 == 0:
-            z = Permutation.from_cycles([cyc])
-            tau = z.then(tau0)
-            assert a.conjugated_by(tau) == b
-            return tau
-    for length, cycs in lengths.items():
-        if length % 2 == 1 and len(cycs) >= 2:
-            z = Permutation({p: q for p, q in zip(cycs[0] + cycs[1], cycs[1] + cycs[0])})
-            tau = z.then(tau0)
-            assert a.conjugated_by(tau) == b
-            return tau
-    return None
+        z = {free[0]: free[1], free[1]: free[0]}
+    elif even:
+        z = dict(zip(even[0], even[0][1:] + even[0][:1]))
+    elif equal:
+        c, d = equal[0]
+        z = dict(zip(c + d, d + c))
+    else:
+        return None
+    return _compose_images(tuple(z.get(i, i) for i in range(len(b))), tau0)
 
 
 # --- Ore / Miller commutator witnesses ----------------------------------------
@@ -286,7 +273,8 @@ def commutator_witness(g: Permutation, n: int) -> tuple[Permutation, Permutation
     """Even b, c with [b, c] = g, supported in {1..max(n, 5)}.
 
     One exhaustive search per cycle type; all other elements of the type get
-    their witness by conjugation, then the result is verified by recomposition.
+    their witness by relabelling it along g's layout.  The caller verifies
+    the pair by recomposition.
     """
     if not g.is_even():
         raise OddPermutationError(f"{g} is odd, not in any alternating group")
@@ -295,30 +283,27 @@ def commutator_witness(g: Permutation, n: int) -> tuple[Permutation, Permutation
     if g.is_identity():
         return IDENTITY, IDENTITY
     m = max(n, 5)
-    b0, c0 = _search_witness(g.cycle_type(), m)
-    tau = conjugator_to(canonical_of_type(g.cycle_type()), g, m)
-    b, c = b0.conjugated_by(tau), c0.conjugated_by(tau)
-    assert commutator(b, c) == g
-    return b, c
+    layout = _layout(g.to_images(m))
+    to_canonical = _invert_images(layout)
+    return tuple(Permutation.from_images(_compose_images(_compose_images(to_canonical, t), layout))
+                 for t in _search_witness(g.cycle_type(), m))
 
 
 @cache
-def _search_witness(cycle_type: tuple[int, ...], m: int) -> tuple[Permutation, Permutation]:
-    # [b, c] = rep  iff  b c b^{-1} = rep * c, and the left side is a
-    # conjugate of c; so scan c and look for an even conjugator.
-    rep = canonical_of_type(cycle_type)
-    rep_t = rep.to_images(m)
-    for c_t in _even_tuples(m):
-        u_t = _compose_images(rep_t, c_t)
-        if _tuple_cycle_type(u_t) != _tuple_cycle_type(c_t):
+def _search_witness(cycle_type: tuple[int, ...], m: int) -> tuple[tuple, tuple]:
+    # Even image tuples b, c of degree m with [b, c] = rep, the canonical element
+    # of the type.  [b, c] = rep  iff  b c b^{-1} = rep * c, and the left side
+    # is a conjugate of c; so scan c and look for an even conjugator.
+    rep = _images_of_type(sorted(cycle_type, reverse=True), m)
+    for c in _even_tuples(m):
+        u = _compose_images(rep, c)
+        if _tuple_cycle_type(u) != _tuple_cycle_type(c):
             continue
-        c = Permutation.from_images(c_t)
-        u = Permutation.from_images(u_t)
-        b = even_conjugator_to(c, u, m)
+        b = even_conjugator_to(c, u)
         if b is not None:
-            assert commutator(b, c) == rep
             return b, c
-    raise SearchExhaustedError(f"no commutator witness for {rep} in A_{m}")
+    raise SearchExhaustedError(
+        f"no commutator witness for {Permutation.from_images(rep)} in A_{m}")
 
 
 # --- conjugate-product certificates (the 5.3 recipe) ----------------------------
@@ -503,16 +488,18 @@ def express_as_conjugates(h: Permutation, g: Permutation) -> ConjugateProductCer
     if not rest.is_identity():
         blocks.append(rest)
 
+    # every conjugator on one degree: fresh - 1 is the top point of h and the
+    # modified base
+    degree = max(fresh - 1, window)
     base_type = base.cycle_type()
-    sigma_w = canonical_of_type(base_type)
-    to_window = conjugator_to(base, sigma_w)
+    sigma_w = _images_of_type(base_type, degree)
+    to_window = conjugator_to(base.to_images(degree), sigma_w)
     factors: list[ConjugateFactor] = []
     for block in blocks:
-        block_canon = canonical_of_type(block.cycle_type())
-        tau_b = conjugator_to(block, block_canon)
-        for c_t in _decompose_in_window(block_canon.to_images(window), base_type, window):
-            c = Permutation.from_images(c_t)
-            w = conjugator_to(sigma_w, c, window)
-            v = tau_b.inverse().then(w.then(to_window))
-            factors.append(ConjugateFactor(v, +1))
+        block_type = block.cycle_type()
+        from_block = conjugator_to(_images_of_type(block_type, degree), block.to_images(degree))
+        for c in _decompose_in_window(_images_of_type(block_type, window), base_type, window):
+            w = conjugator_to(sigma_w, c + tuple(range(window, degree)))
+            v = _compose_images(_compose_images(from_block, w), to_window)
+            factors.append(ConjugateFactor(Permutation.from_images(v), +1))
     return certificate(factors, len(blocks))

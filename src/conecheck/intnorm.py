@@ -71,11 +71,12 @@ class IntNormResult:
     window: tuple[int, ...] = ()
     best_upper: int | None = None
 
-    def check(self, x: int) -> None:
-        if self.certificate is not None:
-            assert sum(self.certificate) == x
-            if self.value is not None:
-                assert len(self.certificate) == self.value
+    def check(self, x: int) -> str | None:
+        """None when the certificate sums to x with value terms, else a witness."""
+        cert = self.certificate
+        if cert is not None and (sum(cert) != x or self.value not in (None, len(cert))):
+            return f"certificate {list(cert)} for {x} with value {self.value}"
+        return None
 
     def as_dict(self) -> dict:
         return {
@@ -127,7 +128,8 @@ def norm_upper(x: int, gens: FactorialGenerators, step_budget: int = 10**5) -> I
         raise IndexBudgetExceededError(f"no greedy certificate for {x} within budget")
     result = IntNormResult(None, tuple(certificate), "upper-construction",
                            best_upper=len(certificate))
-    assert sum(certificate) == x
+    if (witness := result.check(x)) is not None:
+        raise ArgumentCheckFailedError(witness)
     return result
 
 
@@ -164,7 +166,8 @@ def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16) -> IntNor
         cert = dfs(x, 0, depth)
         if cert is not None:
             result = IntNormResult(depth, tuple(cert), "exact-search", window=window)
-            result.check(x)
+            if (witness := result.check(x)) is not None:
+                raise ArgumentCheckFailedError(witness)
             return result
     upper = norm_upper(x, gens)
     return IntNormResult(None, upper.certificate, "exact-search", window=window,

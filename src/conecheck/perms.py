@@ -224,21 +224,27 @@ def _invert_images(t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _tuple_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
-    """Non-trivial cycle lengths, descending, as Permutation.cycle_type."""
+def _tuple_cycles(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Non-trivial cycles, each from its least point, ordered by least point,
+    as Permutation.cycles."""
     seen = [False] * len(t)
-    lengths = []
+    cycles = []
     for i in range(len(t)):
         if seen[i] or t[i] == i:
-            seen[i] = True
             continue
-        j, length = i, 0
-        while not seen[j]:
+        # i is its cycle's least point and the loop is past it: mark only the rest
+        cycle, j = [i], t[i]
+        while j != i:
             seen[j] = True
+            cycle.append(j)
             j = t[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def _tuple_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
+    """Non-trivial cycle lengths, descending, as Permutation.cycle_type."""
+    return tuple(sorted(map(len, _tuple_cycles(t)), reverse=True))
 
 
 def _full_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -247,14 +253,15 @@ def _full_cycle_type(t: tuple[int, ...]) -> tuple[int, ...]:
     return moved + (1,) * (len(t) - sum(moved))
 
 
-def _images_of_type(cycle_type) -> tuple[int, ...]:
+def _images_of_type(cycle_type, degree: int = 0) -> tuple[int, ...]:
     """The image tuple whose cycles, of these lengths in this order, lie on
-    consecutive points."""
+    consecutive points, padded with fixed points to degree."""
     images: list[int] = []
     for length in cycle_type:
         start = len(images)
         images.extend(range(start + 1, start + length))
         images.append(start)
+    images.extend(range(len(images), degree))
     return tuple(images)
 
 

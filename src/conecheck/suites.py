@@ -20,6 +20,7 @@ import numpy as np
 
 from . import coneprobe, cutting, intnorm, matnorm, products, quasimorphism, wordnorm
 from .covering import (
+    BlockSearchFailedError,
     HypothesisUnmetError,
     _tuple_brenner_check,
     brenner_check,
@@ -231,43 +232,50 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     s4, norms_4, tr_table_s4 = group(4)
     closure = wordnorm.conjugacy_closure(s4, {Permutation.parse("(1 2)").to_images(4)})
     expected = {g for g, (supp, _) in norms_4.items() if supp == 2}  # the transpositions
+    stray = min(closure ^ expected, default=None)
     checks.append(PASS(
         "norms.closure_transpositions",
         "conjugacy closure of one transposition in S_4 is the transposition class",
-        closure == expected, len(closure),
+        stray is None, len(closure),
         observed={"size": len(closure)},
+        witness=None if stray is None else s4.describe(stray),
     ))
 
     # norm-table axioms + conjugation invariance on a finite carrier
-    axioms_ok = True
-    try:
-        tr_table_s4.check_axioms()
-        tr_table_s4.check_conjugation_invariance()
-    except AssertionError:
-        axioms_ok = False
+    bad, _ = _first_witness(itertools.chain(tr_table_s4.check_axioms(),
+                                            tr_table_s4.check_conjugation_invariance()))
     z5_norms = wordnorm.bfs_norm(wordnorm.cyclic_oracle(5), {1}).norms()
     checks.append(PASS(
         "norms.table_axioms",
         "NormTable satisfies the norm axioms and conjugation invariance (S_4, Z/5)",
-        axioms_ok and z5_norms == [0, 1, 2, 2, 1],
+        bad is None and z5_norms == [0, 1, 2, 2, 1],
         s4.order() ** 2 + 5,
         observed={"z5_norms": z5_norms},
+        witness=bad or f"Z/5 norms {z5_norms}",
     ))
 
     # domination audits: supp vs tr on S_sd, tr vs n3 on A_ad (S_5 and A_5 by default)
     ad = min(5, m)
     supp_table = wordnorm.NormTable(s5, {t: supp for t, (supp, _) in norms_sd.items()}, frozenset())
-    c_supp, _ = wordnorm.audit_domination(tr_table, supp_table)
+    c_supp, at_supp = wordnorm.audit_domination(tr_table, supp_table)
     a5, norms_ad, n3_a5 = group(ad, even=True)
     tr_a5 = wordnorm.NormTable(a5, {t: tr for t, (_, tr) in norms_ad.items()}, frozenset())
-    c_tr, _ = wordnorm.audit_domination(n3_a5, tr_a5)   # tr <= C * n3
-    c_n3, _ = wordnorm.audit_domination(tr_a5, n3_a5)   # n3 <= C * tr
+    c_tr, at_tr = wordnorm.audit_domination(n3_a5, tr_a5)   # tr <= C * n3
+    c_n3, at_n3 = wordnorm.audit_domination(tr_a5, n3_a5)   # n3 <= C * tr
+    bad, _ = _first_witness(
+        None if held else f"{name} = {constant} at {oracle.describe(g)}"
+        for name, constant, g, oracle, held in (
+            ("supp/tr", c_supp, at_supp, s5, c_supp == 2),
+            ("tr/n3", c_tr, at_tr, a5, c_tr <= 2),
+            ("n3/tr", c_n3, at_n3, a5, c_n3 <= Fraction(3, 2)),
+        ))
     checks.append(PASS(
         "norms.domination",
         f"supp <= 2 tr on S_{sd}; tr <= 2 n3 and n3 <= 1.5 tr on A_{ad} (smallest constants)",
-        c_supp == 2 and c_tr <= 2 and c_n3 <= Fraction(3, 2),
+        bad is None,
         s5.order() + 2 * a5.order(),
         observed={"supp_vs_tr": str(c_supp), "tr_vs_n3": str(c_tr), "n3_vs_tr": str(c_n3)},
+        witness=bad,
     ))
 
     # quasimorphism lower bound against window word norms
@@ -606,7 +614,11 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
             g = _random_even(rng, deg)
             while g.is_identity() or 2 not in g.cycle_type():
                 g = _random_even(rng, deg)
-            cert = express_as_conjugates(h, g)
+            try:
+                cert = express_as_conjugates(h, g)
+            except BlockSearchFailedError as exc:
+                yield f"h={h} g={g}: {exc}"
+                continue
             bound = 8 * supp_norm(h) / supp_norm(g) + 4
             if not cert.verify() or cert.factor_count() > bound:
                 yield f"h={h} g={g} factors={cert.factor_count()} bound={bound}"
@@ -658,7 +670,8 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 
     def exact(n):
         result = intnorm.norm_exact(gens.x(n), gens, depth_cap=n + 2)
-        result.check(gens.x(n))
+        if (witness := result.check(gens.x(n))) is not None:
+            return f"x_{n}: {witness}"
         return None if result.value == n else f"x_{n}: {result.value}"
 
     bad, _ = _first_witness(map(exact, range(1, cfg.intnorm_exact_max + 1)))
@@ -705,7 +718,9 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
             if r.value is None:
                 yield f"unknown at {x}"
                 return
-            r.check(x)
+            if (witness := r.check(x)) is not None:
+                yield f"{x}: {witness}"
+                return
             table[x] = r.value
         for x in range(-w, w + 1):
             if table[x] != table[-x]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .perms import Permutation, _compose_images, _even_tuples, _invert_images
 
@@ -43,19 +43,20 @@ class FiniteGroupOracle:
     def order(self) -> int:
         return len(self.elements)
 
-    def check_axioms(self, rng=None, triples: int = 1000) -> None:
-        """Identity/inverse laws on all elements; associativity on random triples."""
+    def check_axioms(self, rng=None, triples: int = 1000) -> Iterator[str]:
+        """A witness for each violated identity/inverse law on all elements and
+        each associativity failure on random triples."""
         import random
 
         rng = rng or random.Random(0)
+        mul, e, name = self.multiply, self.identity, self.describe
         for g in self.elements:
-            assert self.multiply(g, self.identity) == g
-            assert self.multiply(self.identity, g) == g
-            assert self.multiply(g, self.invert(g)) == self.identity
-        els = self.elements
+            if mul(g, e) != g or mul(e, g) != g or mul(g, self.invert(g)) != e:
+                yield f"identity or inverse law at {name(g)}"
         for _ in range(triples):
-            a, b, c = (rng.choice(els) for _ in range(3))
-            assert self.multiply(self.multiply(a, b), c) == self.multiply(a, self.multiply(b, c))
+            a, b, c = (rng.choice(self.elements) for _ in range(3))
+            if mul(mul(a, b), c) != mul(a, mul(b, c)):
+                yield f"associativity at {name(a)}, {name(b)}, {name(c)}"
 
 
 @dataclass
@@ -72,22 +73,27 @@ class NormTable:
     def norms(self) -> list[int]:
         return [self.values[g] for g in self.oracle.elements]
 
-    def check_axioms(self) -> None:
-        """Positivity, symmetry and the triangle inequality, element by element."""
-        mul, inv = self.oracle.multiply, self.oracle.invert
-        assert self.values[self.oracle.identity] == 0
+    def check_axioms(self) -> Iterator[str]:
+        """A witness for each violation of positivity, symmetry or the triangle
+        inequality, element by element."""
+        mul, inv, name = self.oracle.multiply, self.oracle.invert, self.oracle.describe
         for g, n in self.values.items():
-            assert n >= 0 and (n > 0) == (g != self.oracle.identity)
-            assert self.values[inv(g)] == n
+            if n < 0 or (n > 0) != (g != self.oracle.identity):
+                yield f"positivity at {name(g)}: norm {n}"
+            if self.values[inv(g)] != n:
+                yield f"symmetry at {name(g)}"
         for g, ng in self.values.items():
             for h, nh in self.values.items():
-                assert self.values[mul(g, h)] <= ng + nh
+                if self.values[mul(g, h)] > ng + nh:
+                    yield f"triangle at {name(g)}, {name(h)}"
 
-    def check_conjugation_invariance(self) -> None:
-        mul, inv = self.oracle.multiply, self.oracle.invert
+    def check_conjugation_invariance(self) -> Iterator[str]:
+        """A witness for each element and conjugator that change the norm."""
+        mul, inv, name = self.oracle.multiply, self.oracle.invert, self.oracle.describe
         for g, n in self.values.items():
             for t in self.oracle.elements:
-                assert self.values[mul(mul(t, g), inv(t))] == n
+                if self.values[mul(mul(t, g), inv(t))] != n:
+                    yield f"conjugation invariance at {name(g)} by {name(t)}"
 
 
 def bfs(starts: Iterable, step: Callable[[Hashable], Iterable]) -> dict:

@@ -25,7 +25,16 @@ from conecheck.covering import (
     express_as_conjugates,
     orbit_count,
 )
-from conecheck.perms import IDENTITY, OddPermutationError, Permutation, commutator, supp_norm
+from conecheck.perms import (
+    IDENTITY,
+    OddPermutationError,
+    Permutation,
+    _compose_images,
+    _invert_images,
+    _tuple_even,
+    commutator,
+    supp_norm,
+)
 from conecheck.report import RunConfig
 from conecheck.suites import run_covering
 
@@ -136,35 +145,59 @@ def test_failing_first_class_keeps_its_witness(monkeypatch):
     assert row.sample_size == conjugacy_class(canonical_of_type((3, 2, 2)), 7).size()
 
 
+def _conjugated(t, tau):
+    """tau t tau^{-1} on image tuples, left to right."""
+    return _compose_images(_compose_images(tau, t), _invert_images(tau))
+
+
 class TestConjugators:
     def test_conjugator_matches_types(self):
-        a = Permutation.parse("(1 2 3)(4 5)")
-        b = Permutation.parse("(2 6 4)(1 3)")
+        a = Permutation.parse("(1 2 3)(4 5)").to_images(6)
+        b = Permutation.parse("(2 6 4)(1 3)").to_images(6)
         tau = conjugator_to(a, b)
-        assert a.conjugated_by(tau) == b
+        assert _conjugated(a, tau) == b
 
     def test_type_mismatch(self):
         with pytest.raises(ValueError):
-            conjugator_to(Permutation.parse("(1 2)"), Permutation.parse("(1 2 3)"))
+            conjugator_to(Permutation.parse("(1 2)").to_images(3),
+                          Permutation.parse("(1 2 3)").to_images(3))
 
     def test_even_conjugator_exists(self):
-        a = Permutation.parse("(1 2 3)")
-        b = Permutation.parse("(3 4 5)")
-        tau = even_conjugator_to(a, b, 5)
-        assert tau is not None and tau.is_even()
-        assert a.conjugated_by(tau) == b
+        a = Permutation.parse("(1 2 3)").to_images(5)
+        b = Permutation.parse("(3 4 5)").to_images(5)
+        tau = even_conjugator_to(a, b)
+        assert tau is not None and _tuple_even(tau)
+        assert _conjugated(a, tau) == b
 
     def test_even_conjugator_none_when_centralizer_is_even(self):
         # a 3-cycle in ambient 4 leaves one free point: the centralizer has
         # no odd element, so one of the two conjugators may be unreachable
-        a = Permutation.parse("(1 2 3)")
+        a = Permutation.parse("(1 2 3)").to_images(4)
         results = []
         for images in itertools.permutations(range(4)):
             b = Permutation.from_images(images)
             if b.cycle_type() == (3,):
-                results.append(even_conjugator_to(a, b, 4))
+                results.append(even_conjugator_to(a, images))
         assert any(r is None for r in results)
         assert any(r is not None for r in results)
+
+
+def test_witness_search_builds_no_permutation(monkeypatch):
+    # the Ore search scans A_m as image tuples; only the caller's relabelled
+    # pair becomes Permutations
+    built = []
+    init = Permutation.__init__
+
+    def counted(self, mapping=None):
+        built.append(mapping)
+        init(self, mapping)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    b, c = covering._search_witness.__wrapped__((3, 2, 2), 7)
+    assert not built
+    # [b, c] = b c b^{-1} c^{-1}
+    assert _compose_images(_conjugated(c, b), _invert_images(c)) \
+        == Permutation.parse("(1 2 3)(4 5)(6 7)").to_images(7)
 
 
 class TestCommutatorWitness:

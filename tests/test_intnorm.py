@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conecheck.intnorm import (
     FactorialGenerators,
+    IntNormResult,
     IndexBudgetExceededError,
     lower_bound_xn,
     norm_exact,
@@ -46,11 +47,20 @@ class TestUpper:
             norm_upper(10**9, tiny, step_budget=10)
 
 
+def test_certificate_check_returns_a_witness():
+    # a witness, not an assert, so the check survives python -O
+    result = IntNormResult(3, (16, 8), "exact-search")
+    assert result.check(24) == "certificate [16, 8] for 24 with value 3"
+    assert result.check(25) == "certificate [16, 8] for 25 with value 3"
+    assert IntNormResult(2, (16, 8), "exact-search").check(24) is None
+    assert IntNormResult(None, None, "exact-search").check(7) is None
+
+
 class TestExact:
     def test_24(self):
         result = norm_exact(24, GENS)
         assert result.value == 3
-        result.check(24)
+        assert result.check(24) is None
 
     def test_three(self):
         result = norm_exact(3, GENS)
@@ -74,7 +84,7 @@ class TestExact:
     def test_certificates_recompose(self, x):
         result = norm_exact(x, GENS)
         assert result.value is not None
-        result.check(x)
+        assert result.check(x) is None
         assert norm_upper(x, GENS).best_upper >= result.value
 
 

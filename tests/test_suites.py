@@ -1,7 +1,14 @@
-"""Structural guards on suites.py: one first-witness path and one replay policy."""
+"""Structural guards on suites.py: one first-witness path and one replay policy;
+and checks that fail with a witness, under ``python -O`` too."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import conecheck
 from conecheck import suites
@@ -93,3 +100,97 @@ def test_norms_enumerates_no_sorted_permutations():
     # lexicographic order
     for path in SUITES.parent.glob("*.py"):
         assert "sorted(permutations" not in path.read_text().replace("itertools.", "")
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so a check resting on one stops checking
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(SUITES.parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert not asserts
+
+
+# Runs one suite at RunConfig.small() under one fault and prints its rows.
+_FAULTED_SUITE = """
+import json, sys
+from conecheck import suites, wordnorm
+from conecheck.perms import Permutation, _invert_images
+from conecheck.report import RunConfig
+
+fault, suite = sys.argv[1:]
+then = Permutation.then
+from_images = Permutation.__dict__["from_images"].__func__
+bfs_norm = wordnorm.bfs_norm
+
+
+def bumped(oracle, gens):
+    # the S_4 transposition-norm table with the value of (1 2) raised by 5
+    table = bfs_norm(oracle, gens)
+    if oracle.name == "S_4":
+        table.values[(1, 0, 2, 3)] += 5
+    return table
+
+
+if fault == "then right to left":
+    Permutation.then = lambda self, other: then(other, self)
+elif fault == "inverse returns self":
+    Permutation.inverse = lambda self: self
+elif fault == "from_images reads preimages":
+    Permutation.from_images = classmethod(
+        lambda cls, images: from_images(cls, _invert_images(tuple(images))))
+elif fault == "bumped S_4 table":
+    wordnorm.bfs_norm = bumped
+rows = getattr(suites, "run_" + suite)(RunConfig.small())
+print(json.dumps({r.check_id: [r.status, r.sample_size, r.witness] for r in rows}))
+"""
+
+
+def _faulted_rows(fault, suite, flags=()):
+    env = {**os.environ, "PYTHONPATH": str(SUITES.parent.parent)}
+    done = subprocess.run([sys.executable, *flags, "-c", _FAULTED_SUITE, fault, suite],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_bumped_norm_table_fails_table_axioms_with_a_witness(flags):
+    # The axiom checks yield a witness per violation instead of asserting, so the
+    # row fails with one, and python -O cannot strip the check.
+    status, _, witness = _faulted_rows("bumped S_4 table", "norms", flags)["norms.table_axioms"]
+    assert status == "fail"
+    assert witness == "triangle at (1 3), (1 3 2)"
+
+
+@pytest.mark.parametrize("fault", ["then right to left", "inverse returns self",
+                                   "from_images reads preimages"])
+def test_broken_permutation_op_fails_covering_rows_with_witnesses(fault):
+    # Witnesses are verified once, where they are used: the Ore check recomposes
+    # [b, c], and express_as_conjugates' recomposition failure becomes the
+    # certificate case's witness.  No assert ends the suite, with or without -O.
+    rows = _faulted_rows(fault, "covering")
+    assert _faulted_rows(fault, "covering", ("-O",)) == rows
+    assert list(rows) == ["covering.brenner", "covering.hypothesis_gate",
+                          "covering.ore_witnesses", "covering.conjugate_certificates",
+                          "covering.class_closure"]
+    for check_id in ("covering.ore_witnesses", "covering.conjugate_certificates"):
+        status, _, witness = rows[check_id]
+        assert status == "fail" and witness
+    assert rows["covering.conjugate_certificates"][2].endswith(
+        ": certificate failed recomposition")
+
+
+@pytest.mark.parametrize("norm, check_id, witness", [
+    ("tr_norm", "norms.domination", "tr/n3 = 3 at (3 4 5)"),
+    ("supp_norm", "norms.domination", "supp/tr = 3 at (4 5)"),
+    ("supp_norm", "norms.closure_transpositions", "(3 4)"),
+])
+def test_norm_off_by_one_fails_with_a_witness(monkeypatch, norm, check_id, witness):
+    # one more than the norm off the identity: domination names the element that
+    # attains the out-of-bound constant, and the closure check the first element
+    # of the symmetric difference
+    exact = getattr(suites, norm)
+    monkeypatch.setattr(suites, norm, lambda sigma: exact(sigma) + (not sigma.is_identity()))
+    row = next(r for r in suites.run_norms(RunConfig.small()) if r.check_id == check_id)
+    assert row.status == "fail"
+    assert row.witness == witness

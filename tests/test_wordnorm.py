@@ -109,8 +109,8 @@ def test_conjugacy_closure_three_cycles_in_a5():
 def test_norm_table_axioms_and_invariance():
     oracle = symmetric_oracle(4)
     table = bfs_norm(oracle, transposition_generators(4))
-    table.check_axioms()
-    table.check_conjugation_invariance()
+    assert list(table.check_axioms()) == []
+    assert list(table.check_conjugation_invariance()) == []
 
 
 def test_oracle_equivalence_with_tr_norm():
@@ -153,4 +153,4 @@ def test_audit_domination_three_cycle_constants():
 
 
 def test_group_axiom_spot_check():
-    alternating_oracle(4).check_axioms(triples=200)
+    assert list(alternating_oracle(4).check_axioms(triples=200)) == []
