@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from math import factorial
 
 
+# The intnorm suite searches over the members t^m m! with m up to this.
+MAX_INTNORM_INDEX = 14
+
+
 class IndexBudgetExceededError(ValueError):
     """Target too large for the configured generator range."""
 

@@ -13,11 +13,15 @@ import os
 from dataclasses import dataclass, field
 
 from .covering import MAX_COVERING_DEGREE
+from .intnorm import MAX_INTNORM_INDEX
 from .perms import MAX_THREE_CYCLE_DEGREE
 
 # The norms suite runs a transposition BFS over all of S_norm_degree, and
 # S_9 has 362880 elements.
 MAX_NORM_DEGREE = 8
+# Grid angles projected by coneprobe.lipschitz_grid, over every n: 3.2-3.4 s
+# at 100 000 angles with n <= 256 or 12 500 with n <= 2048.
+MAX_CIRCLE_GRID_WORK = 25_600_000
 
 
 class ConfigInvalidError(ValueError):
@@ -74,6 +78,11 @@ _RELATIONS = (
      "sum_terms must be below sum_indices, got {sum_terms} >= {sum_indices}"),
     (("so_min_n", "so_max_n"), lambda c: c.so_min_n <= c.so_max_n,
      "so_min_n must not exceed so_max_n, got {so_min_n} > {so_max_n}"),
+    # coneprobe.lipschitz_grid projects the whole grid once per n
+    (("circle_grid", "circle_mod_max"),
+     lambda c: c.circle_grid * c.circle_mod_max <= MAX_CIRCLE_GRID_WORK,
+     f"circle_grid * circle_mod_max must be at most {MAX_CIRCLE_GRID_WORK}, "
+     "got {circle_grid} * {circle_mod_max}"),
     # the report is written after every suite has run, so a path that cannot
     # take it is refused before the first one
     (("out",), lambda c: c.out is None or not os.path.isdir(c.out)
@@ -129,11 +138,15 @@ class RunConfig:
     certificate_degree: int = _field(7, 4, 9, degree=True)
     # the lower bounds from here on keep each range nonempty; below them a
     # check examined nothing, raised, or failed falsely
-    intnorm_exact_max: int = _field(5, 1)
-    intnorm_sandwich_max: int = _field(8, 1)
+    # x_n needs the generators up to index n - 1, and the suite searches up to
+    # MAX_INTNORM_INDEX: the intnorm suite takes 1.0 s with both at 15
+    intnorm_exact_max: int = _field(5, 1, MAX_INTNORM_INDEX + 1)
+    intnorm_sandwich_max: int = _field(8, 1, MAX_INTNORM_INDEX + 1)
     # the window is [-w, w]; w = -1 would pass over no integer
     intnorm_axiom_window: int = _field(200, 0)
-    intnorm_depth: int = 12
+    # below depth 9 the search cannot reach every x in [-2w, 2w] at the default
+    # window: depth 8 fails with "unknown at -219"
+    intnorm_depth: int = _field(12, 9)
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
     # 5 s at the defaults): 7.5 s at triangular n 16, 10 s at 18; 7.2 s at SPD n
     # 12, 10.4 s at 13 (Hadamard's bound sends most SPD matrices to Bareiss);
@@ -144,9 +157,15 @@ class RunConfig:
     so_min_n: int = _field(4, 2)
     so_max_n: int = _field(12, None, 15, degree=True)
     matrix_pairs: int = _field(1000, 1)
-    circle_roundtrip_max: int = _field(1024, 1)
-    circle_grid: int = _field(10_000, 1)
-    circle_mod_max: int = _field(256, 1)
+    # caps keep the coneprobe suite within 8 s (about 1 s at the defaults).
+    # The round trip holds n(n+1)/2 residues: 1.7 s at 4096, 3.8 s at 8192.
+    # The grid costs circle_grid * circle_mod_max, stated in _RELATIONS: 3.2 s
+    # and 48 MB peak RSS at grid 100 000 (n <= 256), 57 MB at 200 000; 2.4 s at
+    # n <= 2048 and 4.0 s at 4096 (grids of 10 000 and 6250).  All three at
+    # their caps take 6.1-6.3 s
+    circle_roundtrip_max: int = _field(1024, 1, 8192)
+    circle_grid: int = _field(10_000, 1, 100_000)
+    circle_mod_max: int = _field(256, 1, 2048)
     # the two free-product checks audit every pair of words of l1 norm up to
     # the budget, and the pairs about double a step: the products suite takes
     # 2.0 s at 10, 4.6 s at 11 and 9.3 s at 12, past its budget of 8 s

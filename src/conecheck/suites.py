@@ -36,6 +36,7 @@ from .perms import (
     _even_tuples,
     _full_cycle_type,
     _invert_images,
+    _tuple_cycles,
     _tuple_even,
     _unrank_images,
     commutator,
@@ -48,6 +49,11 @@ from .perms import (
 from .report import CheckResult, RunConfig, build_report, report_to_json
 
 PASS = CheckResult.from_outcome
+
+# cases each batched kernel's oracle re-runs through the scalar code it
+# replaces (cutting.split, DirectSum, Permutation products, ...) to
+# cross-check the kernel
+ORACLE_SAMPLES = 50
 
 
 def _first_witness(cases) -> tuple[str | None, int]:
@@ -115,18 +121,48 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         witness=str(lhs),
     ))
 
-    # the 3-cycle identity for disjoint transpositions, all distinct points <= 8
-    def pair_identity(x1, y1, x2, y2, z):
+    # the 3-cycle identity for disjoint transpositions, all distinct points <= 8,
+    # on (N, 8) image arrays composed left to right; Permutation products re-run
+    # evenly spaced tuples as the oracle.  A random stream created here, before
+    # the groups below are built, raises the run's peak memory.
+    def pair_products(x1, y1, x2, y2, z):
         left = Permutation.from_cycles([(x1, y1), (x2, y2)])
-        right = compose_all([
+        return left, compose_all([
             Permutation.from_cycles([(z, y1, x1)]),
             Permutation.from_cycles([(x2, z, y1)]),
             Permutation.from_cycles([(y2, x2, z)]),
         ])
-        return None if left == right else f"x1={x1} y1={y1} x2={x2} y2={y2} z={z}"
 
-    bad, count = _first_witness(
-        itertools.starmap(pair_identity, itertools.permutations(range(1, 9), 5)))
+    def pair_identity(*case):
+        left, right = pair_products(*case)
+        return None if left == right else "x1={} y1={} x2={} y2={} z={}".format(*case)
+
+    # columns x1, y1, x2, y2, z of every tuple, 0-based
+    points = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8), 5)),
+                         dtype=np.uint8).reshape(-1, 5)
+
+    def cycle_images(*cycles):
+        """Each tuple's product of disjoint cycles, a cycle given by its columns."""
+        images = np.tile(np.arange(8, dtype=np.uint8), (len(points), 1))
+        for cycle in cycles:
+            images[np.arange(len(points))[:, None], points[:, cycle]] = \
+                points[:, cycle[1:] + cycle[:1]]
+        return images
+
+    left, right = cycle_images((0, 1), (2, 3)), cycle_images((4, 1, 0))
+    for factor in map(cycle_images, ((2, 4, 1), (3, 2, 4))):
+        right = np.take_along_axis(factor, right, axis=1)  # right first, then factor
+
+    def pair_oracle():
+        for i in range(0, len(points), len(points) // ORACLE_SAMPLES):
+            case = (points[i] + 1).tolist()
+            agree = pair_products(*case) == (_perm(left[i]), _perm(right[i]))
+            yield None if agree else "image arrays disagree at x1={} y1={} x2={} y2={} z={}" \
+                .format(*case)
+
+    bad, count = _first_witness(_batched_cases(
+        len(points), (left == right).all(), pair_oracle(),
+        itertools.starmap(pair_identity, itertools.permutations(range(1, 9), 5))))
     checks.append(PASS(
         "norms.pair_transposition_identity",
         "(x1 y1)(x2 y2) = (z y1 x1)(x2 z y1)(y2 x2 z), distinct points <= 8",
@@ -315,9 +351,6 @@ CUT_BLOCK = 512
 # exhaustive_s6 audits about this many pairs per cut_bounds call, for the
 # same reason: every element against every element is (d!)^2 pairs
 EXHAUSTIVE_PAIR_BLOCK = 1 << 13
-# (sigma, k) cases re-run through cutting.split, and elements through
-# cutting.displaced_set, to cross-check the batched checks
-ORACLE_SAMPLES = 50
 
 
 def _bound_witness(bounds, rows, left, right) -> str | None:
@@ -666,7 +699,7 @@ def _random_even(rng: np.random.Generator, degree: int) -> Permutation:
 
 def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     checks = []
-    gens = intnorm.FactorialGenerators(base=2, max_index=14)
+    gens = intnorm.FactorialGenerators(base=2, max_index=intnorm.MAX_INTNORM_INDEX)
 
     def exact(n):
         result = intnorm.norm_exact(gens.x(n), gens, depth_cap=n + 2)
@@ -976,7 +1009,10 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
         witness=bad,
     ))
 
-    # permutation-matrix cross-check, exhaustive S_6, plus the dual-rank oracle
+    # permutation-matrix cross-check, exhaustive S_6, plus the dual-rank oracle.
+    # P - I of every element is ranked as one stack, supp is read off the
+    # images and tr off their cycles; seeded elements re-run rank_norm_exact,
+    # supp_norm and tr_norm on Permutations as the oracle
     def permutation_cross(images):
         p = Permutation.from_images(images)
         rk = matnorm.rank_norm_exact(matnorm.permutation_matrix(p, 6)).value
@@ -984,7 +1020,13 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
             return str(p)
         return None if rk == tr_norm(p) else f"rank vs transposition norm at {p}"
 
-    bad, total = _first_witness(map(permutation_cross, itertools.permutations(range(6))))
+    images = _unrank_images(np.arange(720), 6)
+    eye = np.eye(6, dtype=np.int64)
+    # P - I in blocks of 120: ranking the whole stack at once raises peak memory
+    ranks = np.concatenate([matnorm.modular_rank(eye[images[i:i + 120]] - eye)
+                            for i in range(0, len(images), 120)])
+    supp = (images != np.arange(6)).sum(axis=1)
+    tr = supp - np.array([len(_tuple_cycles(t)) for t in map(tuple, images.tolist())])
     rng2 = np.random.default_rng(cfg.seed + 4)
     padded = np.zeros((100, 6, 6), dtype=np.int64)  # zero padding keeps the rank
     samples = []
@@ -993,6 +1035,18 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
         rows = [[int(rng2.integers(-3, 4)) for _ in range(n)] for _ in range(n)]
         padded[k, :n, :n] = rows
         samples.append(rows)
+
+    def cross_oracle():
+        for i in rng2.integers(len(images), size=ORACLE_SAMPLES):
+            p = _perm(images[i])
+            agree = (matnorm.rank_norm_exact(matnorm.permutation_matrix(p, 6)).value, supp_norm(p),
+                     tr_norm(p)) == (ranks[i], supp[i], tr[i])
+            yield None if agree else f"rank, supp or tr arrays disagree at {p}"
+
+    held = ((ranks <= supp) & (supp <= 3 * ranks) & (ranks == tr)).all()
+    bad, total = _first_witness(_batched_cases(
+        len(images), held, cross_oracle(),
+        map(permutation_cross, itertools.permutations(range(6)))))
     backend_bad, _ = _first_witness(
         None if matnorm.bareiss_rank(rows) == matnorm.gauss_rank(rows) == modular
         else "rank backends disagree"
@@ -1202,27 +1256,71 @@ def _stage_families(cfg: RunConfig):
     return b_family, spd_family, so_family
 
 
+# coneprobe.arc_identity checks every pair of residues mod n up to this
+ARC_IDENTITY_MAX = 64
+
+
+def _roundtrip_angles(n):
+    """zmod_to_circle of every residue mod n, bit for bit."""
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def _arc_sides_agree(n):
+    """Both sides of the arc identity in 1/n turns, arc and cyclic norm of
+    a - b, compared for every (a, b) in row-major order."""
+    a, b = np.divmod(np.arange(n * n), n)
+    d = (a - b) % n
+    return np.minimum(d, n - d) == np.minimum(d, (b - a) % n)
+
+
 def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
     checks = []
+    # the oracles' own stream: the grid's random pairs below consume seed + 6
+    oracle_rng = np.random.default_rng((cfg.seed, 10))
 
-    # round trip theta(phi(k)) = k
-    bad, total = _first_witness(
-        None if coneprobe.circle_to_zmod(coneprobe.zmod_to_circle(k, n), n) == k
-        else f"k={k} n={n}"
-        for n in range(1, cfg.circle_roundtrip_max + 1) for k in range(n))
+    # round trip theta(phi(k)) = k, one array per n; seeded (k, n) draws re-run
+    # zmod_to_circle and circle_to_zmod as the oracle
+    top = cfg.circle_roundtrip_max
+
+    def roundtrip_oracle():
+        for _ in range(ORACLE_SAMPLES):
+            n = int(oracle_rng.integers(1, top + 1))
+            k = int(oracle_rng.integers(n))
+            angle = coneprobe.zmod_to_circle(k, n)
+            agree = angle == _roundtrip_angles(n)[k] and coneprobe.circle_to_zmod(angle, n) == k
+            yield None if agree else f"circle_to_zmod disagrees with the arrays at k={k} n={n}"
+
+    held = all((coneprobe.circle_to_zmod_array(_roundtrip_angles(n), n) == np.arange(n)).all()
+               for n in range(1, top + 1))
+    bad, total = _first_witness(_batched_cases(
+        top * (top + 1) // 2, held, roundtrip_oracle(),
+        (None if coneprobe.circle_to_zmod(coneprobe.zmod_to_circle(k, n), n) == k
+         else f"k={k} n={n}" for n in range(1, top + 1) for k in range(n))))
     checks.append(PASS(
         "coneprobe.roundtrip",
-        f"theta(phi(k)) = k for every residue, n <= {cfg.circle_roundtrip_max}",
+        f"theta(phi(k)) = k for every residue, n <= {top}",
         bad is None, total, witness=bad,
     ))
 
-    # arc identity, exact rationals
-    bad, total = _first_witness(
-        None if coneprobe.arc_identity_exact(a, b, n) else f"a={a} b={b} n={n}"
-        for n in range(1, 65) for a in range(n) for b in range(n))
+    # arc identity, exact on integer numerators; seeded (a, b, n) draws re-run
+    # the exact rationals of arc_identity_exact as the oracle
+    def arc_oracle():
+        for _ in range(ORACLE_SAMPLES):
+            n = int(oracle_rng.integers(1, ARC_IDENTITY_MAX + 1))
+            a, b = oracle_rng.integers(n, size=2).tolist()
+            agree = coneprobe.arc_identity_exact(a, b, n) == _arc_sides_agree(n)[a * n + b]
+            yield None if agree else \
+                f"arc_identity_exact disagrees with the arrays at a={a} b={b} n={n}"
+
+    sizes = range(1, ARC_IDENTITY_MAX + 1)
+    bad, total = _first_witness(_batched_cases(
+        sum(n * n for n in sizes), all(_arc_sides_agree(n).all() for n in sizes), arc_oracle(),
+        (None if coneprobe.arc_identity_exact(a, b, n) else f"a={a} b={b} n={n}"
+         for n in sizes for a in range(n) for b in range(n))))
     checks.append(PASS(
         "coneprobe.arc_identity",
-        "d_arc(phi(a), phi(b)) = 2 pi ||a-b||_n / n, exact, all pairs for n <= 64",
+        "d_arc(phi(a), phi(b)) = 2 pi ||a-b||_n / n, exact, "
+        f"all pairs for n <= {ARC_IDENTITY_MAX}",
         bad is None, total, witness=bad,
     ))
 

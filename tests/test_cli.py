@@ -125,6 +125,21 @@ def test_invalid_config_exits_2(runner, tmp_path):
     # SO(n) at n = 400 ran past 20 s; above the cap matnorm outgrows its 8 s
     ({"so_max_n": 400}, "so_max_n must be at most 15"),
     ({"so_max_n": 16}, "so_max_n must be at most 15"),
+    # the coneprobe suite still ran after 20 s at these sizes
+    ({"circle_roundtrip_max": 100_000}, "circle_roundtrip_max must lie in 1..8192"),
+    ({"circle_mod_max": 100_000}, "circle_mod_max must lie in 1..2048"),
+    ({"circle_grid": 50_000_000}, "circle_grid must lie in 1..100000"),
+    # each within its cap, but together the grid costs 8 times its share
+    ({"circle_grid": 100_000, "circle_mod_max": 2048},
+     "circle_grid * circle_mod_max must be at most 25600000, got 100000 * 2048"),
+    # x_16 failed falsely: the suite's generators stop at index 14
+    ({"intnorm_exact_max": 16}, "intnorm_exact_max must lie in 1..15"),
+    ({"intnorm_sandwich_max": 16}, "intnorm_sandwich_max must lie in 1..15"),
+    # the search could not reach [-400, 400] and intnorm.axioms_window failed
+    # falsely with "unknown at ..."
+    ({"intnorm_depth": -1}, "intnorm_depth must be at least 9"),
+    ({"intnorm_depth": 0}, "intnorm_depth must be at least 9"),
+    ({"intnorm_depth": 8}, "intnorm_depth must be at least 9"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
@@ -136,7 +151,10 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "intnorm_sandwich_max_0", "circle_roundtrip_max_0", "circle_mod_max_0",
         "sum_indices_1", "word_l1_budget_0", "intnorm_axiom_window_negative",
         "so_min_n_above_max", "triangular_max_n_17", "spd_max_n_13",
-        "word_l1_budget_40", "sum_indices_1001", "so_max_n_400", "so_max_n_16"])
+        "word_l1_budget_40", "sum_indices_1001", "so_max_n_400", "so_max_n_16",
+        "circle_roundtrip_max_100000", "circle_mod_max_100000", "circle_grid_50000000",
+        "circle_grid_times_circle_mod_max", "intnorm_exact_max_16", "intnorm_sandwich_max_16",
+        "intnorm_depth_negative", "intnorm_depth_0", "intnorm_depth_8"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
@@ -166,6 +184,12 @@ def test_covering_below_degree_4_exits_2(runner):
     result = runner.invoke(main, ["covering", "--max-degree", "3"])
     assert result.exit_code == 2
     assert "certificate_degree" in result.output
+
+
+def test_depth_flag_below_the_bound_exits_2(runner):
+    result = runner.invoke(main, ["intnorm", "--depth", "8"])
+    assert result.exit_code == 2
+    assert "intnorm_depth must be at least 9, got 8" in result.output
 
 
 def test_negative_samples_exit_2(runner):

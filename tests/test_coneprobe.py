@@ -170,6 +170,48 @@ class TestLipschitzGrid:
         assert row.witness.startswith("angle=") and " n=" in row.witness
 
 
+def _coneprobe_row(check_id):
+    return next(c for c in run_coneprobe(RunConfig.small()) if c.check_id == check_id)
+
+
+class TestExactChecksOnArrays:
+    """coneprobe.roundtrip and coneprobe.arc_identity run one array per n; a
+    failure or an oracle disagreement replays the scalar loop, so the rows read
+    as the scalar loops alone gave them."""
+
+    def test_sample_sizes(self):
+        rows = {c.check_id: c for c in run_coneprobe(RunConfig.small())}
+        assert rows["coneprobe.roundtrip"].sample_size == 64 * 65 // 2
+        assert rows["coneprobe.arc_identity"].sample_size == 89_440
+
+    def test_circle_to_zmod_off_by_one_fails_the_roundtrip(self, monkeypatch):
+        # the arrays hold; the oracle's circle_to_zmod disagrees
+        true_theta = coneprobe.circle_to_zmod
+        monkeypatch.setattr(coneprobe, "circle_to_zmod",
+                            lambda angle, n: (true_theta(angle, n) + 1) % n)
+        row = _coneprobe_row("coneprobe.roundtrip")
+        assert (row.status, row.sample_size, row.witness) == ("fail", 2, "k=0 n=2")
+
+    def test_cyclic_norm_plus_one_fails_the_arc_identity(self, monkeypatch):
+        true_norm = coneprobe.cyclic_norm
+        monkeypatch.setattr(coneprobe, "cyclic_norm", lambda k, n: true_norm(k, n) + 1)
+        row = _coneprobe_row("coneprobe.arc_identity")
+        assert (row.status, row.sample_size, row.witness) == ("fail", 1, "a=0 b=0 n=1")
+
+    def test_shifted_array_theta_replays_the_passing_roundtrip(self, monkeypatch):
+        # the arrays fail, the scalar loop they replay holds
+        true_theta = coneprobe.circle_to_zmod_array
+        monkeypatch.setattr(coneprobe, "circle_to_zmod_array",
+                            lambda angles, n: (true_theta(angles, n) + 1) % n)
+        calls = []
+        scalar = coneprobe.circle_to_zmod
+        monkeypatch.setattr(coneprobe, "circle_to_zmod",
+                            lambda angle, n: calls.append(n) or scalar(angle, n))
+        row = _coneprobe_row("coneprobe.roundtrip")
+        assert (row.status, row.sample_size) == ("pass", 64 * 65 // 2)
+        assert len(calls) > 64 * 65 // 2
+
+
 class TestSequenceContraction:
     def test_triangular_family(self):
         def distance(n, x, y):

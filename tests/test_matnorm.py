@@ -453,3 +453,46 @@ class TestStackedMatnormChecks:
         assert [c.as_dict() for c in checks.values()] == \
             [c.as_dict() for c in reference.values()]
         assert len(calls) > 3 * 40 * 5  # every pair went through bareiss_rank
+
+
+class TestPermutationCross:
+    """matnorm.permutation_cross ranks P - I of all of S_6 as one stack and reads
+    supp and tr off the image arrays; seeded elements re-run rank_norm_exact,
+    supp_norm and tr_norm on Permutations as the oracle."""
+
+    @staticmethod
+    def _row():
+        return next(c for c in suites.run_matnorm(RunConfig.small())
+                    if c.check_id == "matnorm.permutation_cross")
+
+    def test_eliminates_only_the_oracle_sample(self, monkeypatch):
+        # the per-element loop eliminated all 720 matrices
+        calls = []
+        real = matnorm.rank_norm_exact
+        monkeypatch.setattr(matnorm, "rank_norm_exact", lambda g: calls.append(g) or real(g))
+        row = self._row()
+        assert (row.status, row.sample_size) == ("pass", 820)
+        assert len(calls) == suites.ORACLE_SAMPLES
+
+    def test_tr_off_by_one_replays_the_per_element_row(self, monkeypatch):
+        real = suites.tr_norm
+        monkeypatch.setattr(suites, "tr_norm", lambda p: real(p) + (not p.is_identity()))
+        row = self._row()
+        assert (row.status, row.sample_size, row.witness) == \
+            ("fail", 102, "rank vs transposition norm at (5 6)")
+
+    def test_rank_off_by_one_replays_the_per_element_row(self, monkeypatch):
+        real = matnorm.rank_norm_exact
+        monkeypatch.setattr(matnorm, "rank_norm_exact",
+                            lambda g: matnorm.RankNormValue(real(g).value + 1, "exact-elimination"))
+        row = self._row()
+        assert (row.status, row.sample_size, row.witness) == ("fail", 101, "()")
+
+    def test_supp_off_by_one_fails_through_the_oracle(self, monkeypatch):
+        # rk <= supp + 1 <= 3 rk still holds, so the per-element loop passed
+        # under this fault; the oracle's disagreement is one case after its replay
+        real = suites.supp_norm
+        monkeypatch.setattr(suites, "supp_norm", lambda p: real(p) + (not p.is_identity()))
+        row = self._row()
+        assert (row.status, row.sample_size) == ("fail", 721 + 100)
+        assert row.witness.startswith("rank, supp or tr arrays disagree at ")

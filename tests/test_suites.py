@@ -95,6 +95,50 @@ def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
     assert counts == {"supp_norm": 216, "tr_norm": 216}
 
 
+def test_fixed_size_exact_checks_rerun_only_their_oracle_samples(monkeypatch):
+    # Under RunConfig.small() the scalar loops made 89 440 arc_identity_exact,
+    # 2 580 circle_to_zmod (2 080 round trips and the grid's 500-angle
+    # cross-check) and 26 884 Permutation.from_cycles calls (four per
+    # pair-identity tuple, four for the fixed checks).  Now each oracle re-runs
+    # ORACLE_SAMPLES cases, the pair identity's ORACLE_SAMPLES + 1 evenly
+    # spaced tuples.
+    from conecheck import coneprobe
+    from conecheck.perms import Permutation
+
+    counts = dict.fromkeys(("arc_identity_exact", "circle_to_zmod", "from_cycles"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("arc_identity_exact", "circle_to_zmod"):
+        monkeypatch.setattr(coneprobe, name, counted(name, getattr(coneprobe, name)))
+    from_cycles = Permutation.__dict__["from_cycles"].__func__
+    monkeypatch.setattr(Permutation, "from_cycles",
+                        classmethod(counted("from_cycles", from_cycles)))
+    rows = suites.run_norms(RunConfig.small()) + suites.run_coneprobe(RunConfig.small())
+    assert all(row.status == "pass" for row in rows)
+    samples = suites.ORACLE_SAMPLES
+    assert counts["arc_identity_exact"] <= samples
+    assert counts["circle_to_zmod"] <= samples + 500
+    assert counts["from_cycles"] <= 4 * (samples + 1) + 4
+
+
+def test_then_right_to_left_fails_the_pair_identity_as_the_scalar_loop(monkeypatch):
+    # The image arrays hold under this fault; the Permutation oracle disagrees,
+    # so the scalar loop replays and fails at its first tuple, as it always did.
+    from conecheck.perms import Permutation
+
+    then = Permutation.then
+    monkeypatch.setattr(Permutation, "then", lambda self, other: then(other, self))
+    row = next(r for r in suites.run_norms(RunConfig.small())
+               if r.check_id == "norms.pair_transposition_identity")
+    assert (row.status, row.sample_size, row.witness) == \
+        ("fail", 1, "x1=1 y1=2 x2=3 y2=4 z=5")
+
+
 def test_norms_enumerates_no_sorted_permutations():
     # symmetric_oracle and every S_n loop take permutations() in its own
     # lexicographic order
