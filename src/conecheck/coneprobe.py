@@ -173,6 +173,11 @@ def zmod_to_circle(k: int, n: int) -> float:
     return 2.0 * math.pi * k / n
 
 
+def zmod_to_circle_array(n: int):
+    """zmod_to_circle of every residue mod n, bit for bit."""
+    return 2.0 * math.pi * np.arange(n) / n
+
+
 def circle_to_zmod(angle: float, n: int) -> int:
     """The residue of the nearest n-th root of unity; ties go to the smaller.
 
@@ -210,6 +215,16 @@ def arc_identity_exact(a: int, b: int, n: int) -> bool:
     diff = Fraction((a - b) % n, n)
     arc = min(diff, 1 - diff)  # fraction of the full circle
     return arc == Fraction(cyclic_norm(a - b, n), n)
+
+
+def arc_identity_array(n: int):
+    """arc_identity_exact for every (a, b) mod n, in row-major order.
+
+    Both sides are whole 1/n turns, so their numerators are compared.
+    """
+    a, b = np.divmod(np.arange(n * n), n)
+    d = (a - b) % n
+    return np.minimum(d, n - d) == np.minimum(d, (b - a) % n)
 
 
 # --- declarative sequence descriptions ---------------------------------------------

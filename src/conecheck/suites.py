@@ -1260,19 +1260,6 @@ def _stage_families(cfg: RunConfig):
 ARC_IDENTITY_MAX = 64
 
 
-def _roundtrip_angles(n):
-    """zmod_to_circle of every residue mod n, bit for bit."""
-    return 2.0 * math.pi * np.arange(n) / n
-
-
-def _arc_sides_agree(n):
-    """Both sides of the arc identity in 1/n turns, arc and cyclic norm of
-    a - b, compared for every (a, b) in row-major order."""
-    a, b = np.divmod(np.arange(n * n), n)
-    d = (a - b) % n
-    return np.minimum(d, n - d) == np.minimum(d, (b - a) % n)
-
-
 def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     # the oracles' own stream: the grid's random pairs below consume seed + 6
@@ -1287,11 +1274,12 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
             n = int(oracle_rng.integers(1, top + 1))
             k = int(oracle_rng.integers(n))
             angle = coneprobe.zmod_to_circle(k, n)
-            agree = angle == _roundtrip_angles(n)[k] and coneprobe.circle_to_zmod(angle, n) == k
+            agree = (angle == coneprobe.zmod_to_circle_array(n)[k]
+                     and coneprobe.circle_to_zmod(angle, n) == k)
             yield None if agree else f"circle_to_zmod disagrees with the arrays at k={k} n={n}"
 
-    held = all((coneprobe.circle_to_zmod_array(_roundtrip_angles(n), n) == np.arange(n)).all()
-               for n in range(1, top + 1))
+    held = all((coneprobe.circle_to_zmod_array(coneprobe.zmod_to_circle_array(n), n)
+                == np.arange(n)).all() for n in range(1, top + 1))
     bad, total = _first_witness(_batched_cases(
         top * (top + 1) // 2, held, roundtrip_oracle(),
         (None if coneprobe.circle_to_zmod(coneprobe.zmod_to_circle(k, n), n) == k
@@ -1308,13 +1296,15 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         for _ in range(ORACLE_SAMPLES):
             n = int(oracle_rng.integers(1, ARC_IDENTITY_MAX + 1))
             a, b = oracle_rng.integers(n, size=2).tolist()
-            agree = coneprobe.arc_identity_exact(a, b, n) == _arc_sides_agree(n)[a * n + b]
+            agree = coneprobe.arc_identity_exact(a, b, n) == \
+                coneprobe.arc_identity_array(n)[a * n + b]
             yield None if agree else \
                 f"arc_identity_exact disagrees with the arrays at a={a} b={b} n={n}"
 
     sizes = range(1, ARC_IDENTITY_MAX + 1)
+    held = all(coneprobe.arc_identity_array(n).all() for n in sizes)
     bad, total = _first_witness(_batched_cases(
-        sum(n * n for n in sizes), all(_arc_sides_agree(n).all() for n in sizes), arc_oracle(),
+        sum(n * n for n in sizes), held, arc_oracle(),
         (None if coneprobe.arc_identity_exact(a, b, n) else f"a={a} b={b} n={n}"
          for n in sizes for a in range(n) for b in range(n))))
     checks.append(PASS(

@@ -12,6 +12,7 @@ from conecheck.coneprobe import (
     ScaledSequence,
     StageFamily,
     admissibility,
+    arc_identity_array,
     arc_identity_exact,
     check_sequence_contraction,
     circle_to_zmod,
@@ -21,6 +22,7 @@ from conecheck.coneprobe import (
     load_sequence,
     scaling_by_name,
     zmod_to_circle,
+    zmod_to_circle_array,
 )
 
 
@@ -143,6 +145,17 @@ class TestCircleToZmodArray:
     def test_matches_circle_to_zmod_on_the_grid(self, n):
         expected = [circle_to_zmod(float(angle), n) for angle in self.GRID]
         assert circle_to_zmod_array(self.GRID, n).tolist() == expected
+
+
+class TestExactArrays:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
+    def test_zmod_to_circle_array_is_bit_equal(self, n):
+        assert zmod_to_circle_array(n).tolist() == [zmod_to_circle(k, n) for k in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_arc_identity_array_matches_the_exact_rationals(self, n):
+        expected = [arc_identity_exact(a, b, n) for a in range(n) for b in range(n)]
+        assert arc_identity_array(n).tolist() == expected
 
 
 def _lipschitz_row():
