@@ -22,6 +22,16 @@ MAX_NORM_DEGREE = 8
 # Grid angles projected by coneprobe.lipschitz_grid, over every n: 3.2-3.4 s
 # at 100 000 angles with n <= 256 or 12 500 with n <= 2048.
 MAX_CIRCLE_GRID_WORK = 25_600_000
+# intnorm.axioms_window searches every x in [-2w, 2w], so the window must lie
+# within reach of every accepted depth.  The least depth, 9, reaches
+# |x| <= 596: window 299 fails falsely with "unknown at -597" (and window 900
+# at depth 12 with "unknown at -1755").
+MAX_INTNORM_WINDOW = 298
+# A deeper cap admits more generators to every search.  At window 298 the
+# intnorm suite takes 3.9 s at depth 16, 5.3 s at 18, 7.3 s at 20 and 8.7 s
+# at 22, and 4.6-4.9 s with every intnorm field at its cap; at window 200,
+# 6.5 s at 28 and 12 s at 40.
+MAX_INTNORM_DEPTH = 18
 
 
 class ConfigInvalidError(ValueError):
@@ -83,6 +93,13 @@ _RELATIONS = (
      lambda c: c.circle_grid * c.circle_mod_max <= MAX_CIRCLE_GRID_WORK,
      f"circle_grid * circle_mod_max must be at most {MAX_CIRCLE_GRID_WORK}, "
      "got {circle_grid} * {circle_mod_max}"),
+    # the intnorm window and depth caps, kept out of lo..hi so that each
+    # field's lower bound keeps its own message
+    (("intnorm_axiom_window",), lambda c: c.intnorm_axiom_window <= MAX_INTNORM_WINDOW,
+     f"intnorm_axiom_window must be at most {MAX_INTNORM_WINDOW}, the reach of depth 9, "
+     "got {intnorm_axiom_window}"),
+    (("intnorm_depth",), lambda c: c.intnorm_depth <= MAX_INTNORM_DEPTH,
+     f"intnorm_depth must be at most {MAX_INTNORM_DEPTH}, got {{intnorm_depth}}"),
     # the report is written after every suite has run, so a path that cannot
     # take it is refused before the first one
     (("out",), lambda c: c.out is None or not os.path.isdir(c.out)
@@ -142,10 +159,11 @@ class RunConfig:
     # MAX_INTNORM_INDEX: the intnorm suite takes 1.0 s with both at 15
     intnorm_exact_max: int = _field(5, 1, MAX_INTNORM_INDEX + 1)
     intnorm_sandwich_max: int = _field(8, 1, MAX_INTNORM_INDEX + 1)
-    # the window is [-w, w]; w = -1 would pass over no integer
+    # the window is [-w, w]; w = -1 would pass over no integer.  Its cap is in
+    # _RELATIONS
     intnorm_axiom_window: int = _field(200, 0)
     # below depth 9 the search cannot reach every x in [-2w, 2w] at the default
-    # window: depth 8 fails with "unknown at -219"
+    # window: depth 8 fails with "unknown at -219".  Its cap is in _RELATIONS
     intnorm_depth: int = _field(12, 9)
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
     # 5 s at the defaults): 7.5 s at triangular n 16, 10 s at 18; 7.2 s at SPD n

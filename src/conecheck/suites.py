@@ -35,8 +35,10 @@ from .perms import (
     _compose_images,
     _even_tuples,
     _full_cycle_type,
+    _image_norms,
     _invert_images,
-    _tuple_cycles,
+    _neighbour_columns,
+    _orbit_minima,
     _tuple_even,
     _unrank_images,
     commutator,
@@ -96,21 +98,81 @@ def _perm(images) -> Permutation:
     return Permutation.from_images(tuple(int(x) for x in images))
 
 
+def _group_arrays(n, even=False):
+    """S_n, or A_n when even, as an (N, n) uint8 image array in the order of
+    its wordnorm oracle (rank order), each row's supp and tr, and the row of
+    each S_n rank (-1 off A_n)."""
+    images = _unrank_images(np.arange(math.factorial(n)), n)
+    supp, tr = _image_norms(images)
+    position = np.arange(len(images))
+    if even:
+        keep = tr % 2 == 0
+        position = np.where(keep, np.cumsum(keep) - 1, -1)
+        images, supp, tr = images[keep], supp[keep], tr[keep]
+    return images, supp, tr, position
+
+
 def run_norms(cfg: RunConfig) -> list[CheckResult]:
     checks = []
 
     @functools.cache
     def group(n, even=False):
-        """S_n, or A_n when even, enumerated once per run: its oracle, the (supp, tr)
-        of each element by image tuple (each becomes a Permutation once), and its
-        BFS word norms over transpositions, or over 3-cycles for A_n."""
+        """S_n, or A_n when even, enumerated once per run: its oracle over image
+        tuples and its generators, transpositions or for A_n 3-cycles."""
         if even:
-            oracle, gens = wordnorm.alternating_oracle(n), three_cycle_generators(n)
-        else:
-            oracle, gens = wordnorm.symmetric_oracle(n), wordnorm.transposition_generators(n)
-        perms = map(Permutation.from_images, oracle.elements)
-        norms = {t: (supp_norm(p), tr_norm(p)) for t, p in zip(oracle.elements, perms)}
-        return oracle, norms, wordnorm.bfs_norm(oracle, gens)
+            return wordnorm.alternating_oracle(n), three_cycle_generators(n)
+        return wordnorm.symmetric_oracle(n), wordnorm.transposition_generators(n)
+
+    # The tuple tables are references, built on first use: by a replay, and by
+    # the small groups' checks, which read them by tuple.
+    @functools.cache
+    def norm_table(n, even=False):
+        """The (supp, tr) of each element by image tuple, each a Permutation once."""
+        elements = group(n, even)[0].elements
+        perms = map(Permutation.from_images, elements)
+        return {t: (supp_norm(p), tr_norm(p)) for t, p in zip(elements, perms)}
+
+    @functools.cache
+    def word_table(n, even=False):
+        """The BFS word norms over the group's generators."""
+        return wordnorm.bfs_norm(*group(n, even))
+
+    def sample_rows(count):
+        return range(0, count, max(1, count // ORACLE_SAMPLES))
+
+    def sampled_norms(oracle, images):
+        """Evenly spaced elements re-run on Permutations: each one's row,
+        Permutation, supp_norm and tr_norm, and whether the row is its tuple."""
+        for i in sample_rows(len(images)):
+            t = oracle.elements[i]
+            p = Permutation.from_images(t)
+            yield i, p, supp_norm(p), tr_norm(p), images[i].tolist() == list(t)
+
+    def disagreements(samples, agrees):
+        """An oracle's cases: a witness at each sampled element whose row is not
+        its tuple, or where agrees(row, supp_norm, tr_norm) fails."""
+        for i, p, supp, tr, row in samples:
+            yield None if row and agrees(i, supp, tr) else f"image arrays disagree at {p}"
+
+    def certified(oracle, gens, images, position, values):
+        """Whether values are the word lengths over gens, by
+        wordnorm.certify_word_lengths on the image array's neighbour columns;
+        and the first sampled neighbour that oracle.multiply disagrees with."""
+        gens = wordnorm.generating_set(oracle, gens)
+        rows, at_rows = sample_rows(len(images)), []
+
+        def columns():
+            for column in _neighbour_columns(images, gens, position):
+                at_rows.append(column[rows].tolist())
+                yield column
+
+        held = wordnorm.certify_word_lengths(values, columns(), identity=0)
+        elements, mul, name = oracle.elements, oracle.multiply, oracle.describe
+        disagreement, _ = _first_witness(
+            None if mul(elements[i], s) == elements[j]
+            else f"neighbour columns disagree at {name(elements[i])} times {name(s)}"
+            for s, column in zip(gens, at_rows) for i, j in zip(rows, column))
+        return held, disagreement
 
     # composition convention regression: (x y)(y z) = (x z y)
     lhs = Permutation.parse("(1 2)").then(Permutation.parse("(2 3)"))
@@ -169,12 +231,24 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         bad is None, count, witness=bad,
     ))
 
-    # norm sandwich on exhaustive S_norm_degree
+    # norm sandwich and tr word lengths on exhaustive S_norm_degree, on its
+    # image array; tr is certified as the word length over transpositions,
+    # never searched.  Evenly spaced elements re-run supp_norm, tr_norm and
+    # oracle.multiply as the oracle, and the tuple tables are the replay.
     degree = cfg.norm_degree
-    s_d, norms_d, tr_words = group(degree)
+    s_d, gens_d = group(degree)
+    images_d, supp_d, tr_d, position_d = _group_arrays(degree)
+    samples_d = list(sampled_norms(s_d, images_d))
+    sandwich_d = (tr_d <= supp_d) & (supp_d <= 2 * tr_d)
 
-    bad, _ = _first_witness(None if tr <= supp <= 2 * tr else str(_perm(t))
-                            for t, (supp, tr) in norms_d.items())
+    def sandwich_cases():
+        for t, (supp, tr) in norm_table(degree).items():
+            yield None if tr <= supp <= 2 * tr else str(_perm(t))
+
+    bad, _ = _first_witness(_batched_cases(
+        s_d.order(), sandwich_d.all(),
+        disagreements(samples_d, lambda i, supp, tr: (tr <= supp <= 2 * tr) == sandwich_d[i]),
+        sandwich_cases()))
     checks.append(PASS(
         "norms.sandwich_s7",
         f"tr <= supp <= 2 tr on exhaustive S_{degree}",
@@ -182,22 +256,47 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         constants={"upper_factor": 2}, witness=bad,
     ))
 
-    # closed-form tr norm against the BFS oracle
-    bad, _ = _first_witness(None if tr_words[t] == tr else str(_perm(t))
-                            for t, (_, tr) in norms_d.items())
+    # closed-form tr norm against the word lengths over transpositions
+    tr_held, neighbour_bad = certified(s_d, gens_d, images_d, position_d, tr_d)
+
+    def tr_agreement_cases():
+        tr_words = word_table(degree)
+        for t, (_, tr) in norm_table(degree).items():
+            yield None if tr_words[t] == tr else str(_perm(t))
+
+    bad, _ = _first_witness(_batched_cases(
+        s_d.order(), tr_held,
+        itertools.chain(disagreements(samples_d, lambda i, _, tr: tr == tr_d[i]),
+                        [neighbour_bad]),
+        tr_agreement_cases()))
     checks.append(PASS(
         "norms.bfs_tr_agreement",
         f"closed-form transposition norm equals BFS word length on S_{degree}",
         bad is None, s_d.order(), witness=bad,
     ))
 
-    # alternating sandwich: tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_m
+    # alternating sandwich: tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_m, on
+    # its image array; n3 is three_cycle_norm of every element, certified as
+    # the word length over 3-cycles
     m = cfg.alternating_degree
-    alt, norms_m, n3_table = group(m, even=True)
+    alt, gens_m = group(m, even=True)
+    images_m, _, tr_m, position_m = _group_arrays(m, even=True)
+    samples_m = list(sampled_norms(alt, images_m))
+    n3_m = np.array([three_cycle_norm(p) for p in map(Permutation.from_images, alt.elements)])
+    n3_held, neighbour_bad = certified(alt, gens_m, images_m, position_m, n3_m)
+    alternating_m = (tr_m <= 2 * n3_m) & (2 * n3_m <= 3 * tr_m)
 
-    bad, _ = _first_witness(
-        f"{_perm(t)}: tr={tr} n3={n3}" if 2 * n3 < tr or 2 * n3 > 3 * tr else None
-        for (t, (_, tr)), n3 in zip(norms_m.items(), n3_table.norms()))
+    def alternating_cases():
+        n3_table = word_table(m, even=True)
+        for (t, (_, tr)), n3 in zip(norm_table(m, even=True).items(), n3_table.norms()):
+            yield f"{_perm(t)}: tr={tr} n3={n3}" if 2 * n3 < tr or 2 * n3 > 3 * tr else None
+
+    bad, _ = _first_witness(_batched_cases(
+        alt.order(), n3_held and alternating_m.all(),
+        itertools.chain(disagreements(
+            samples_m, lambda i, _, tr: (tr <= 2 * n3_m[i] <= 3 * tr) == alternating_m[i]),
+            [neighbour_bad]),
+        alternating_cases()))
     checks.append(PASS(
         "norms.alternating_a6",
         f"tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_{m}",
@@ -205,13 +304,17 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         constants={"tr_upper": 2, "n3_upper": 1.5}, witness=bad,
     ))
 
-    # three_cycle_norm (a table over cycle types) against the element BFS and
-    # the closed form 2 n3 = m - #odd cycles (fixed points included), and
-    # ambient stability; an ambient instability is the witness when both fail
+    # three_cycle_norm (a table over cycle types) against the word lengths,
+    # certified above, and the closed form 2 n3 = m - #odd cycles (fixed points
+    # included), on the arrays with the element BFS as replay; and ambient
+    # stability, the witness when both fail
+    def odd_cycles(t):
+        return sum(length % 2 for length in _full_cycle_type(t))
+
     def table_agreement(t):
         p = Permutation.from_images(t)
-        odd_cycles = sum(length % 2 for length in _full_cycle_type(t))
-        agree = three_cycle_norm(p) == n3_table[t] and 2 * n3_table[t] == m - odd_cycles
+        n3 = word_table(m, even=True)[t]
+        agree = three_cycle_norm(p) == n3 and 2 * n3 == m - odd_cycles(t)
         return None if agree else str(p)
 
     def ambient_stability(t):
@@ -219,7 +322,14 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         stable = three_cycle_norm(p) == three_cycle_norm(p, ambient=m + 1)
         return None if stable else f"ambient instability at {p}"
 
-    table_bad, _ = _first_witness(map(table_agreement, alt.elements))
+    # the cycle at each least orbit point holds the points that share it
+    low = _orbit_minima(images_m)
+    odd_m = sum((low == point).sum(axis=1) % 2 for point in range(m))
+    table_bad, _ = _first_witness(_batched_cases(
+        alt.order(), n3_held and (2 * n3_m == m - odd_m).all(),
+        itertools.chain(disagreements(
+            samples_m, lambda i, *_: odd_cycles(alt.elements[i]) == odd_m[i]), [neighbour_bad]),
+        map(table_agreement, alt.elements)))
     small = group(max(m - 1, 4), even=True)[0]
     ambient_bad, _ = _first_witness(map(ambient_stability, small.elements))
     bad = ambient_bad or table_bad
@@ -231,7 +341,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 
     # conjugation invariance + metric axioms on image tuples, exhaustive S_sd (S_5 by default)
     sd = min(5, degree)
-    s5, norms_sd, tr_table = group(sd)
+    s5, norms_sd, tr_table = group(sd)[0], norm_table(sd), word_table(sd)
     inverse = {t: _invert_images(t) for t in s5.elements}
     n3_of = {t: three_cycle_norm(_perm(t)) for t in s5.elements if _tuple_even(t)}
 
@@ -265,7 +375,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # conjugacy closure of a transposition: exactly the 6 transpositions of S_4
-    s4, norms_4, tr_table_s4 = group(4)
+    s4, norms_4, tr_table_s4 = group(4)[0], norm_table(4), word_table(4)
     closure = wordnorm.conjugacy_closure(s4, {Permutation.parse("(1 2)").to_images(4)})
     expected = {g for g, (supp, _) in norms_4.items() if supp == 2}  # the transpositions
     stray = min(closure ^ expected, default=None)
@@ -294,7 +404,8 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     ad = min(5, m)
     supp_table = wordnorm.NormTable(s5, {t: supp for t, (supp, _) in norms_sd.items()}, frozenset())
     c_supp, at_supp = wordnorm.audit_domination(tr_table, supp_table)
-    a5, norms_ad, n3_a5 = group(ad, even=True)
+    a5, norms_ad, n3_a5 = (group(ad, even=True)[0], norm_table(ad, even=True),
+                           word_table(ad, even=True))
     tr_a5 = wordnorm.NormTable(a5, {t: tr for t, (_, tr) in norms_ad.items()}, frozenset())
     c_tr, at_tr = wordnorm.audit_domination(n3_a5, tr_a5)   # tr <= C * n3
     c_n3, at_n3 = wordnorm.audit_domination(tr_a5, n3_a5)   # n3 <= C * tr
@@ -1025,8 +1136,7 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     # P - I in blocks of 120: ranking the whole stack at once raises peak memory
     ranks = np.concatenate([matnorm.modular_rank(eye[images[i:i + 120]] - eye)
                             for i in range(0, len(images), 120)])
-    supp = (images != np.arange(6)).sum(axis=1)
-    tr = supp - np.array([len(_tuple_cycles(t)) for t in map(tuple, images.tolist())])
+    supp, tr = _image_norms(images)
     rng2 = np.random.default_rng(cfg.seed + 4)
     padded = np.zeros((100, 6, 6), dtype=np.int64)  # zero padding keeps the rank
     samples = []

@@ -132,15 +132,47 @@ def bfs_norm(oracle: FiniteGroupOracle, gens: Iterable) -> NormTable:
 
     Raises :class:`NotGeneratingError` when BFS does not reach the carrier.
     """
-    mul, inv = oracle.multiply, oracle.invert
-    gen_set = set(gens)
-    gen_set.update(inv(s) for s in list(gen_set))
-    gen_set.discard(oracle.identity)
-    gen_list = sorted(gen_set, key=oracle.describe)
+    mul = oracle.multiply
+    gen_list = generating_set(oracle, gens)
     dist = bfs([oracle.identity], lambda g: [mul(g, s) for s in gen_list])
     if len(dist) != oracle.order():
         raise NotGeneratingError(oracle.order() - len(dist))
     return NormTable(oracle, dist, frozenset(gen_list))
+
+
+def generating_set(oracle: FiniteGroupOracle, gens: Iterable) -> list:
+    """gens closed under inverses, the identity removed, in describe order:
+    the steps bfs_norm searches and certify_word_lengths checks."""
+    gen_set = set(gens)
+    gen_set.update(oracle.invert(s) for s in list(gen_set))
+    gen_set.discard(oracle.identity)
+    return sorted(gen_set, key=oracle.describe)
+
+
+def certify_word_lengths(values, columns, identity: int) -> bool:
+    """Whether values holds the word length of every element, without a search.
+
+    values is an integer array over the carrier; columns yields, for each s
+    of an inverse-closed generating set (see generating_set), the index of
+    g s for every element g, and identity is the identity's index.  The
+    shortest-path certificate holds when values is 0 at the identity,
+    changes by at most 1 along every column, and drops by exactly 1 along
+    some column at every other element.  The first two give values <= word
+    length.  A walk of descents from g only stops at the identity, and the
+    carrier is finite, so it gets there in values[g] steps: word length <=
+    values.
+    """
+    import numpy as np
+
+    values = np.asarray(values)
+    descends = np.zeros(len(values), dtype=bool)
+    descends[identity] = True
+    for column in columns:
+        step = values[column] - values
+        if (np.abs(step) > 1).any():
+            return False
+        descends |= step == -1
+    return bool(values[identity] == 0 and descends.all())
 
 
 def audit_domination(nu: NormTable, mu: NormTable):

@@ -140,6 +140,13 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"intnorm_depth": -1}, "intnorm_depth must be at least 9"),
     ({"intnorm_depth": 0}, "intnorm_depth must be at least 9"),
     ({"intnorm_depth": 8}, "intnorm_depth must be at least 9"),
+    # depth 9 cannot reach [-598, 598]; at 900 depth 12 failed falsely with
+    # "unknown at -1755"
+    ({"intnorm_axiom_window": 299}, "intnorm_axiom_window must be at most 298"),
+    ({"intnorm_axiom_window": 900}, "intnorm_axiom_window must be at most 298"),
+    # the intnorm suite took 12 s at depth 40, and 8.7 s at 22 with window 298
+    ({"intnorm_depth": 40}, "intnorm_depth must be at most 18, got 40"),
+    ({"intnorm_depth": 19}, "intnorm_depth must be at most 18, got 19"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
@@ -154,7 +161,9 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "word_l1_budget_40", "sum_indices_1001", "so_max_n_400", "so_max_n_16",
         "circle_roundtrip_max_100000", "circle_mod_max_100000", "circle_grid_50000000",
         "circle_grid_times_circle_mod_max", "intnorm_exact_max_16", "intnorm_sandwich_max_16",
-        "intnorm_depth_negative", "intnorm_depth_0", "intnorm_depth_8"])
+        "intnorm_depth_negative", "intnorm_depth_0", "intnorm_depth_8",
+        "intnorm_axiom_window_299", "intnorm_axiom_window_900", "intnorm_depth_40",
+        "intnorm_depth_19"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))

@@ -15,6 +15,9 @@ from conecheck.perms import (
     PermutationSearchError,
     _compose_images,
     _full_cycle_type,
+    _image_norms,
+    _neighbour_columns,
+    _orbit_minima,
     _rank_images,
     _three_cycle_table,
     _unrank_images,
@@ -303,3 +306,34 @@ class TestImageRanks:
         rows = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
         assert (_rank_images(rows) == np.arange(math.factorial(n))).all()
         assert (_unrank_images(np.arange(math.factorial(n)), n) == rows).all()
+
+
+class TestImageArrayNorms:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_supp_and_tr_match_the_permutation_norms(self, n):
+        rows = _unrank_images(np.arange(math.factorial(n)), n)
+        supp, tr = _image_norms(rows)
+        sigmas = [Permutation.from_images(t) for t in itertools.permutations(range(n))]
+        assert supp.tolist() == [supp_norm(p) for p in sigmas]
+        assert tr.tolist() == [tr_norm(p) for p in sigmas]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orbit_minima_give_the_full_cycle_type(self, n):
+        rows = _unrank_images(np.arange(math.factorial(n)), n)
+        low = _orbit_minima(rows)
+        for t, row in zip(itertools.permutations(range(n)), low):
+            lengths = sorted((np.bincount(row, minlength=n)[np.unique(row)]).tolist(), reverse=True)
+            assert tuple(lengths) == _full_cycle_type(t), t
+
+    @pytest.mark.parametrize("n, even", [(4, False), (5, False), (5, True), (6, True)])
+    def test_neighbour_columns_are_products(self, n, even):
+        # position maps each S_n rank to its row, -1 off the carrier
+        elements = [t for t in itertools.permutations(range(n))
+                    if not even or Permutation.from_images(t).is_even()]
+        rows = np.array(elements, dtype=np.uint8)
+        position = np.full(math.factorial(n), -1)
+        position[_rank_images(rows)] = np.arange(len(rows))
+        gens = three_cycle_generators(n) if even else [
+            t for t in itertools.permutations(range(n)) if sum(a != b for a, b in enumerate(t)) == 2]
+        for s, column in zip(gens, _neighbour_columns(rows, gens, position)):
+            assert [elements[j] for j in column] == [_compose_images(g, s) for g in elements]

@@ -58,29 +58,53 @@ def test_first_witness_is_the_only_early_exit():
     assert [fn.name for fn in _functions(tree)].count("_first_witness") == 1
 
 
+def _replay_choices(source):
+    """The lines where a conditional outside _batched_cases branches into a
+    reference: a reference loop, a first-witness run, or a lazily built tuple
+    table of run_norms."""
+    tree = ast.parse(source)
+    helper = next(fn for fn in _functions(tree) if fn.name == "_batched_cases")
+    references = {fn.name for fn in _functions(tree) if fn.name.endswith(("_pairs", "_cases"))}
+    references |= {"_first_witness", "verify_contraction_conditions", "norm_table", "word_table"}
+    inside = set(map(id, ast.walk(helper)))
+    return [stmt.lineno for branch in _branches(tree)
+            for stmt in (branch if isinstance(branch, list) else [branch])
+            if id(stmt) not in inside and _called_names(stmt) & references]
+
+
 def test_batched_cases_is_the_only_replay_choice():
     # Only _batched_cases chooses between a batched kernel's verdict and its
     # reference loop: it alone turns a verdict into passing cases, and no other
-    # conditional branches into a reference loop or a first-witness run.
+    # conditional branches into a reference loop or a first-witness run, or
+    # builds a reference table.
     tree = ast.parse(SUITES.read_text())
     helper = next(fn for fn in _functions(tree) if fn.name == "_batched_cases")
     assert [fn.name for fn in _functions(tree) if "itertools.repeat" in _called_names(fn)] \
         == ["_batched_cases"]
     assert {"itertools.repeat", "_first_witness"} <= _called_names(helper)
-    references = {fn.name for fn in _functions(tree) if fn.name.endswith(("_pairs", "_cases"))}
-    references |= {"_first_witness", "verify_contraction_conditions"}
-    inside = set(map(id, ast.walk(helper)))
-    choices = [stmt.lineno for branch in _branches(tree)
-               for stmt in (branch if isinstance(branch, list) else [branch])
-               if id(stmt) not in inside and _called_names(stmt) & references]
-    assert not choices
+    assert not _replay_choices(SUITES.read_text())
+
+
+@pytest.mark.parametrize("branch", [
+    "words = word_table(5) if not held else None",
+    "if not held:\n        norms = norm_table(5)",
+    "if held:\n        return\n    cases = sandwich_cases()",
+], ids=["conditional_expression", "if_body", "after_early_return"])
+def test_replay_guard_catches_a_reference_built_in_a_branch(branch):
+    # a kernel that builds its reference table or loop behind its own verdict,
+    # outside _batched_cases, fails the guard above
+    source = SUITES.read_text() + f"\n\ndef chooses(held):\n    {branch}\n"
+    assert len(_replay_choices(source)) == 1
 
 
 def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
-    # run_norms tables supp and tr once per element of each group it enumerates,
-    # and reads the table by image tuple; under RunConfig.small() those are
-    # S_5 (120), A_5 (60), A_4 (12) and S_4 (24).  Reading them again per pair
-    # made 86 760 supp_norm and 58 080 tr_norm calls.
+    # run_norms tables supp and tr once per element of each group whose checks
+    # read them by image tuple; under RunConfig.small() those are S_5 (120),
+    # A_5 (60) and S_4 (24).  A_4 is only walked for ambient stability.  The
+    # image-array checks re-run the evenly spaced oracle samples of S_5 (60,
+    # every second element) and A_5 (60, every element): 120 + 60 + 24 + 60 + 60
+    # = 324.  Reading the tables again per pair made 86 760 supp_norm and
+    # 58 080 tr_norm calls.
     counts = dict.fromkeys(("supp_norm", "tr_norm"), 0)
     for name in counts:
         norm = getattr(suites, name)
@@ -92,7 +116,7 @@ def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
         monkeypatch.setattr(suites, name, counted)
     rows = suites.run_norms(RunConfig.small())
     assert all(row.status == "pass" for row in rows)
-    assert counts == {"supp_norm": 216, "tr_norm": 216}
+    assert counts == {"supp_norm": 324, "tr_norm": 324}
 
 
 def test_fixed_size_exact_checks_rerun_only_their_oracle_samples(monkeypatch):
@@ -238,3 +262,65 @@ def test_norm_off_by_one_fails_with_a_witness(monkeypatch, norm, check_id, witne
     row = next(r for r in suites.run_norms(RunConfig.small()) if r.check_id == check_id)
     assert row.status == "fail"
     assert row.witness == witness
+
+
+def test_tr_norm_off_on_three_cycles_fails_the_array_checks_as_the_tuple_loops(monkeypatch):
+    # The image arrays hold under this fault; the sampled tr_norm disagrees at a
+    # 3-cycle, so the tuple loops replay and give the rows they gave before the
+    # arrays (the sandwich still holds with tr 3 on 3-cycles).
+    exact = suites.tr_norm
+    monkeypatch.setattr(suites, "tr_norm",
+                        lambda sigma: exact(sigma) + (sigma.cycle_type() == (3,)))
+    rows = {r.check_id: (r.status, r.sample_size, r.witness)
+            for r in suites.run_norms(RunConfig.small())}
+    assert rows["norms.sandwich_s7"] == ("pass", 120, None)
+    assert rows["norms.bfs_tr_agreement"] == ("fail", 120, "(3 4 5)")
+    assert rows["norms.alternating_a6"] == ("fail", 60, "(3 4 5): tr=3 n3=1")
+
+
+def test_corrupt_neighbour_column_fails_after_the_passing_replay(monkeypatch):
+    # The first neighbour column of each group shifted by one row: the
+    # certificate fails, the tuple loops replay and pass, and the sampled
+    # oracle.multiply disagreement is the one failing case.
+    import numpy as np
+
+    columns = suites._neighbour_columns
+
+    def shifted(images, gens, position):
+        for k, column in enumerate(columns(images, gens, position)):
+            yield np.roll(column, 1) if k == 0 else column
+
+    monkeypatch.setattr(suites, "_neighbour_columns", shifted)
+    rows = {r.check_id: (r.status, r.sample_size, r.witness)
+            for r in suites.run_norms(RunConfig.small())}
+    assert rows["norms.sandwich_s7"] == ("pass", 120, None)
+    assert rows["norms.bfs_tr_agreement"] == \
+        ("fail", 120, "neighbour columns disagree at () times (1 2)")
+    assert rows["norms.alternating_a6"] == \
+        ("fail", 60, "neighbour columns disagree at () times (1 2 3)")
+    assert rows["norms.three_cycle_oracle"] == \
+        ("fail", 72, "neighbour columns disagree at () times (1 2 3)")
+
+
+@pytest.mark.parametrize("suite, cfg", [
+    *[(name, RunConfig.small()) for name in RunConfig.small().suites],
+    ("norms", RunConfig(norm_degree=8, alternating_degree=7)),
+], ids=[*RunConfig.small().suites, "norms-exhaustive"])
+def test_no_batched_kernel_replays_on_a_passing_run(monkeypatch, suite, cfg):
+    # A batched kernel that fails falsely is replayed by its reference loop, and
+    # the row passes as if nothing happened, at the reference's cost.  On these
+    # configs no reference loop may be advanced at all.
+    advanced = []
+    batched = suites._batched_cases
+
+    def watched(count, held, oracle, reference):
+        def replay():
+            for case in reference:
+                advanced.append(getattr(reference, "__qualname__", type(reference).__name__))
+                yield case
+        return batched(count, held, oracle, replay())
+
+    monkeypatch.setattr(suites, "_batched_cases", watched)
+    rows = getattr(suites, "run_" + suite)(cfg)
+    assert all(row.status == "pass" for row in rows)
+    assert not advanced

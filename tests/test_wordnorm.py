@@ -6,7 +6,17 @@ from pathlib import Path
 import pytest
 
 import conecheck
-from conecheck.perms import Permutation, three_cycle_generators, tr_norm
+import math
+
+import numpy as np
+
+from conecheck.perms import (
+    Permutation,
+    _neighbour_columns,
+    _rank_images,
+    three_cycle_generators,
+    tr_norm,
+)
 from conecheck.wordnorm import (
     NormTable,
     NotGeneratingError,
@@ -14,8 +24,10 @@ from conecheck.wordnorm import (
     audit_domination,
     bfs,
     bfs_norm,
+    certify_word_lengths,
     conjugacy_closure,
     cyclic_oracle,
+    generating_set,
     symmetric_oracle,
     transposition_generators,
 )
@@ -154,3 +166,48 @@ def test_audit_domination_three_cycle_constants():
 
 def test_group_axiom_spot_check():
     assert list(alternating_oracle(4).check_axioms(triples=200)) == []
+
+
+class TestWordLengthCertificate:
+    CARRIERS = {
+        "S_4": (symmetric_oracle(4), transposition_generators(4)),
+        "S_5": (symmetric_oracle(5), transposition_generators(5)),
+        "A_5": (alternating_oracle(5), three_cycle_generators(5)),
+    }
+
+    @staticmethod
+    def certify(oracle, gens, values):
+        images = np.array(oracle.elements, dtype=np.uint8)
+        position = np.full(math.factorial(images.shape[1]), -1)
+        position[_rank_images(images)] = np.arange(len(images))
+        columns = _neighbour_columns(images, generating_set(oracle, gens), position)
+        return certify_word_lengths(values, columns, identity=0)
+
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    def test_accepts_the_bfs_table(self, carrier):
+        oracle, gens = self.CARRIERS[carrier]
+        assert self.certify(oracle, gens, np.array(bfs_norm(oracle, gens).norms()))
+
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    def test_rejects_the_table_raised_at_one_element(self, carrier):
+        # at the identity, at the next element in rank order and at the last
+        oracle, gens = self.CARRIERS[carrier]
+        norms = np.array(bfs_norm(oracle, gens).norms())
+        for at in (0, 1, len(norms) - 1):
+            raised = norms.copy()
+            raised[at] += 1
+            assert not self.certify(oracle, gens, raised), at
+
+    def test_rejects_a_table_that_never_descends(self):
+        # Lipschitz everywhere but with no descent at the non-identity elements
+        oracle, gens = self.CARRIERS["S_4"]
+        assert not self.certify(oracle, gens, np.zeros(24, dtype=np.int64))
+
+    def test_generating_set_is_the_bfs_one(self):
+        # closed under inverses, identity removed: the 3-cycles of A_4 come in
+        # inverse pairs, and a lone 3-cycle gains its inverse
+        oracle = alternating_oracle(4)
+        gens = three_cycle_generators(4)
+        assert set(generating_set(oracle, gens + [oracle.identity])) == set(gens)
+        assert generating_set(oracle, gens[:1]) == sorted(gens[:2], key=oracle.describe)
+        assert bfs_norm(oracle, gens).generating_set == frozenset(generating_set(oracle, gens))
