@@ -347,28 +347,27 @@ def _neighbour_columns(images, gens, position):
         yield position[_rank_images(np.asarray(s, dtype=np.uint8)[images])]
 
 
-def _orbit_minima(images):
-    """The least point of each point's orbit, for every row of an (N, n) image
-    array: n - 1 steps along each cycle visit all of it."""
+def _cycle_lengths(images):
+    """For every row of an (N, n) image array, the length of the cycle whose
+    least point is j in column j, and 0 where j is not least in its cycle
+    (uint8).  n - 1 steps along each cycle reach every point's least orbit
+    point."""
     import numpy as np
 
-    low = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
+    n = images.shape[1]
+    low = np.broadcast_to(np.arange(n, dtype=images.dtype), images.shape)
     walk = images
-    for _ in range(images.shape[1] - 1):
+    for _ in range(n - 1):
         low = np.minimum(low, walk)
         walk = np.take_along_axis(images, walk, axis=1)
-    return low
+    return np.stack([(low == j).sum(axis=1, dtype=np.uint8) for j in range(n)], axis=1)
 
 
-def _image_norms(images):
-    """supp_norm and tr_norm of every row of an (N, n) image array: the moved
-    points, and n minus the number of cycles, fixed points included (a cycle
-    is counted at its least point)."""
-    import numpy as np
-
-    points = np.arange(images.shape[1], dtype=images.dtype)
-    supp = (images != points).sum(axis=1)
-    return supp, images.shape[1] - (_orbit_minima(images) == points).sum(axis=1)
+def _cycle_norms(lengths):
+    """supp_norm and tr_norm of every row of _cycle_lengths: the moved points,
+    and n minus the number of cycles, fixed points included."""
+    n = lengths.shape[1]
+    return n - (lengths == 1).sum(axis=1), n - (lengths > 0).sum(axis=1)
 
 
 def three_cycle_generators(n: int) -> list[tuple[int, ...]]:

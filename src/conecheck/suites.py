@@ -35,10 +35,10 @@ from .perms import (
     _compose_images,
     _even_tuples,
     _full_cycle_type,
-    _image_norms,
+    _cycle_lengths,
+    _cycle_norms,
     _invert_images,
     _neighbour_columns,
-    _orbit_minima,
     _tuple_even,
     _unrank_images,
     commutator,
@@ -100,16 +100,23 @@ def _perm(images) -> Permutation:
 
 def _group_arrays(n, even=False):
     """S_n, or A_n when even, as an (N, n) uint8 image array in the order of
-    its wordnorm oracle (rank order), each row's supp and tr, and the row of
-    each S_n rank (-1 off A_n)."""
+    its wordnorm oracle (rank order); each row's supp, tr and number of odd
+    cycles (fixed points included); the row of each S_n rank (-1 off A_n);
+    and the rows an oracle re-runs: evenly spaced, and the first of each
+    cycle type, so that every type is sampled."""
     images = _unrank_images(np.arange(math.factorial(n)), n)
-    supp, tr = _image_norms(images)
+    lengths = _cycle_lengths(images)
     position = np.arange(len(images))
     if even:
-        keep = tr % 2 == 0
+        keep = _cycle_norms(lengths)[1] % 2 == 0
         position = np.where(keep, np.cumsum(keep) - 1, -1)
-        images, supp, tr = images[keep], supp[keep], tr[keep]
-    return images, supp, tr, position
+        images, lengths = images[keep], lengths[keep]
+    # the digit at place k in base n + 1 counts the cycles of length k
+    cycle_type = ((n + 1) ** lengths.astype(np.int64)).sum(axis=1)
+    rows = np.union1d(np.arange(0, len(images), max(1, len(images) // ORACLE_SAMPLES)),
+                      np.unique(cycle_type, return_index=True)[1])
+    supp, tr = _cycle_norms(lengths)
+    return images, supp, tr, (lengths % 2).sum(axis=1), position, rows.tolist()
 
 
 def run_norms(cfg: RunConfig) -> list[CheckResult]:
@@ -137,13 +144,10 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         """The BFS word norms over the group's generators."""
         return wordnorm.bfs_norm(*group(n, even))
 
-    def sample_rows(count):
-        return range(0, count, max(1, count // ORACLE_SAMPLES))
-
-    def sampled_norms(oracle, images):
-        """Evenly spaced elements re-run on Permutations: each one's row,
+    def sampled_norms(oracle, images, rows):
+        """The sampled elements re-run on Permutations: each one's row,
         Permutation, supp_norm and tr_norm, and whether the row is its tuple."""
-        for i in sample_rows(len(images)):
+        for i in rows:
             t = oracle.elements[i]
             p = Permutation.from_images(t)
             yield i, p, supp_norm(p), tr_norm(p), images[i].tolist() == list(t)
@@ -154,12 +158,13 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         for i, p, supp, tr, row in samples:
             yield None if row and agrees(i, supp, tr) else f"image arrays disagree at {p}"
 
-    def certified(oracle, gens, images, position, values):
+    def certified(oracle, gens, images, position, rows, values):
         """Whether values are the word lengths over gens, by
         wordnorm.certify_word_lengths on the image array's neighbour columns;
-        and the first sampled neighbour that oracle.multiply disagrees with."""
+        and the first neighbour of a sampled row that oracle.multiply
+        disagrees with."""
         gens = wordnorm.generating_set(oracle, gens)
-        rows, at_rows = sample_rows(len(images)), []
+        at_rows = []
 
         def columns():
             for column in _neighbour_columns(images, gens, position):
@@ -233,12 +238,12 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 
     # norm sandwich and tr word lengths on exhaustive S_norm_degree, on its
     # image array; tr is certified as the word length over transpositions,
-    # never searched.  Evenly spaced elements re-run supp_norm, tr_norm and
+    # never searched.  Sampled elements re-run supp_norm, tr_norm and
     # oracle.multiply as the oracle, and the tuple tables are the replay.
     degree = cfg.norm_degree
     s_d, gens_d = group(degree)
-    images_d, supp_d, tr_d, position_d = _group_arrays(degree)
-    samples_d = list(sampled_norms(s_d, images_d))
+    images_d, supp_d, tr_d, _, position_d, rows_d = _group_arrays(degree)
+    samples_d = list(sampled_norms(s_d, images_d, rows_d))
     sandwich_d = (tr_d <= supp_d) & (supp_d <= 2 * tr_d)
 
     def sandwich_cases():
@@ -257,7 +262,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # closed-form tr norm against the word lengths over transpositions
-    tr_held, neighbour_bad = certified(s_d, gens_d, images_d, position_d, tr_d)
+    tr_held, neighbour_bad = certified(s_d, gens_d, images_d, position_d, rows_d, tr_d)
 
     def tr_agreement_cases():
         tr_words = word_table(degree)
@@ -280,10 +285,10 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     # the word length over 3-cycles
     m = cfg.alternating_degree
     alt, gens_m = group(m, even=True)
-    images_m, _, tr_m, position_m = _group_arrays(m, even=True)
-    samples_m = list(sampled_norms(alt, images_m))
+    images_m, _, tr_m, odd_m, position_m, rows_m = _group_arrays(m, even=True)
+    samples_m = list(sampled_norms(alt, images_m, rows_m))
     n3_m = np.array([three_cycle_norm(p) for p in map(Permutation.from_images, alt.elements)])
-    n3_held, neighbour_bad = certified(alt, gens_m, images_m, position_m, n3_m)
+    n3_held, neighbour_bad = certified(alt, gens_m, images_m, position_m, rows_m, n3_m)
     alternating_m = (tr_m <= 2 * n3_m) & (2 * n3_m <= 3 * tr_m)
 
     def alternating_cases():
@@ -322,9 +327,6 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         stable = three_cycle_norm(p) == three_cycle_norm(p, ambient=m + 1)
         return None if stable else f"ambient instability at {p}"
 
-    # the cycle at each least orbit point holds the points that share it
-    low = _orbit_minima(images_m)
-    odd_m = sum((low == point).sum(axis=1) % 2 for point in range(m))
     table_bad, _ = _first_witness(_batched_cases(
         alt.order(), n3_held and (2 * n3_m == m - odd_m).all(),
         itertools.chain(disagreements(
@@ -1136,7 +1138,7 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     # P - I in blocks of 120: ranking the whole stack at once raises peak memory
     ranks = np.concatenate([matnorm.modular_rank(eye[images[i:i + 120]] - eye)
                             for i in range(0, len(images), 120)])
-    supp, tr = _image_norms(images)
+    supp, tr = _cycle_norms(_cycle_lengths(images))
     rng2 = np.random.default_rng(cfg.seed + 4)
     padded = np.zeros((100, 6, 6), dtype=np.int64)  # zero padding keeps the rank
     samples = []

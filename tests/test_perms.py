@@ -15,9 +15,9 @@ from conecheck.perms import (
     PermutationSearchError,
     _compose_images,
     _full_cycle_type,
-    _image_norms,
+    _cycle_lengths,
+    _cycle_norms,
     _neighbour_columns,
-    _orbit_minima,
     _rank_images,
     _three_cycle_table,
     _unrank_images,
@@ -312,18 +312,19 @@ class TestImageArrayNorms:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_supp_and_tr_match_the_permutation_norms(self, n):
         rows = _unrank_images(np.arange(math.factorial(n)), n)
-        supp, tr = _image_norms(rows)
+        supp, tr = _cycle_norms(_cycle_lengths(rows))
         sigmas = [Permutation.from_images(t) for t in itertools.permutations(range(n))]
         assert supp.tolist() == [supp_norm(p) for p in sigmas]
         assert tr.tolist() == [tr_norm(p) for p in sigmas]
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_orbit_minima_give_the_full_cycle_type(self, n):
+    def test_cycle_lengths_give_the_full_cycle_type(self, n):
         rows = _unrank_images(np.arange(math.factorial(n)), n)
-        low = _orbit_minima(rows)
-        for t, row in zip(itertools.permutations(range(n)), low):
-            lengths = sorted((np.bincount(row, minlength=n)[np.unique(row)]).tolist(), reverse=True)
-            assert tuple(lengths) == _full_cycle_type(t), t
+        for t, lengths in zip(itertools.permutations(range(n)), _cycle_lengths(rows)):
+            assert tuple(sorted(lengths[lengths > 0].tolist(), reverse=True)) \
+                == _full_cycle_type(t), t
+            # each cycle is counted at its least point
+            assert all(lengths[min(cycle)] == len(cycle) for cycle in perms._tuple_cycles(t))
 
     @pytest.mark.parametrize("n, even", [(4, False), (5, False), (5, True), (6, True)])
     def test_neighbour_columns_are_products(self, n, even):

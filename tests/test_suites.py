@@ -3,6 +3,7 @@ and checks that fail with a witness, under ``python -O`` too."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,10 +102,10 @@ def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
     # run_norms tables supp and tr once per element of each group whose checks
     # read them by image tuple; under RunConfig.small() those are S_5 (120),
     # A_5 (60) and S_4 (24).  A_4 is only walked for ambient stability.  The
-    # image-array checks re-run the evenly spaced oracle samples of S_5 (60,
-    # every second element) and A_5 (60, every element): 120 + 60 + 24 + 60 + 60
-    # = 324.  Reading the tables again per pair made 86 760 supp_norm and
-    # 58 080 tr_norm calls.
+    # image-array checks re-run their oracle samples: in S_5 every second
+    # element (60) and the first element of each cycle type whose first rank
+    # is odd (6), in A_5 every element (60): 120 + 60 + 24 + 66 + 60 = 330.  Reading the tables again per pair made 86 760 supp_norm and 58 080
+    # tr_norm calls.
     counts = dict.fromkeys(("supp_norm", "tr_norm"), 0)
     for name in counts:
         norm = getattr(suites, name)
@@ -116,7 +117,7 @@ def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
         monkeypatch.setattr(suites, name, counted)
     rows = suites.run_norms(RunConfig.small())
     assert all(row.status == "pass" for row in rows)
-    assert counts == {"supp_norm": 324, "tr_norm": 324}
+    assert counts == {"supp_norm": 330, "tr_norm": 330}
 
 
 def test_fixed_size_exact_checks_rerun_only_their_oracle_samples(monkeypatch):
@@ -264,18 +265,29 @@ def test_norm_off_by_one_fails_with_a_witness(monkeypatch, norm, check_id, witne
     assert row.witness == witness
 
 
-def test_tr_norm_off_on_three_cycles_fails_the_array_checks_as_the_tuple_loops(monkeypatch):
-    # The image arrays hold under this fault; the sampled tr_norm disagrees at a
-    # 3-cycle, so the tuple loops replay and give the rows they gave before the
-    # arrays (the sandwich still holds with tr 3 on 3-cycles).
+@pytest.mark.parametrize("degree, cycle_type, witness", [
+    (5, (3,), "(3 4 5)"),
+    # evenly spaced rows of S_7 hold no transposition, and of S_8 no 3-cycle:
+    # the oracle also samples the first element of every cycle type
+    (7, (2,), "(6 7)"),
+    (8, (3,), "(6 7 8)"),
+])
+def test_tr_norm_off_on_one_cycle_type_fails_the_array_checks_as_the_tuple_loops(
+        monkeypatch, degree, cycle_type, witness):
+    # The image arrays hold under this fault; the sampled tr_norm disagrees on
+    # that type, so the tuple loops replay and give the rows they gave before
+    # the arrays (the sandwich still holds with tr one higher on these types).
     exact = suites.tr_norm
     monkeypatch.setattr(suites, "tr_norm",
-                        lambda sigma: exact(sigma) + (sigma.cycle_type() == (3,)))
-    rows = {r.check_id: (r.status, r.sample_size, r.witness)
-            for r in suites.run_norms(RunConfig.small())}
-    assert rows["norms.sandwich_s7"] == ("pass", 120, None)
-    assert rows["norms.bfs_tr_agreement"] == ("fail", 120, "(3 4 5)")
-    assert rows["norms.alternating_a6"] == ("fail", 60, "(3 4 5): tr=3 n3=1")
+                        lambda sigma: exact(sigma) + (sigma.cycle_type() == cycle_type))
+    cfg = RunConfig.small()
+    cfg.norm_degree = degree
+    rows = {r.check_id: (r.status, r.sample_size, r.witness) for r in suites.run_norms(cfg)}
+    order = math.factorial(degree)
+    assert rows["norms.sandwich_s7"] == ("pass", order, None)
+    assert rows["norms.bfs_tr_agreement"] == ("fail", order, witness)
+    if cycle_type == (3,):
+        assert rows["norms.alternating_a6"] == ("fail", 60, "(3 4 5): tr=3 n3=1")
 
 
 def test_corrupt_neighbour_column_fails_after_the_passing_replay(monkeypatch):
