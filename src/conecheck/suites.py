@@ -113,10 +113,11 @@ def _group_arrays(n, even=False):
         images, lengths = images[keep], lengths[keep]
     # the digit at place k in base n + 1 counts the cycles of length k
     cycle_type = ((n + 1) ** lengths.astype(np.int64)).sum(axis=1)
-    rows = np.union1d(np.arange(0, len(images), max(1, len(images) // ORACLE_SAMPLES)),
-                      np.unique(cycle_type, return_index=True)[1])
+    # np.union1d would import numpy.ma, about 1 MB of resident memory
+    rows = sorted({*range(0, len(images), max(1, len(images) // ORACLE_SAMPLES)),
+                   *np.unique(cycle_type, return_index=True)[1].tolist()})
     supp, tr = _cycle_norms(lengths)
-    return images, supp, tr, (lengths % 2).sum(axis=1), position, rows.tolist()
+    return images, supp, tr, (lengths % 2).sum(axis=1), position, rows
 
 
 def run_norms(cfg: RunConfig) -> list[CheckResult]:

@@ -336,3 +336,15 @@ def test_no_batched_kernel_replays_on_a_passing_run(monkeypatch, suite, cfg):
     rows = getattr(suites, "run_" + suite)(cfg)
     assert all(row.status == "pass" for row in rows)
     assert not advanced
+
+
+def test_norms_suite_loads_no_masked_arrays():
+    # np.union1d imports numpy.ma: drawing the norms oracle's rows with it
+    # raised peak RSS by 1.2 MB on the quick workload and 1.6 MB on
+    # acceptance_scaled
+    code = ("import sys\nfrom conecheck import suites\nfrom conecheck.report import RunConfig\n"
+            "suites.run_norms(RunConfig())\nprint('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SUITES.parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout.split() == ["False"], done.stderr
