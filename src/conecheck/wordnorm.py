@@ -164,7 +164,7 @@ def certify_word_lengths(values, columns, identity: int) -> bool:
     """
     import numpy as np
 
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=np.int64)  # signed steps
     descends = np.zeros(len(values), dtype=bool)
     descends[identity] = True
     for column in columns:
