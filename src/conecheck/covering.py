@@ -8,7 +8,6 @@ Everything here is certified by explicit recomposition, never by trust.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
@@ -363,10 +362,6 @@ class ConjugateProductCertificate:
             modifications=tuple(Permutation.parse(t) for t in data.get("modifications", [])),
             diagnostics=data.get("diagnostics", {}),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
 @cache

@@ -381,6 +381,9 @@ def leading_minor_signs(stack) -> np.ndarray:
     return signs
 
 
+BORDERLINE_MARGIN = 10.0
+
+
 @dataclass(frozen=True)
 class RankNormValue:
     """rk(g - id) with the backend that produced it."""
@@ -391,12 +394,13 @@ class RankNormValue:
     smallest_retained: float | None = None
     largest: float | None = None
 
-    def borderline(self, margin: float = 10.0) -> bool:
-        """Is the smallest retained singular value within margin * tau of the cut?"""
+    def borderline(self) -> bool:
+        """Is the smallest retained singular value within BORDERLINE_MARGIN * tau
+        of the cut?"""
         if self.threshold is None or self.smallest_retained is None:
             return False
         scale = max(1.0, self.largest or 0.0)
-        return self.smallest_retained < margin * self.threshold * scale
+        return self.smallest_retained < BORDERLINE_MARGIN * self.threshold * scale
 
 
 def _is_permutation_matrix(rows) -> bool:
@@ -414,6 +418,9 @@ def rank_norm_exact(g: RationalMatrix) -> RankNormValue:
     if not _is_permutation_matrix(g.rows) and bareiss_rank(g.rows) != g.n:
         raise SingularError("rank norm is defined on invertible matrices")
     return RankNormValue(bareiss_rank(g.minus_identity().rows), "exact-elimination")
+
+
+SPECIAL_TOL = 1e-6
 
 
 class FloatMatrix:
@@ -436,9 +443,9 @@ class FloatMatrix:
         if gap > tol:
             raise NotOrthogonalError(f"|g^T g - I|_max = {gap:.3e} > {tol:.0e}")
 
-    def assert_special(self, tol: float = 1e-6) -> None:
+    def assert_special(self) -> None:
         det = np.linalg.det(self.data)
-        if abs(det - 1.0) > tol:
+        if abs(det - 1.0) > SPECIAL_TOL:
             raise NotSpecialError(f"det = {det:.6f} != +1")
 
 
@@ -558,26 +565,28 @@ def permutation_matrix(sigma: Permutation, n: int) -> RationalMatrix:
 
 # --- random instances (seeded by the caller) -------------------------------------
 
+# the random integer matrices draw each free entry from -SPREAD..SPREAD, in the
+# scalar draws and the stacked ones alike
+SPREAD = 2
 
-def random_unit_triangular(rng: np.random.Generator, n: int, spread: int = 2) -> RationalMatrix:
+
+def random_unit_triangular(rng: np.random.Generator, n: int) -> RationalMatrix:
     """Upper triangular, integer entries, diagonal +-1: inverses stay integral."""
     rows = []
     for i in range(n):
         row = [0] * i + [int(rng.choice((-1, 1)))]
-        row += [int(rng.integers(-spread, spread + 1)) for _ in range(n - i - 1)]
+        row += [int(rng.integers(-SPREAD, SPREAD + 1)) for _ in range(n - i - 1)]
         rows.append(tuple(row))
     return RationalMatrix(rows)
 
 
-def random_unit_triangular_stack(
-    rng: np.random.Generator, n: int, count: int, spread: int = 2
-) -> np.ndarray:
+def random_unit_triangular_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """count successive random_unit_triangular draws as an (count, n, n) int64
     stack, from one rng.integers call over the same stream."""
     i, j = np.triu_indices(n)
     diagonal = i == j
     # rng.choice((-1, 1)) draws its index as integers(0, 2)
-    flat = rng.integers(np.where(diagonal, 0, -spread), np.where(diagonal, 2, spread + 1),
+    flat = rng.integers(np.where(diagonal, 0, -SPREAD), np.where(diagonal, 2, SPREAD + 1),
                         size=(count, i.size))
     stack = np.zeros((count, n, n), dtype=np.int64)
     stack[:, i, j] = np.where(diagonal, 2 * flat - 1, flat)
@@ -595,10 +604,10 @@ def random_rational_triangular(rng: np.random.Generator, n: int) -> RationalMatr
     return RationalMatrix(rows)
 
 
-def random_spd(rng: np.random.Generator, n: int, spread: int = 2) -> RationalMatrix:
+def random_spd(rng: np.random.Generator, n: int) -> RationalMatrix:
     m = RationalMatrix(
         tuple(
-            tuple(int(rng.integers(-spread, spread + 1)) for _ in range(n))
+            tuple(int(rng.integers(-SPREAD, SPREAD + 1)) for _ in range(n))
             for _ in range(n)
         )
     )
@@ -607,12 +616,10 @@ def random_spd(rng: np.random.Generator, n: int, spread: int = 2) -> RationalMat
     )
 
 
-def random_spd_stack(
-    rng: np.random.Generator, n: int, count: int, spread: int = 2
-) -> np.ndarray:
+def random_spd_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """count successive random_spd draws as an (count, n, n) int64 stack, from
     one rng.integers call over the same stream."""
-    m = rng.integers(-spread, spread + 1, size=(count, n, n))
+    m = rng.integers(-SPREAD, SPREAD + 1, size=(count, n, n))
     return int64_matmul(m.transpose(0, 2, 1), m) + np.eye(n, dtype=np.int64)
 
 

@@ -22,18 +22,16 @@ comparison and returns the same report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Factor:
-    """A group factor with an integer norm and an optional projection.
+    """A finite group factor with an integer norm and a projection.
 
-    ``elements`` is None for infinite carriers (a window is enumerated
-    instead); declared_displacement is the L of condition (ii) for the
-    bundled projection.
+    declared_displacement is the L of condition (ii) for the projection.
     """
 
     name: str
@@ -41,13 +39,11 @@ class Factor:
     invert: Callable
     identity: object
     norm: Callable[[object], int]
-    elements: Optional[Sequence] = None
-    projection: Optional[Callable] = None
-    declared_displacement: int = 1
+    elements: Sequence
+    projection: Callable
+    declared_displacement: int
 
     def non_identity_elements(self):
-        if self.elements is None:
-            raise ValueError(f"{self.name} has no finite carrier")
         return tuple(e for e in self.elements if e != self.identity)
 
 
@@ -74,35 +70,6 @@ def cyclic_factor(n: int, norm: str = "word", projection: str = "collapse") -> F
         elements=range(n),
         projection=proj,
         declared_displacement=disp,
-    )
-
-
-def integer_factor(window: int | None = None) -> Factor:
-    """Z with the absolute value and the shrink-toward-zero projection."""
-    return Factor(
-        name="Z",
-        multiply=lambda a, b: a + b,
-        invert=lambda a: -a,
-        identity=0,
-        norm=abs,
-        elements=tuple(range(-window, window + 1)) if window is not None else None,
-        projection=lambda k: k - 1 if k >= 1 else (k + 1 if k <= -1 else 0),
-        declared_displacement=1,
-    )
-
-
-def oracle_factor(oracle, projection: str = "collapse") -> Factor:
-    """Any finite group oracle with the discrete norm."""
-    proj = (lambda g: oracle.identity) if projection == "collapse" else (lambda g: g)
-    return Factor(
-        name=oracle.name,
-        multiply=oracle.multiply,
-        invert=oracle.invert,
-        identity=oracle.identity,
-        norm=lambda g: 0 if g == oracle.identity else 1,
-        elements=oracle.elements,
-        projection=proj,
-        declared_displacement=1 if projection == "collapse" else 0,
     )
 
 
@@ -179,10 +146,7 @@ class FreeProduct:
         if a.is_identity():
             return a
         idx, el = a.letters[0]
-        projection = self.factors[idx].projection
-        if projection is None:
-            raise ValueError(f"factor {idx} has no projection")
-        return self.reduce(((idx, projection(el)),) + a.letters[1:])
+        return self.reduce(((idx, self.factors[idx].projection(el)),) + a.letters[1:])
 
     def enumerate_words(self, l1_budget: int) -> list[ReducedWord]:
         """All reduced words of l1 norm at most the budget (exhaustive)."""
@@ -201,17 +165,6 @@ class FreeProduct:
 
         extend((), None, l1_budget)
         return out
-
-    def parse(self, text: str) -> ReducedWord:
-        """Inverse of str(): "(1:2)(2:1)" ..."""
-        text = text.strip()
-        if text in ("", "()"):
-            return ReducedWord(())
-        letters = []
-        for chunk in text.strip("()").split(")("):
-            idx, el = chunk.split(":")
-            letters.append((int(idx), int(el)))
-        return self.reduce(letters)
 
 
 # --- direct sums -------------------------------------------------------------
@@ -275,10 +228,7 @@ class DirectSum:
         if a.is_identity():
             return a
         idx, el = a.terms[0]
-        projection = self.factors[idx].projection
-        if projection is None:
-            raise ValueError(f"factor {idx} has no projection")
-        projected = projection(el)
+        projected = self.factors[idx].projection(el)
         rest = a.terms[1:]
         if projected == self.factors[idx].identity:
             return SparseSumElement(rest)

@@ -79,17 +79,6 @@ def homogenise(psi: SampledQuasimorphism, g, stages: int) -> HomogenisationResul
     return HomogenisationResult(tuple(series), series[-1])
 
 
-def homogenisation_within_defect(psi: SampledQuasimorphism, g, stages: int,
-                                 defect: float, tolerance: float = 1e-9) -> bool:
-    """Does the stage-N homogenisation stay within the defect of psi(g)?
-
-    The limit satisfies |psi_bar(g) - psi(g)| <= D; at finite stage the
-    comparison allows the sampled defect plus an absolute tolerance.
-    """
-    estimate = homogenise(psi, g, stages).estimate
-    return abs(estimate - psi.values[g]) <= defect + tolerance
-
-
 def norm_lower_bound(psi_bar_value: float, bound_on_generators: float,
                      defect: float, g_norm: float) -> bool:
     """Does  g_norm >= |psi_bar(g)| / (K + D)  hold?

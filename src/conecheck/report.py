@@ -81,8 +81,15 @@ _RELATIONS = (
     (("suites",), lambda c: set(c.suites) <= {*SUITE_NAMES, "all"},
      "suites must name known suites, got {suites!r}"),
     (("tau",), lambda c: 0 < c.tau < 1, "tau must lie in (0, 1), got {tau!r}"),
-    (("tail_fraction",), lambda c: 0 < c.tail_fraction <= 1,
-     "tail_fraction must lie in (0, 1], got {tail_fraction!r}"),
+    # coneprobe.admissibility runs fixed series.  The 60-value alternating one
+    # keeps two tail values only when tail_fraction > 1/60, and its tail spread
+    # of 1 converges at convergence_tol 1; at 0 or less every varying series is
+    # unconverged, so the check shows nothing.  The 399-value series 1/n
+    # converges at 1e-2 only when tail_fraction <= 320/399
+    (("tail_fraction",), lambda c: 0.02 <= c.tail_fraction <= 0.8,
+     "tail_fraction must lie in 0.02..0.8, got {tail_fraction!r}"),
+    (("convergence_tol",), lambda c: 0 < c.convergence_tol < 1,
+     "convergence_tol must lie in (0, 1), got {convergence_tol!r}"),
     # the direct-sum check draws up to sum_terms distinct summands of Z/2..Z/sum_indices
     (("sum_terms", "sum_indices"), lambda c: c.sum_terms < c.sum_indices,
      "sum_terms must be below sum_indices, got {sum_terms} >= {sum_indices}"),
@@ -193,8 +200,11 @@ class RunConfig:
     # 1000 (0.6 s and 51 MB with sum_terms 999), and 50 MB at 10 000
     sum_indices: int = _field(20, 2, 1000)
     sum_terms: int = _field(4, 1)
-    # no lower bound: below two stages coneprobe.sequence_contraction fails as empty
-    sequence_stage_max: int = 8
+    # no lower bound: below two stages coneprobe.sequence_contraction fails as
+    # empty.  Its three families take 0.6 s at 16, 1.1 s at 20 and 2.1 s at 24
+    # (the suite 6.3 s at 32 and 11 s at 36), and the circle checks at their
+    # caps 6.3 s
+    sequence_stage_max: int = _field(8, None, 20)
     tail_fraction: float = 0.25
     convergence_tol: float = 1e-3
 

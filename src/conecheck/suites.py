@@ -1499,19 +1499,21 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
 
     # ultralimit monotonicity surrogate
     rng = np.random.default_rng(cfg.seed + 7)
-    def monotone():
-        b_series = rng.uniform(0, 2, 60)
-        a_series = b_series - rng.uniform(0, 1, 60)
-        ea = coneprobe.estimate_limit(a_series, cfg.tail_fraction, cfg.convergence_tol)
-        eb = coneprobe.estimate_limit(b_series, cfg.tail_fraction, cfg.convergence_tol)
-        return (ea.tail_min <= eb.tail_min and ea.tail_max <= eb.tail_max
-                and ea.tail_mean <= eb.tail_mean)
+    def monotone_cases():
+        for trial in range(50):
+            b_series = rng.uniform(0, 2, 60)
+            a_series = b_series - rng.uniform(0, 1, 60)
+            ea = coneprobe.estimate_limit(a_series, cfg.tail_fraction, cfg.convergence_tol)
+            eb = coneprobe.estimate_limit(b_series, cfg.tail_fraction, cfg.convergence_tol)
+            above = [stat for stat in ("tail_min", "tail_max", "tail_mean")
+                     if getattr(ea, stat) > getattr(eb, stat)]
+            yield f"trial {trial}: {above[0]} of a above b's" if above else None
 
-    mono_ok = all(monotone() for _ in range(50))
+    mono_bad, _ = _first_witness(monotone_cases())
     checks.append(PASS(
         "coneprobe.monotonicity",
         "a_n <= b_n stagewise forces every tail statistic of a to stay below b's",
-        mono_ok, 50,
+        mono_bad is None, 50, witness=mono_bad,
     ))
 
     # admissibility examples and the honest non-limit
@@ -1520,29 +1522,38 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         {"family": "constant-identity", "stages": list(range(1, 40)), "scaling": "n"})
     square = coneprobe.load_sequence(
         {"family": "square-cycle", "stages": list(range(1, 40)), "scaling": "n"})
-    adm_ok = (coneprobe.admissibility(cyc, 1.0)[0] and coneprobe.admissibility(ident, 0.0)[0]
-              and not coneprobe.admissibility(square, 1000.0 / 40)[0])
     alternating = coneprobe.estimate_limit([0.0, 1.0] * 30, cfg.tail_fraction,
                                            cfg.convergence_tol)
     vanishing = coneprobe.estimate_limit([1.0 / n for n in range(1, 400)],
                                          cfg.tail_fraction, 1e-2)
+
+    def admissibility_cases():
+        for seq, bound, admissible in ((cyc, 1.0, True), (ident, 0.0, True),
+                                       (square, 1000.0 / 40, False)):
+            yield None if coneprobe.admissibility(seq, bound)[0] == admissible else \
+                f"{seq.label} family {'in' if admissible else ''}admissible at {bound}"
+        yield "alternating series converged" if alternating.converged else None
+        yield None if vanishing.converged and vanishing.tail_mean < 1e-2 else \
+            "series 1/n not converged to 0 at 1e-2"
+
+    adm_bad, _ = _first_witness(admissibility_cases())
     checks.append(PASS(
         "coneprobe.admissibility",
         "cycle family admissible at 1, identity at 0, square family inadmissible; "
         "alternating series honestly not converged",
-        adm_ok and not alternating.converged and vanishing.converged
-        and vanishing.tail_mean < 1e-2,
-        3 + 2,
-        observed={"alternating_converged": alternating.converged},
+        adm_bad is None, 3 + 2,
+        observed={"alternating_converged": alternating.converged}, witness=adm_bad,
     ))
 
     # scaling robustness: s_n -> 4 s_n rescales the series by exactly 1/4
     quad = coneprobe.ScaledSequence(cyc.stages, lambda n: 4.0 * n)
-    scale_ok = all(a == b / 4.0 for a, b in zip(quad.normalized(), cyc.normalized()))
+    scale_bad, _ = _first_witness(
+        None if a == b / 4.0 else f"stage {n}"
+        for (n, _), a, b in zip(cyc.stages, quad.normalized(), cyc.normalized()))
     checks.append(PASS(
         "coneprobe.scaling",
         "multiplying the scaling sequence by 4 rescales the normalized series by 1/4 exactly",
-        scale_ok, len(cyc.stages),
+        scale_bad is None, len(cyc.stages), witness=scale_bad,
     ))
     return checks
 

@@ -147,6 +147,17 @@ def test_invalid_config_exits_2(runner, tmp_path):
     # the intnorm suite took 12 s at depth 40, and 8.7 s at 22 with window 298
     ({"intnorm_depth": 40}, "intnorm_depth must be at most 18, got 40"),
     ({"intnorm_depth": 19}, "intnorm_depth must be at most 18, got 19"),
+    # the staged contraction checks still ran after 60 s at 100; 32 took 6.3 s
+    ({"suites": ["coneprobe"], "sequence_stage_max": 100}, "sequence_stage_max must be at most 20"),
+    # coneprobe.admissibility failed falsely: at 1.0 and 0.81 the series 1/n
+    # does not converge at 1e-2, at 0.0166 the alternating tail is one value
+    ({"suites": ["coneprobe"], "tail_fraction": 1.0}, "tail_fraction must lie in 0.02..0.8"),
+    ({"suites": ["coneprobe"], "tail_fraction": 0.81}, "tail_fraction must lie in 0.02..0.8"),
+    ({"suites": ["coneprobe"], "tail_fraction": 0.0166}, "tail_fraction must lie in 0.02..0.8"),
+    # ... at 1.0 the alternating series converged; at -0.5 it passed, as no
+    # series can converge
+    ({"suites": ["coneprobe"], "convergence_tol": 1.0}, "convergence_tol must lie in (0, 1)"),
+    ({"suites": ["coneprobe"], "convergence_tol": -0.5}, "convergence_tol must lie in (0, 1)"),
 ], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
@@ -163,7 +174,8 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "circle_grid_times_circle_mod_max", "intnorm_exact_max_16", "intnorm_sandwich_max_16",
         "intnorm_depth_negative", "intnorm_depth_0", "intnorm_depth_8",
         "intnorm_axiom_window_299", "intnorm_axiom_window_900", "intnorm_depth_40",
-        "intnorm_depth_19"])
+        "intnorm_depth_19", "sequence_stage_max_100", "tail_fraction_1", "tail_fraction_0.81",
+        "tail_fraction_0.0166", "convergence_tol_1", "convergence_tol_negative"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))

@@ -225,6 +225,38 @@ class TestExactChecksOnArrays:
         assert len(calls) > 64 * 65 // 2
 
 
+class TestLimitCheckWitnesses:
+    """coneprobe.monotonicity, admissibility and scaling name the clause they
+    fail on."""
+
+    def test_reversed_estimates_fail_monotonicity_at_the_first_trial(self, monkeypatch):
+        # negated series reverse every tail statistic, and a_n < b_n strictly
+        true_estimate = coneprobe.estimate_limit
+        monkeypatch.setattr(coneprobe, "estimate_limit",
+                            lambda values, *args: true_estimate([-v for v in values], *args))
+        row = _coneprobe_row("coneprobe.monotonicity")
+        assert (row.status, row.witness) == ("fail", "trial 0: tail_min of a above b's")
+
+    @pytest.mark.parametrize("patch, witness", [
+        ("admissibility", "square-cycle family admissible at 25.0"),
+        ("estimate_limit", "alternating series converged"),
+    ])
+    def test_admissibility_names_the_failed_series(self, monkeypatch, patch, witness):
+        true_estimate = coneprobe.estimate_limit
+        fakes = {"admissibility": lambda seq, bound: (True, {}),
+                 "estimate_limit": lambda values, tail, tol: true_estimate(values, tail, 1.0)}
+        monkeypatch.setattr(coneprobe, patch, fakes[patch])
+        row = _coneprobe_row("coneprobe.admissibility")
+        assert (row.status, row.sample_size, row.witness) == ("fail", 5, witness)
+
+    def test_scaling_names_the_stage(self, monkeypatch):
+        true_normalized = ScaledSequence.normalized
+        monkeypatch.setattr(ScaledSequence, "normalized", lambda self: tuple(
+            v + (n == 7) for (n, _), v in zip(self.stages, true_normalized(self))))
+        row = _coneprobe_row("coneprobe.scaling")
+        assert (row.status, row.witness) == ("fail", "stage 7")
+
+
 class TestSequenceContraction:
     def test_triangular_family(self):
         def distance(n, x, y):

@@ -279,7 +279,7 @@ class TestCertificates:
         h = Permutation.parse("(1 2 3)(4 5 6)")
         cert = express_as_conjugates(h, Permutation.parse("(1 2)(3 4)"))
         path = tmp_path / "cert.json"
-        cert.save(path)
+        path.write_text(json.dumps(cert.to_json_dict()))
         loaded = ConjugateProductCertificate.from_json_dict(json.loads(path.read_text()))
         assert loaded.verify()
         assert loaded.target == cert.target

@@ -1,0 +1,76 @@
+"""Package-wide lint: no function that nothing in the package calls, and no
+private helper named in the README that the package does not define."""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+import conecheck
+
+PACKAGE = Path(conecheck.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _definitions(tree):
+    """Every module-level function and every method, with its class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node, None
+        elif isinstance(node, ast.ClassDef):
+            yield from ((item, node.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _is_command(fn) -> bool:
+    # @main.command(...) and @click.group()
+    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) in ("command", "group")
+               for d in fn.decorator_list)
+
+
+def _unreferenced(sources: dict) -> list[str]:
+    """The functions and methods whose name no Name or Attribute node outside
+    their own body mentions, save dunders, click commands and the public API
+    (conecheck.__all__ and the methods of the classes it names)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    mentions = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                mentions[getattr(node, "id", None) or node.attr].append(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for fn, owner in _definitions(tree):
+            if (fn.name.startswith("__") and fn.name.endswith("__") or _is_command(fn)
+                    or {fn.name, owner} & set(conecheck.__all__)):
+                continue
+            inside = set(map(id, ast.walk(fn)))
+            if all(node in inside for node in mentions[fn.name]):
+                unused.append(f"{module}:{owner + '.' if owner else ''}{fn.name}")
+    return unused
+
+
+def _package_sources() -> dict:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_function_is_referenced_in_the_package():
+    # a helper that only tests reach verifies nothing the report claims
+    assert _unreferenced(_package_sources()) == []
+
+
+def test_unreferenced_guard_catches_an_appended_function():
+    # a call from its own body does not count as a reference
+    sources = _package_sources()
+    sources["perms.py"] += "\n\ndef orphan(n):\n    return orphan(n - 1) if n else 0\n"
+    assert _unreferenced(sources) == ["perms.py:orphan"]
+
+
+def test_readme_names_only_defined_private_helpers():
+    # a rename must not leave the README citing a helper that is gone
+    nodes = [node for text in _package_sources().values() for node in ast.walk(ast.parse(text))]
+    defined = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    cited = set(re.findall(r"`(?:\w+\.)*(_[A-Za-z]\w*)", README.read_text()))
+    assert sorted(cited - defined) == []

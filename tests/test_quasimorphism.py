@@ -65,16 +65,6 @@ class TestHomogenise:
         # sanity: |stage-N estimate - psi(g)| <= defect within tolerance
         assert abs(result.estimate - psi.values[1]) <= 2.0 + 1e-9
 
-    def test_stage_estimate_within_defect(self):
-        from conecheck.quasimorphism import estimate_defect, homogenisation_within_defect
-
-        psi = integer_window(lambda n: float(n + n % 2), WINDOW)
-        defect = estimate_defect(psi, window_pairs(40))
-        for g in (1, 2, 5, -3):
-            assert homogenisation_within_defect(psi, g, WINDOW // abs(g), defect)
-        # a claimed defect of zero is too tight for the parity bump
-        assert not homogenisation_within_defect(psi, 1, WINDOW, 0.0)
-
     def test_finite_order_vanishes(self):
         modulus = 12
         psi = SampledQuasimorphism(

@@ -164,10 +164,6 @@ def test_audit_domination_three_cycle_constants():
     assert float(n3_versus) <= 1.5
 
 
-def test_group_axiom_spot_check():
-    assert list(alternating_oracle(4).check_axioms(triples=200)) == []
-
-
 class TestWordLengthCertificate:
     CARRIERS = {
         "S_4": (symmetric_oracle(4), transposition_generators(4)),
