@@ -163,7 +163,8 @@ def integer_norm_command(target, depth, base, out):
 @click.option("--bound", type=float, default=1.0, help="Admissibility bound.")
 @click.option("--tail", type=click.FloatRange(0, 1, min_open=True), default=0.25,
               help="Tail fraction, in (0, 1].")
-@click.option("--tol", type=float, default=1e-3, help="Convergence tolerance.")
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-3,
+              help="Convergence tolerance, at least 0.")
 @click.option("--out", type=click.Path(), default=None, help="JSON summary path.")
 def probe_sequence_command(path, bound, tail, tol, out):
     import csv as _csv

@@ -65,8 +65,6 @@ class ConjugacyClass:
     """A materialized conjugacy class inside S_n (= the A_n class whenever
     the representative has an orbit of length two)."""
 
-    ambient_degree: int
-    representative: Permutation
     members: frozenset
 
     def size(self) -> int:
@@ -88,7 +86,7 @@ def conjugacy_class(sigma: Permutation, n: int) -> ConjugacyClass:
     swaps = [Permutation.transposition(i, i + 1).to_images(n) for i in range(1, n)]
     members = bfs([sigma.to_images(n)],
                   lambda m: [_compose_images(_compose_images(s, m), s) for s in swaps])
-    return ConjugacyClass(n, sigma, frozenset(members))
+    return ConjugacyClass(frozenset(members))
 
 
 def orbit_count(sigma: Permutation, n: int) -> int:
@@ -102,9 +100,6 @@ def orbit_count(sigma: Permutation, n: int) -> int:
 
 @dataclass(frozen=True)
 class CoveringReport:
-    sigma: Permutation
-    degree: int
-    orbit_count: int
     class_size: int
     covered: bool
     exponent: int | None
@@ -152,7 +147,7 @@ def _brenner_report(sigma: Permutation, n: int, kernel) -> CoveringReport:
     cls = conjugacy_class(sigma, n)
     exponent = kernel(sorted(cls.members), n)
     covered = exponent is not None  # C^e = A_n implies C^4 = A_n
-    return CoveringReport(sigma, n, orbit_count(sigma, n), cls.size(), covered, exponent)
+    return CoveringReport(cls.size(), covered, exponent)
 
 
 # Products ranked per block by _covering_exponent: 2^16 rows keep each

@@ -36,10 +36,9 @@ class IdentityInputError(ValueError):
 
 @dataclass(frozen=True)
 class CutResult:
-    """Image of a cutting map plus the erased support points (descending)."""
+    """Image of a cutting map."""
 
     image: Permutation
-    erased_points: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,9 @@ def cut(sigma: Permutation, k: int) -> CutResult:
         raise ValueError("k must be non-negative")
     supp = sigma.support()
     if k == 0:
-        return CutResult(sigma, ())
+        return CutResult(sigma)
     if k >= len(supp):
-        return CutResult(IDENTITY, tuple(reversed(supp)))
-    erased = tuple(reversed(supp[len(supp) - k:]))
+        return CutResult(IDENTITY)
     threshold = supp[len(supp) - k - 1]
     mapping: dict[int, int] = {}
     for i in supp[: len(supp) - k]:
@@ -77,7 +75,7 @@ def cut(sigma: Permutation, k: int) -> CutResult:
             j = sigma(j)
         if j != i:
             mapping[i] = j
-    return CutResult(Permutation(mapping), erased)
+    return CutResult(Permutation(mapping))
 
 
 def cut_stack(images: np.ndarray, kmax: int) -> np.ndarray:

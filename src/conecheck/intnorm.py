@@ -142,14 +142,15 @@ def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16) -> IntNor
 
     A branch dies when |remainder| exceeds (steps left) * (largest member
     still allowed); members are tried largest first with non-increasing
-    indices along a branch, so each multiset is visited once.  If nothing is
-    found within depth_cap the result is Unknown, carrying the best known
-    upper bound and the search window.
+    indices along a branch, so each multiset is visited once.  Depth d
+    searches window_for(x, d): a minimal length-d sum never holds g and -g,
+    so its largest member M_k is at most |x| + (d - 1) M_(k-1), which that
+    window admits.  If nothing is found within depth_cap the result is
+    Unknown, carrying the best known upper bound and the window of depth_cap.
     """
     if x == 0:
         return IntNormResult(0, (), "exact-search")
     window = gens.window_for(x, depth_cap)
-    gens_desc = tuple(reversed(window))
 
     def dfs(r: int, start: int, depth: int) -> list[int] | None:
         if r == 0:
@@ -167,6 +168,7 @@ def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16) -> IntNor
         return None
 
     for depth in range(1, depth_cap + 1):
+        gens_desc = tuple(reversed(gens.window_for(x, depth)))
         cert = dfs(x, 0, depth)
         if cert is not None:
             result = IntNormResult(depth, tuple(cert), "exact-search", window=window)

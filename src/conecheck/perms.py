@@ -383,8 +383,10 @@ def three_cycle_generators(n: int) -> list[tuple[int, ...]]:
 
 # --- 3-cycle word norm on cycle types -----------------------------------------
 
-# Ambient degrees above this are refused: norms.three_cycle_oracle checks the
-# table against an element BFS over A_n, and A_9 has 181440 elements.
+# Ambient degrees above this are refused.  norms.three_cycle_oracle measures
+# every element of A_m, held as image tuples and as an (N, m) image array, a
+# failure replays an element BFS over A_m, and ambient stability reads the
+# table of A_(m+1); so alternating_degree stays one below this.
 MAX_THREE_CYCLE_DEGREE = 8
 
 
@@ -396,7 +398,9 @@ def _three_cycle_table(degree: int) -> dict[tuple[int, ...], int]:
     The 3-cycles form a normal subset of S_n, so each ball of the word norm
     is a union of cycle types, and the types of r s over the 3-cycles s
     depend only on the type of r.  A BFS over types is therefore exact.
-    norms.three_cycle_oracle checks it against wordnorm.bfs_norm over A_n.
+    norms.three_cycle_oracle certifies its values as the word lengths on the
+    image array of A_n (wordnorm.certify_word_lengths); only a failure replays
+    wordnorm.bfs_norm over A_n.
     """
     from . import wordnorm  # wordnorm imports perms
 

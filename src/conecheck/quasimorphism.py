@@ -62,7 +62,6 @@ class HomogenisationResult:
     """The whole series psi(g^n)/n, so convergence quality stays visible."""
 
     series: tuple[float, ...]
-    estimate: float  # the stage-N value
 
 
 def homogenise(psi: SampledQuasimorphism, g, stages: int) -> HomogenisationResult:
@@ -76,7 +75,7 @@ def homogenise(psi: SampledQuasimorphism, g, stages: int) -> HomogenisationResul
         if power not in psi.values:
             raise PowerOutsideSampleError(f"g^{n} = {power} outside the sample")
         series.append(psi.values[power] / n)
-    return HomogenisationResult(tuple(series), series[-1])
+    return HomogenisationResult(tuple(series))
 
 
 def norm_lower_bound(psi_bar_value: float, bound_on_generators: float,

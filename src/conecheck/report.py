@@ -16,8 +16,9 @@ from .covering import MAX_COVERING_DEGREE
 from .intnorm import MAX_INTNORM_INDEX
 from .perms import MAX_THREE_CYCLE_DEGREE
 
-# The norms suite runs a transposition BFS over all of S_norm_degree, and
-# S_9 has 362880 elements.
+# The norms suite holds all of S_norm_degree as image tuples and as an (N, n)
+# image array, and a failing check replays a transposition BFS over it; S_9
+# has 362880 elements.
 MAX_NORM_DEGREE = 8
 # Grid angles projected by coneprobe.lipschitz_grid, over every n: 3.2-3.4 s
 # at 100 000 angles with n <= 256 or 12 500 with n <= 2048.
@@ -27,10 +28,10 @@ MAX_CIRCLE_GRID_WORK = 25_600_000
 # |x| <= 596: window 299 fails falsely with "unknown at -597" (and window 900
 # at depth 12 with "unknown at -1755").
 MAX_INTNORM_WINDOW = 298
-# A deeper cap admits more generators to every search.  At window 298 the
-# intnorm suite takes 3.9 s at depth 16, 5.3 s at 18, 7.3 s at 20 and 8.7 s
-# at 22, and 4.6-4.9 s with every intnorm field at its cap; at window 200,
-# 6.5 s at 28 and 12 s at 40.
+# Depth d of a search admits only the generators window_for(x, d), so a deeper
+# cap does not widen the searches that end sooner: at window 298 the intnorm
+# suite takes 0.64 s at depth 16, 0.66 s at 18 and 0.88 s at 22, and 1.06 s
+# with every intnorm field at its cap (best of three runs on a 2-core VM).
 MAX_INTNORM_DEPTH = 18
 
 
@@ -163,7 +164,7 @@ class RunConfig:
     # the lower bounds from here on keep each range nonempty; below them a
     # check examined nothing, raised, or failed falsely
     # x_n needs the generators up to index n - 1, and the suite searches up to
-    # MAX_INTNORM_INDEX: the intnorm suite takes 1.0 s with both at 15
+    # MAX_INTNORM_INDEX: the intnorm suite takes 0.5 s with both at 15
     intnorm_exact_max: int = _field(5, 1, MAX_INTNORM_INDEX + 1)
     intnorm_sandwich_max: int = _field(8, 1, MAX_INTNORM_INDEX + 1)
     # the window is [-w, w]; w = -1 would pass over no integer.  Its cap is in
@@ -300,19 +301,20 @@ class CheckResult:
     witness: str | None = None
 
     @classmethod
-    def from_outcome(cls, check_id, lemma, ok, sample_size, constants=None,
-                     observed=None, witness=None) -> "CheckResult":
-        """A check that examined nothing fails: it has shown nothing."""
+    def from_outcome(cls, check_id, lemma, witness, sample_size, constants=None,
+                     observed=None) -> "CheckResult":
+        """A check fails exactly when it has a witness.  One that examined
+        nothing fails too: it has shown nothing."""
         if sample_size == 0:
-            ok, witness = False, "nothing was examined (sample size 0)"
+            witness = "nothing was examined (sample size 0)"
         return cls(
             check_id=check_id,
             lemma=lemma,
-            status="pass" if ok else "fail",
+            status="pass" if witness is None else "fail",
             sample_size=sample_size,
             constants=constants or {},
             observed=observed or {},
-            witness=witness if not ok else None,
+            witness=witness,
         )
 
     def as_dict(self) -> dict:

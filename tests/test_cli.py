@@ -395,8 +395,7 @@ def test_failure_exit_code(tmp_path, monkeypatch):
         return [CheckResult.from_outcome(
             "products.broken_projection",
             "identity projection registered as norm-decreasing",
-            report["all_hold"], report["norm-decrease"]["checked"],
-            witness=report["norm-decrease"]["witness"],
+            report["norm-decrease"]["witness"], report["norm-decrease"]["checked"],
         )]
 
     monkeypatch.setitem(suites_module.SUITES, "products", broken_suite)
@@ -468,6 +467,17 @@ class TestProbeSequenceCommand:
         result = runner.invoke(main, ["probe-sequence", str(spec), "--tail", tail])
         assert result.exit_code == 2
         assert "--tail" in result.output
+
+    def test_negative_tolerance_exits_2(self, runner, tmp_path):
+        # a constant series reported "converged": false with exit 0 at --tol -1
+        spec = tmp_path / "seq.json"
+        spec.write_text(json.dumps({"family": "constant-identity", "stages": list(range(1, 11))}))
+        result = runner.invoke(main, ["probe-sequence", str(spec), "--tol", "-1"])
+        assert result.exit_code == 2
+        assert "--tol" in result.output
+        result = runner.invoke(main, ["probe-sequence", str(spec), "--tol", "0"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["estimate"]["converged"] is True
 
     def test_empty_table_exits_2(self, runner, tmp_path):
         # admissibility raised ValueError from max() over no stage

@@ -79,6 +79,20 @@ class TestExact:
     def test_negative_symmetric(self):
         assert norm_exact(-46, GENS).value == norm_exact(46, GENS).value
 
+    def test_value_and_certificate_do_not_depend_on_the_cap(self):
+        # depth d searches window_for(x, d), so a deeper cap finds the same
+        # norm with the same certificate; depth 9 reaches every |x| <= 596
+        def found(cap):
+            return [(r.value, r.certificate)
+                    for r in (norm_exact(x, GENS, depth_cap=cap) for x in range(-596, 597))]
+
+        least = found(9)
+        assert all(value is not None for value, _ in least)
+        for cap in range(10, 19):
+            assert found(cap) == least
+        # the result still reports the window of the cap
+        assert norm_exact(500, GENS, depth_cap=18).window == GENS.window_for(500, 18)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-500, 500))
     def test_certificates_recompose(self, x):

@@ -1,5 +1,6 @@
-"""Package-wide lint: no function that nothing in the package calls, and no
-private helper named in the README that the package does not define."""
+"""Package-wide lint: no function that nothing in the package calls, no
+dataclass field that nothing reads, and no private helper named in the README
+that the package does not define."""
 
 import ast
 import re
@@ -64,6 +65,38 @@ def test_unreferenced_guard_catches_an_appended_function():
     sources = _package_sources()
     sources["perms.py"] += "\n\ndef orphan(n):\n    return orphan(n - 1) if n else 0\n"
     assert _unreferenced(sources) == ["perms.py:orphan"]
+
+
+def _is_dataclass(cls) -> bool:
+    # @dataclass, @dataclass(...) and the same through the dataclasses module
+    return any(getattr(d, "id", None) == "dataclass" or getattr(d, "attr", None) == "dataclass"
+               for d in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list))
+
+
+def _unread_fields(sources: dict) -> list[str]:
+    """The dataclass fields whose name no attribute read in the package
+    mentions, their own class's methods included."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}:{cls.name}.{item.target.id}"
+            for module, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # a field nothing reads is state that every constructor call must still fill
+    assert _unread_fields(_package_sources()) == []
+
+
+def test_unread_field_guard_catches_an_appended_field():
+    # a field set in __init__ but never read back is caught, the other one not
+    sources = _package_sources()
+    sources["perms.py"] += ("\n\n@dataclass(frozen=True)\nclass Orphan:\n    kept: int\n"
+                            "    unread: int\n\n    def twice(self):\n        return 2 * self.kept\n")
+    assert _unread_fields(sources) == ["perms.py:Orphan.unread"]
 
 
 def test_readme_names_only_defined_private_helpers():

@@ -348,3 +348,95 @@ def test_norms_suite_loads_no_masked_arrays():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.stdout.split() == ["False"], done.stderr
+
+
+def _gate_accepts(monkeypatch):
+    # brenner_check returns None where it should raise HypothesisUnmetError
+    check = suites.brenner_check
+
+    def lenient(sigma, n):
+        try:
+            return check(sigma, n)
+        except suites.HypothesisUnmetError:
+            return None
+    monkeypatch.setattr(suites, "brenner_check", lenient)
+
+
+def _class_not_closed(monkeypatch):
+    from conecheck.covering import ConjugacyClass
+    monkeypatch.setattr(ConjugacyClass, "closed_under_conjugation", lambda self, gens: False)
+
+
+def _torsion_row_off(monkeypatch):
+    # ||x_3|| reported as 4 in base 2
+    probe = suites.intnorm.torsion_probe
+
+    def bumped(n_values, base=2, exact_cutoff=5):
+        table = probe(n_values, base, exact_cutoff)
+        if base == 2:
+            table["rows"][2]["norm_x_n"] += 1
+        return table
+    monkeypatch.setattr(suites.intnorm, "torsion_probe", bumped)
+
+
+def _identity_projection_expands(monkeypatch):
+    # one non-expansive violation for the identity projection, which fails (iii)
+    verify = suites.products.verify_contraction_conditions
+
+    def expansive(*args):
+        report = verify(*args)
+        if report["norm-decrease"]["violations"]:
+            report["non-expansive"]["violations"] += 1
+        return report
+    monkeypatch.setattr(suites.products, "verify_contraction_conditions", expansive)
+
+
+def _homomorphism_with_defect(monkeypatch):
+    monkeypatch.setattr(suites.quasimorphism, "estimate_defect", lambda psi, pairs: 0.5)
+
+
+def _expected_k_halved(monkeypatch):
+    # each family's K exceeds half its expected constant
+    check = suites.coneprobe.check_sequence_contraction
+    monkeypatch.setattr(suites.coneprobe, "check_sequence_contraction",
+                        lambda family, stages, samples, seed, k: check(
+                            family, stages, samples, seed, k / 2))
+
+
+def _second_run_differs(monkeypatch):
+    from conecheck.report import CheckResult
+    runs = []
+
+    def rows(cfg):
+        runs.append(cfg)
+        return [CheckResult.from_outcome("norms.same", "same on every run", None, 1),
+                CheckResult.from_outcome("norms.counted", "counts the runs", None, len(runs))]
+    monkeypatch.setattr(suites, "_run_suites", rows)
+
+
+_WITNESSED_FAULTS = [
+    (_gate_accepts, "covering", "covering.hypothesis_gate",
+     "brenner_check accepted (1 2 3) in A_5"),
+    (_class_not_closed, "covering", "covering.class_closure",
+     "the class of (1 2)(3 4) in S_6"),
+    (_torsion_row_off, "intnorm", "intnorm.torsion", "base 2 n=3: (4, 1)"),
+    (_identity_projection_expands, "products", "products.negative_control",
+     "non-expansive violation count 1"),
+    (_homomorphism_with_defect, "norms", "norms.quasimorphism_lower_bound",
+     "defect 0.5 of a homomorphism"),
+    (_expected_k_halved, "coneprobe", "coneprobe.sequence_contraction",
+     "upper-triangular: K = 1 above 0.5"),
+    (_second_run_differs, "determinism", "determinism.byte_identical",
+     "reports differ at norms.counted"),
+]
+
+
+@pytest.mark.parametrize("fault, suite, check_id, witness", _WITNESSED_FAULTS,
+                         ids=[case[2] for case in _WITNESSED_FAULTS])
+def test_a_failing_row_names_its_witness(monkeypatch, fault, suite, check_id, witness):
+    # A row fails exactly when it has a witness: each of these checks once
+    # failed through a separate pass flag, with witness null.
+    fault(monkeypatch)
+    row = next(r for r in getattr(suites, "run_" + suite)(RunConfig.small())
+               if r.check_id == check_id)
+    assert (row.status, row.witness) == ("fail", witness)
