@@ -28,10 +28,11 @@ MAX_CIRCLE_GRID_WORK = 25_600_000
 # |x| <= 596: window 299 fails falsely with "unknown at -597" (and window 900
 # at depth 12 with "unknown at -1755").
 MAX_INTNORM_WINDOW = 298
-# Depth d of a search admits only the generators window_for(x, d), so a deeper
-# cap does not widen the searches that end sooner: at window 298 the intnorm
-# suite takes 0.64 s at depth 16, 0.66 s at 18 and 0.88 s at 22, and 1.06 s
-# with every intnorm field at its cap (best of three runs on a 2-core VM).
+# intnorm.window_stability searches window_for(x, depth + 4) at every depth,
+# so its cost grows with the cap, and 18 keeps the suite under 3 s: at window
+# 298 it takes 2.4 s at depth 16, 2.8 s at 18, 4.1 s at 20 and 4.7 s at 22,
+# and 2.9 s with every intnorm field at its cap (best of three runs on a 2-core
+# VM).
 MAX_INTNORM_DEPTH = 18
 
 
@@ -164,7 +165,7 @@ class RunConfig:
     # the lower bounds from here on keep each range nonempty; below them a
     # check examined nothing, raised, or failed falsely
     # x_n needs the generators up to index n - 1, and the suite searches up to
-    # MAX_INTNORM_INDEX: the intnorm suite takes 0.5 s with both at 15
+    # MAX_INTNORM_INDEX: the intnorm suite takes 0.9 s with both at 15
     intnorm_exact_max: int = _field(5, 1, MAX_INTNORM_INDEX + 1)
     intnorm_sandwich_max: int = _field(8, 1, MAX_INTNORM_INDEX + 1)
     # the window is [-w, w]; w = -1 would pass over no integer.  Its cap is in

@@ -878,10 +878,12 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
         bad, (2 * w + 1) ** 2,
     ))
 
-    # window-doubling stability
-    wide = intnorm.FactorialGenerators(base=2, max_index=18)
+    # window-doubling stability: every depth of the reference searches the
+    # wider window of the deeper cap, not the window of that depth
+    wide, deeper = intnorm.FactorialGenerators(base=2, max_index=18), cfg.intnorm_depth + 4
     bad, _ = _first_witness(
-        None if intnorm.norm_exact(x, wide, depth_cap=cfg.intnorm_depth + 4).value == table.get(x)
+        None if intnorm.norm_exact(x, wide, depth_cap=deeper,
+                                   window=wide.window_for(x, deeper)).value == table.get(x)
         else str(x) for x in range(-w, w + 1))
     checks.append(PASS(
         "intnorm.window_stability",

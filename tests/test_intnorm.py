@@ -79,17 +79,14 @@ class TestExact:
     def test_negative_symmetric(self):
         assert norm_exact(-46, GENS).value == norm_exact(46, GENS).value
 
-    def test_value_and_certificate_do_not_depend_on_the_cap(self):
-        # depth d searches window_for(x, d), so a deeper cap finds the same
-        # norm with the same certificate; depth 9 reaches every |x| <= 596
-        def found(cap):
-            return [(r.value, r.certificate)
-                    for r in (norm_exact(x, GENS, depth_cap=cap) for x in range(-596, 597))]
-
-        least = found(9)
-        assert all(value is not None for value, _ in least)
-        for cap in range(10, 19):
-            assert found(cap) == least
+    def test_per_depth_windows_match_the_window_of_the_cap(self):
+        # depth d searches window_for(x, d); searching the window of the cap
+        # at every depth finds the same norms and certificates
+        for x in range(-596, 597):
+            result = norm_exact(x, GENS, depth_cap=9)
+            assert result.value is not None
+            wide = norm_exact(x, GENS, depth_cap=9, window=GENS.window_for(x, 9))
+            assert (result.value, result.certificate) == (wide.value, wide.certificate)
         # the result still reports the window of the cap
         assert norm_exact(500, GENS, depth_cap=18).window == GENS.window_for(500, 18)
 
