@@ -36,10 +36,9 @@ class FactorialGenerators:
     def __post_init__(self):
         if self.base < 2:
             raise ValueError("base must be at least 2")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(self.base**m * factorial(m) for m in range(self.max_index + 1))
+        # computed once: a search reads them at every depth
+        object.__setattr__(self, "members",
+                           tuple(self.base**m * factorial(m) for m in range(self.max_index + 1)))
 
     def x(self, n: int) -> int:
         """The pathological target t^{n-1} n! (x_0 = 0)."""
@@ -146,10 +145,9 @@ def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16,
     indices along a branch, so each multiset is visited once.  Depth d
     searches window_for(x, d): a minimal length-d sum never holds g and -g,
     so its largest member M_k is at most |x| + (d - 1) M_(k-1), which that
-    window admits.  A given window is searched at every depth instead: the
-    reference that the per-depth windows are checked against.  If nothing is
-    found within depth_cap the result is Unknown, carrying the best known
-    upper bound and the window of depth_cap (or the given one).
+    window admits.  A given window is searched at every depth instead, as a
+    reference.  If nothing is found within depth_cap the result is Unknown,
+    carrying the best known upper bound and the window searched at depth_cap.
     """
     if x == 0:
         return IntNormResult(0, (), "exact-search")

@@ -28,11 +28,10 @@ MAX_CIRCLE_GRID_WORK = 25_600_000
 # |x| <= 596: window 299 fails falsely with "unknown at -597" (and window 900
 # at depth 12 with "unknown at -1755").
 MAX_INTNORM_WINDOW = 298
-# intnorm.window_stability searches window_for(x, depth + 4) at every depth,
-# so its cost grows with the cap, and 18 keeps the suite under 3 s: at window
-# 298 it takes 2.4 s at depth 16, 2.8 s at 18, 4.1 s at 20 and 4.7 s at 22,
-# and 2.9 s with every intnorm field at its cap (best of three runs on a 2-core
-# VM).
+# intnorm.window_stability searches window_for(x, depth + 4) at every depth;
+# 18 keeps the suite under 3 s: at window 298 it takes 2.4 s at depth 16, 2.8 s
+# at 18, 4.1 s at 20, 4.7 s at 22, and 2.9 s with every intnorm field at its
+# cap (best of three runs on a 2-core VM).
 MAX_INTNORM_DEPTH = 18
 
 

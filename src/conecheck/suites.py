@@ -878,8 +878,7 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
         bad, (2 * w + 1) ** 2,
     ))
 
-    # window-doubling stability: every depth of the reference searches the
-    # wider window of the deeper cap, not the window of that depth
+    # window-doubling stability: every depth searches the deeper cap's window
     wide, deeper = intnorm.FactorialGenerators(base=2, max_index=18), cfg.intnorm_depth + 4
     bad, _ = _first_witness(
         None if intnorm.norm_exact(x, wide, depth_cap=deeper,
@@ -1552,17 +1551,22 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
 
 def run_determinism(cfg: RunConfig) -> list[CheckResult]:
     small = RunConfig.small(seed=cfg.seed)
-    first, second = (build_report(small, _run_suites(small)) for _ in range(2))
-    # both reports hold the same config, and their counts and status follow
-    # from their rows, so the reports are byte-identical exactly when the rows are
-    rows = itertools.zip_longest(first["checks"], second["checks"], fillvalue={})
-    differing = next(((a or b)["check_id"] for a, b in rows
-                      if report_to_json(a) != report_to_json(b)), None)
+
+    def run():
+        report = build_report(small, _run_suites(small))
+        return len(report_to_json(report)), [(c["check_id"], report_to_json(c))
+                                             for c in report["checks"]]
+
+    # only row bytes outlive a run.  The reports share their config, and counts
+    # and status follow from the rows, so equal rows give byte-identical reports
+    (size, first), (_, second) = run(), run()
+    differing = next(((a or b)[0] for a, b in itertools.zip_longest(first, second)
+                      if a != b), None)
     return [PASS(
         "determinism.byte_identical",
         "two reduced-scale runs with the same config and seed give byte-identical reports",
         None if differing is None else f"reports differ at {differing}", 2,
-        observed={"bytes": len(report_to_json(first))},
+        observed={"bytes": size},
     )]
 
 
