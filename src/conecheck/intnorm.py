@@ -136,8 +136,7 @@ def norm_upper(x: int, gens: FactorialGenerators, step_budget: int = 10**5) -> I
     return result
 
 
-def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16,
-               window: tuple[int, ...] | None = None) -> IntNormResult:
+def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16) -> IntNormResult:
     """Exact minimal length by iterative deepening over signed member multisets.
 
     A branch dies when |remainder| exceeds (steps left) * (largest member
@@ -145,13 +144,12 @@ def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16,
     indices along a branch, so each multiset is visited once.  Depth d
     searches window_for(x, d): a minimal length-d sum never holds g and -g,
     so its largest member M_k is at most |x| + (d - 1) M_(k-1), which that
-    window admits.  A given window is searched at every depth instead, as a
-    reference.  If nothing is found within depth_cap the result is Unknown,
+    window admits.  If nothing is found within depth_cap the result is Unknown,
     carrying the best known upper bound and the window searched at depth_cap.
     """
     if x == 0:
         return IntNormResult(0, (), "exact-search")
-    reported = window or gens.window_for(x, depth_cap)
+    reported = gens.window_for(x, depth_cap)
 
     def dfs(r: int, start: int, depth: int) -> list[int] | None:
         if r == 0:
@@ -169,7 +167,7 @@ def norm_exact(x: int, gens: FactorialGenerators, depth_cap: int = 16,
         return None
 
     for depth in range(1, depth_cap + 1):
-        gens_desc = tuple(reversed(window or gens.window_for(x, depth)))
+        gens_desc = tuple(reversed(gens.window_for(x, depth)))
         cert = dfs(x, 0, depth)
         if cert is not None:
             result = IntNormResult(depth, tuple(cert), "exact-search", window=reported)

@@ -249,6 +249,9 @@ P1 = 2_147_483_647
 P2 = 2_147_483_629
 HADAMARD_LOG2_LIMIT = 60
 ENTRY_LIMIT = 2 ** 62
+# modular_rank eliminates a stack in blocks of at most this many entries, so
+# that its (2, N, r, c) temporaries stay small however large the stack
+RANK_BLOCK_ENTRIES = 2 ** 13
 
 
 class EntryBoundError(ArithmeticError):
@@ -309,29 +312,33 @@ def _residues(stack) -> tuple[np.ndarray, np.ndarray]:
 def modular_rank(stack) -> np.ndarray:
     """Exact ranks of an (N, r, c) integer stack.
 
-    Fraction-free elimination mod P1 and mod P2; the rank is the larger of the
-    two.  A matrix whose Hadamard bound reaches 2^60 goes to bareiss_rank.
+    Fraction-free elimination mod P1 and mod P2, in blocks of at most
+    RANK_BLOCK_ENTRIES entries; the rank is the larger of the two.  A matrix
+    whose Hadamard bound reaches 2^60 goes to bareiss_rank.
     """
     stack = np.asarray(stack, dtype=np.int64)
     ranks = np.zeros(stack.shape[0], dtype=np.int64)
     if stack.shape[1] == 0 or stack.shape[2] == 0:
         return ranks
-    exact = hadamard_log2(stack) < HADAMARD_LOG2_LIMIT
-    a, primes = _residues(stack[exact])
-    used = np.zeros(a.shape[:3], dtype=bool)
-    rows = np.arange(a.shape[2])
-    for col in range(a.shape[3]):
-        # the columns left of col are zero in every row not yet used
-        rest = a[..., col:]
-        free = (rest[..., 0] != 0) & ~used
-        pivot = free.argmax(-1)
-        pivot_row = np.take_along_axis(rest, pivot[..., None, None], axis=-2)
-        used |= (rows == pivot[..., None]) & free.any(-1)[..., None]
-        reduced = (rest * pivot_row[..., :1] - rest[..., :1] * pivot_row) % primes
-        a[..., col:] = np.where((free & ~used)[..., None], reduced, rest)
-    ranks[exact] = used.sum(-1).max(0)
-    for k in np.flatnonzero(~exact):
-        ranks[k] = bareiss_rank(stack[k].tolist())
+    block = max(1, RANK_BLOCK_ENTRIES // (stack.shape[1] * stack.shape[2]))
+    for start in range(0, len(stack), block):
+        part = stack[start:start + block]
+        exact = hadamard_log2(part) < HADAMARD_LOG2_LIMIT
+        a, primes = _residues(part[exact])
+        used = np.zeros(a.shape[:3], dtype=bool)
+        rows = np.arange(a.shape[2])
+        for col in range(a.shape[3]):
+            # the columns left of col are zero in every row not yet used
+            rest = a[..., col:]
+            free = (rest[..., 0] != 0) & ~used
+            pivot = free.argmax(-1)
+            pivot_row = np.take_along_axis(rest, pivot[..., None, None], axis=-2)
+            used |= (rows == pivot[..., None]) & free.any(-1)[..., None]
+            reduced = (rest * pivot_row[..., :1] - rest[..., :1] * pivot_row) % primes
+            a[..., col:] = np.where((free & ~used)[..., None], reduced, rest)
+        ranks[start:start + block][exact] = used.sum(-1).max(0)
+        for k in np.flatnonzero(~exact):
+            ranks[start + k] = bareiss_rank(part[k].tolist())
     return ranks
 
 

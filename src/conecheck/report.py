@@ -23,15 +23,19 @@ MAX_NORM_DEGREE = 8
 # Grid angles projected by coneprobe.lipschitz_grid, over every n: 3.2-3.4 s
 # at 100 000 angles with n <= 256 or 12 500 with n <= 2048.
 MAX_CIRCLE_GRID_WORK = 25_600_000
+# Random cutting pairs times their degree: 4.7 s at 100 000 pairs of degree
+# 150 and 150 000 of degree 100, 5.8 s at 400 000 of degree 37.
+MAX_RANDOM_PAIR_WORK = 15_000_000
 # intnorm.axioms_window searches every x in [-2w, 2w], so the window must lie
 # within reach of every accepted depth.  The least depth, 9, reaches
 # |x| <= 596: window 299 fails falsely with "unknown at -597" (and window 900
 # at depth 12 with "unknown at -1755").
 MAX_INTNORM_WINDOW = 298
-# intnorm.window_stability searches window_for(x, depth + 4) at every depth;
-# 18 keeps the suite under 3 s: at window 298 it takes 2.4 s at depth 16, 2.8 s
-# at 18, 4.1 s at 20, 4.7 s at 22, and 2.9 s with every intnorm field at its
-# cap (best of three runs on a 2-core VM).
+# Every norm on an accepted window is at most 9, so no search passes depth 9
+# and the depth changes no row and no cost: the intnorm suite takes 0.36-0.37 s
+# at window 298 for each depth from 9 to 18, and 0.61-0.68 s with every intnorm
+# field at its cap (three runs on a 2-core VM).  The cap stays at 18 so that
+# existing configs and their exit-2 tests keep their meaning.
 MAX_INTNORM_DEPTH = 18
 
 
@@ -101,6 +105,11 @@ _RELATIONS = (
      lambda c: c.circle_grid * c.circle_mod_max <= MAX_CIRCLE_GRID_WORK,
      f"circle_grid * circle_mod_max must be at most {MAX_CIRCLE_GRID_WORK}, "
      "got {circle_grid} * {circle_mod_max}"),
+    # cutting.random_s30 cuts every pair at every k, and each cut grows with the degree
+    (("random_pairs", "random_degree"),
+     lambda c: c.random_pairs * c.random_degree <= MAX_RANDOM_PAIR_WORK,
+     f"random_pairs * random_degree must be at most {MAX_RANDOM_PAIR_WORK}, "
+     "got {random_pairs} * {random_degree}"),
     # the intnorm window and depth caps, kept out of lo..hi so that each
     # field's lower bound keeps its own message
     (("intnorm_axiom_window",), lambda c: c.intnorm_axiom_window <= MAX_INTNORM_WINDOW,
@@ -142,8 +151,11 @@ class RunConfig:
     # defaults).  cut_bounds compares every pair k < m of cuts, so the suite
     # grows with k^2: 5.5 s at 20, 6.7-7.4 s at 24, 11.7 s at 32
     cutting_max_k: int = _field(8, 1, 20)
-    # a sampled check that draws nothing would pass having examined nothing
-    random_pairs: int = _field(100_000, 1)
+    # a sampled check that draws nothing would pass having examined nothing;
+    # the cap keeps the cutting suite within the same 8 s: 5.4 s and 42 MB
+    # peak RSS at 400 000, 7.0 s at 500 000.  With random_degree its work is
+    # stated in _RELATIONS
+    random_pairs: int = _field(100_000, 1, 400_000)
     # S_1 holds only the identity, which every cut bound trivially meets; the
     # cap keeps the cutting suite within the same 8 s, as it grows linearly
     # in the degree: 5.5 s and 58 MB peak RSS at 150, 9.2 s at 300.  The
@@ -157,7 +169,10 @@ class RunConfig:
     # A_n exhaustively, and A_9 would run for minutes
     brenner_degrees: tuple = _field((5, 6, 7), 5, MAX_COVERING_DEGREE, degree=True)
     ore_degrees: tuple = _field((5, 6), 1, MAX_COVERING_DEGREE, degree=True)
-    certificate_count: int = _field(100, 1)
+    # the cap keeps the covering suite near its cost at the default count on
+    # A_9, the certificate_degree cap: 4.7-7.3 s and 104 MB peak RSS at 100,
+    # 6.2-9.1 s at 200, 14 s at 1000 (0.2 s at 300 on A_7)
+    certificate_count: int = _field(100, 1, 200)
     # a certificate base needs an even element with a 2-cycle, first in A_4;
     # the certificates on A_10 run for over a minute
     certificate_degree: int = _field(7, 4, 9, degree=True)
@@ -182,7 +197,9 @@ class RunConfig:
     # SO(1) is the trivial group
     so_min_n: int = _field(4, 2)
     so_max_n: int = _field(12, None, 15, degree=True)
-    matrix_pairs: int = _field(1000, 1)
+    # the cap keeps the matnorm suite within the same 8 s: 4.9-5.6 s and
+    # 52 MB peak RSS at 1500, 6.2-10.2 s at 2000
+    matrix_pairs: int = _field(1000, 1, 1500)
     # caps keep the coneprobe suite within 8 s (about 1 s at the defaults).
     # The round trip holds n(n+1)/2 residues: 1.7 s at 4096, 3.8 s at 8192.
     # The grid costs circle_grid * circle_mod_max, stated in _RELATIONS: 3.2 s

@@ -878,12 +878,14 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
         bad, (2 * w + 1) ** 2,
     ))
 
-    # window-doubling stability: every depth searches the deeper cap's window
-    wide, deeper = intnorm.FactorialGenerators(base=2, max_index=18), cfg.intnorm_depth + 4
-    bad, _ = _first_witness(
-        None if intnorm.norm_exact(x, wide, depth_cap=deeper,
-                                   window=wide.window_for(x, deeper)).value == table.get(x)
-        else str(x) for x in range(-w, w + 1))
+    # BFS distances by steps +-window_for(w, D) within reach are the norms on [-w, w]: D bounds
+    # them, so that window holds a minimal sum, and ordering its terms keeps it within reach
+    steps = gens.window_for(w, max(table.values(), default=0))
+    reach = w + steps[-1]
+    dist = wordnorm.bfs([0], lambda y: [z for g in steps for z in (y + g, y - g)
+                                         if abs(z) <= reach]) if reach <= 1 << 16 else {}
+    bad, _ = _first_witness(f"BFS half-width {reach} exceeds 2^16" if not dist else None
+                            if dist[x] == table.get(x) else str(x) for x in range(-w, w + 1))
     checks.append(PASS(
         "intnorm.window_stability",
         "exact values are unchanged under a wider generator window and deeper cap",
@@ -1129,9 +1131,7 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
 
     images = _unrank_images(np.arange(720), 6)
     eye = np.eye(6, dtype=np.int64)
-    # P - I in blocks of 120: ranking the whole stack at once raises peak memory
-    ranks = np.concatenate([matnorm.modular_rank(eye[images[i:i + 120]] - eye)
-                            for i in range(0, len(images), 120)])
+    ranks = matnorm.modular_rank(eye[images] - eye)
     supp, tr = _cycle_norms(_cycle_lengths(images))
     rng2 = np.random.default_rng(cfg.seed + 4)
     padded = np.zeros((100, 6, 6), dtype=np.int64)  # zero padding keeps the rank

@@ -87,6 +87,14 @@ def test_invalid_config_exits_2(runner, tmp_path):
     ({"cutting_max_k": 400}, "cutting_max_k"),
     # ... and linearly in the random degree: still running after 20 s at 5000
     ({"suites": ["cutting"], "random_degree": 5000}, "random_degree must lie in 2..150"),
+    # the sample counts outgrow their suite's 8 s: cutting 7.0 s at 500 000
+    # random pairs, matnorm 6.2-10.2 s at 2000 matrix pairs, covering 14 s at
+    # 1000 certificates on A_9
+    ({"random_pairs": 400_001}, "random_pairs must lie in 1..400000"),
+    ({"random_pairs": 100_001, "random_degree": 150},
+     "random_pairs * random_degree must be at most 15000000, got 100001 * 150"),
+    ({"matrix_pairs": 1501}, "matrix_pairs must lie in 1..1500"),
+    ({"certificate_count": 201}, "certificate_count must lie in 1..200"),
     # estimate_limit raised ValueError mid-run
     ({"suites": ["coneprobe"], "tail_fraction": 2}, "tail_fraction"),
     ({"suites": ["coneprobe"], "tail_fraction": 0}, "tail_fraction"),
@@ -162,6 +170,8 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
         "cutting_max_k_0", "cutting_max_k_21", "cutting_max_k_400", "random_degree_5000",
+        "random_pairs_400001", "random_pairs_times_random_degree", "matrix_pairs_1501",
+        "certificate_count_201",
         "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool",
         "norm_degree_str", "tau_str", "brenner_degrees_scalar", "out_int",
         "split_degree_10", "displacement_degree_11", "certificate_degree_30",
@@ -217,6 +227,13 @@ def test_negative_samples_exit_2(runner):
     result = runner.invoke(main, ["cutting", "--samples", "-5"])
     assert result.exit_code == 2
     assert "random_pairs" in result.output
+
+
+def test_samples_above_the_random_pairs_cap_exit_2(runner):
+    # --samples sets random_pairs itself
+    result = runner.invoke(main, ["cutting", "--samples", "400001"])
+    assert result.exit_code == 2
+    assert "random_pairs must lie in 1..400000, got 400001" in result.output
 
 
 def test_zero_random_pairs_exit_2(runner, tmp_path):
@@ -435,6 +452,14 @@ class TestIntegerNormCommand:
     def test_bad_target(self, runner):
         result = runner.invoke(main, ["integer-norm", "x(oops)"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("depth", ["0", "-3", "21"])
+    def test_depth_outside_its_range_exits_2(self, runner, depth):
+        # 0 and -3 printed "value": null and exited 1; the search costs 17.5 s
+        # at depth 22 on 999 999 999 999
+        result = runner.invoke(main, ["integer-norm", "999999999999", "--depth", depth])
+        assert result.exit_code == 2
+        assert "--depth" in result.output
 
     def test_base_below_2_exits_2(self, runner):
         # FactorialGenerators raised ValueError: base must be at least 2

@@ -14,6 +14,7 @@ from conecheck.intnorm import (
     parse_target,
     torsion_probe,
 )
+from conecheck.wordnorm import bfs
 
 GENS = FactorialGenerators(base=2, max_index=14)
 
@@ -80,13 +81,14 @@ class TestExact:
         assert norm_exact(-46, GENS).value == norm_exact(46, GENS).value
 
     def test_per_depth_windows_match_the_window_of_the_cap(self):
-        # depth d searches window_for(x, d); searching the window of the cap
-        # at every depth finds the same norms and certificates
+        # depth d searches window_for(x, d).  BFS by steps +-g, g in the window
+        # of the cap, over [-(596 + M), 596 + M] with M its largest member,
+        # gives every norm up to 9 on [-596, 596], as in intnorm.window_stability
+        steps = GENS.window_for(596, 9)
+        reach = 596 + steps[-1]
+        dist = bfs([0], lambda y: [z for g in steps for z in (y + g, y - g) if abs(z) <= reach])
         for x in range(-596, 597):
-            result = norm_exact(x, GENS, depth_cap=9)
-            assert result.value is not None
-            wide = norm_exact(x, GENS, depth_cap=9, window=GENS.window_for(x, 9))
-            assert (result.value, result.certificate) == (wide.value, wide.certificate)
+            assert norm_exact(x, GENS, depth_cap=9).value == dist[x]
         # the result still reports the window of the cap
         assert norm_exact(500, GENS, depth_cap=18).window == GENS.window_for(500, 18)
 

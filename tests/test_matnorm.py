@@ -326,6 +326,23 @@ class TestModularKernel:
         assert len(calls) == 6
         assert list(ranks) == [real(m) for m in stack.tolist()] and ranks[0] == 3
 
+    def test_a_stack_of_several_blocks(self, monkeypatch):
+        # 250 matrices of 10 x 10 span four blocks; only the one at 100, in
+        # the second block, goes to bareiss_rank
+        rng = np.random.default_rng(14)
+        stack = rng.integers(-3, 4, size=(250, 10, 10))
+        stack[::7, 9] = stack[::7, 0]  # rank below 10
+        stack[100] = rng.integers(2 ** 19, 2 ** 20, size=(10, 10))
+        stack[100, 9] = stack[100, 0]  # rank 9
+        assert len(stack) * 100 > 3 * matnorm.RANK_BLOCK_ENTRIES
+        assert np.flatnonzero(hadamard_log2(stack) >= HADAMARD_LOG2_LIMIT).tolist() == [100]
+        calls = []
+        real = matnorm.bareiss_rank
+        monkeypatch.setattr(matnorm, "bareiss_rank", lambda rows: calls.append(rows) or real(rows))
+        ranks = modular_rank(stack)
+        assert calls == [stack[100].tolist()]
+        assert list(ranks) == [real(m) for m in stack.tolist()] and ranks[100] == 9
+
     def test_signs_match_bareiss_determinant(self):
         rng = np.random.default_rng(13)
         for n in range(0, 9):

@@ -440,3 +440,52 @@ def test_a_failing_row_names_its_witness(monkeypatch, fault, suite, check_id, wi
     row = next(r for r in getattr(suites, "run_" + suite)(RunConfig.small())
                if r.check_id == check_id)
     assert (row.status, row.witness) == ("fail", witness)
+
+
+def _padded_at_37(pairs):
+    """Fault: norm_exact returns, at +-37, a certified sum longer by 2 * pairs terms."""
+    def fault(monkeypatch):
+        exact = suites.intnorm.norm_exact
+
+        def padded(x, gens, depth_cap=16):
+            result = exact(x, gens, depth_cap)
+            if abs(x) != 37:
+                return result
+            cert = result.certificate + (1, -1) * pairs
+            return suites.intnorm.IntNormResult(len(cert), cert, result.method, result.window)
+        monkeypatch.setattr(suites.intnorm, "norm_exact", padded)
+    return fault
+
+
+def _bfs_cut_at_the_largest_member_below_w(monkeypatch):
+    # RunConfig.small() has w = 40: steps +-1, +-2, +-8 only, over [-48, 48]
+    bfs = suites.wordnorm.bfs
+    monkeypatch.setattr(suites.wordnorm, "bfs", lambda starts, step: bfs(
+        starts, lambda y: [z for z in step(y) if abs(z - y) <= 8 and abs(z) <= 48]))
+
+
+@pytest.mark.parametrize("fault, witness", [
+    # ||37|| = 4 (48 - 8 - 2 - 1); a table value of 6 is certified but not least
+    (_padded_at_37(1), "-37"),
+    # a table value of 14 admits 645120 = 2^7 7! to window_for(40, 14)
+    (_padded_at_37(5), "BFS half-width 645160 exceeds 2^16"),
+    # -40 = -48 + 8 has norm 2, but needs 5 steps of -8 without 48
+    (_bfs_cut_at_the_largest_member_below_w, "-40"),
+], ids=["longer_sum_at_37", "interval_past_the_bound", "bfs_cut_at_8"])
+def test_window_stability_fails_with_its_witness(monkeypatch, fault, witness):
+    fault(monkeypatch)
+    row = suites.run_intnorm(RunConfig.small())[-1]
+    assert (row.check_id, row.status, row.witness) == ("intnorm.window_stability", "fail", witness)
+
+
+def test_window_stability_makes_no_norm_exact_call(monkeypatch):
+    # its reference is the BFS; axioms_window's searches, which come just
+    # before it, are the run's last
+    cfg, calls = RunConfig.small(), []
+    exact = suites.intnorm.norm_exact
+    monkeypatch.setattr(suites.intnorm, "norm_exact", lambda x, gens, depth_cap=16: (
+        calls.append((x, depth_cap)) or exact(x, gens, depth_cap)))
+    rows = suites.run_intnorm(cfg)
+    w = cfg.intnorm_axiom_window
+    assert [r.check_id for r in rows[-2:]] == ["intnorm.axioms_window", "intnorm.window_stability"]
+    assert calls[-(4 * w + 1):] == [(x, cfg.intnorm_depth) for x in range(-2 * w, 2 * w + 1)]
