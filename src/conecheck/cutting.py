@@ -14,12 +14,15 @@ walk of each cycle from its minimum.  The ``Permutation`` functions stay
 their references and run inside each check on a seeded sample.
 ``cut_bounds`` is the one audit of the four bounds over index pairs into an
 array of cut images; ``verify_cut_lemmas`` runs it on permutation pairs cut
-by ``cut``, and the suite's exhaustive and random checks on ``cut_stack``.
+by ``cut``, and the suite's exhaustive and random checks on ``cut_stack``,
+the exhaustive one reading its distances off ``hamming_table``.  The step
+bound is certified from adjacent steps; every pair k < m is audited only
+when a step breaks the certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,47 +241,105 @@ def _audit(observed, allowed, first_pair, labels, weight=1) -> BoundAudit:
     or pair, counted weight[r] times, and first_pair[r] is the first pair it
     stands for; labels[c] is the k (or k, m) of column c."""
     weight = np.broadcast_to(weight, first_pair.shape)
-    allowed = np.broadcast_to(allowed, observed.shape)
-    # where nothing is allowed the ratio is inf, or nan (ignored: 0) for 0/0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = observed / allowed
+    sample_size = int(weight.sum()) * observed.shape[1]
     bad = observed > allowed
     first = None
     if bad.any():
         rows = np.flatnonzero(bad.any(axis=1))
         row = rows[np.argmin(first_pair[rows])]
         first = (int(first_pair[row]), *(int(x) for x in labels[np.argmax(bad[row])]))
+    if np.shape(allowed)[-1:] in ((), (1,)):
+        # one allowed value per row, and observed / allowed grows with
+        # observed: only the row's largest value can give the maximum ratio,
+        # and no (rows, columns) float array is made
+        observed = observed.max(axis=1, keepdims=True, initial=0)
+    # where nothing is allowed the ratio is inf, or nan (ignored: 0) for 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = observed / allowed
     return BoundAudit(
-        sample_size=int(weight.sum()) * observed.shape[1],
+        sample_size=sample_size,
         violations=int(weight @ bad.sum(axis=1)),
         max_ratio=float(np.nanmax(ratio, initial=0.0)),
         first=first,
     )
 
 
-def cut_bounds(cuts: np.ndarray, left: np.ndarray, right: np.ndarray) -> dict[str, BoundAudit]:
+# hamming_table fills this many entries per block of rows
+HAMMING_BLOCK_ENTRIES = 1 << 16
+
+
+def hamming_table(images) -> np.ndarray:
+    """The (N, N) uint8 table of Hamming distances between the rows of an
+    (N, d) image array, d < 256, filled one block of rows and one point at a
+    time, so that no (N, N) or (N, N, d) temporary is made."""
+    n = len(images)
+    table = np.zeros((n, n), dtype=np.uint8)
+    rows = max(1, HAMMING_BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = table[start:start + rows]
+        for x in range(images.shape[1]):
+            block += images[start:start + rows, x, None] != images[:, x]
+    return table
+
+
+def _pairwise_step_audit(own, dist, first_seen, counts) -> BoundAudit:
+    """The step bound of cut_bounds over every pair k < m of each element's
+    cuts, own[e, k], at distances dist."""
+    k, m = np.triu_indices(own.shape[1], 1)
+    return _audit(dist(own[:, k], own[:, m]), 2 * (m - k), first_seen,
+                  np.stack([k, m], axis=1), counts)
+
+
+def cut_bounds(cuts, left, right, table=None) -> dict[str, BoundAudit]:
     """The four cutting bounds on the pairs (s, t) = (left[p], right[p]).
 
     ``cuts`` is an (N, K+1, d) array whose row i holds c_0 s .. c_K s of
     element i as 0-based image arrays, c_0 s being s itself; d(x, y) is the
-    number of points where x and y differ.  The step and norm-decrease
-    bounds belong to s alone: they are evaluated once per element and
-    counted once per pair it starts.  Keys and order follow CUT_BOUNDS.
+    number of points where x and y differ.  left and right may be any index
+    arrays that broadcast together, such as a column of elements against a
+    row of all of them; pair p is then the p-th of the broadcast in C order.
+    With ``table`` = (ranks, hamming), the (N, K+1) ranks of the cuts in S_d
+    and hamming_table of S_d in rank order, every distance is read from the
+    table instead.  The step and norm-decrease bounds belong to s alone: they
+    are evaluated once per element and counted once per pair it starts.  Keys
+    and order follow CUT_BOUNDS.
+
+    The step bound is certified by adjacent steps: d(c_k s, c_m s) is at most
+    the sum of the m - k steps between them (triangle inequality), so steps of
+    at most 2 meet every bound 2(m - k), and the largest ratio is a step's.
+    When some step exceeds 2, every pair k < m is audited, for the exact
+    count and the first violation.
     """
-    base = np.arange(cuts.shape[2])
+    if table is None:
+        rows, identity = cuts, np.arange(cuts.shape[2])
+
+        def dist(a, b):
+            return (a != b).sum(axis=-1)
+    else:
+        (rows, hamming), identity = table, 0  # rank 0 is the identity
+
+        def dist(a, b):
+            return hamming[a, b]
     ks = np.arange(cuts.shape[1])
-    elements, first_seen, counts = np.unique(left, return_index=True, return_counts=True)
-    own = cuts[elements]
-    support = (own != base).sum(axis=2)
-    k, m = np.triu_indices(cuts.shape[1], 1)
-    steps = (own[:, k] != own[:, m]).sum(axis=2)
-    dist = (cuts[left] != cuts[right]).sum(axis=2)
-    pairs = np.arange(len(left))
-    same = ((cuts[left, 0] != base) == (cuts[right, 0] != base)).all(axis=1)
+    elements, first_seen, counts = np.unique(np.broadcast_arrays(left, right)[0],
+                                             return_index=True, return_counts=True)
+    own = rows[elements]
+    support = dist(own, identity)
+    steps = dist(own[:, :-1], own[:, 1:])
+    if (steps > 2).any():
+        step = _pairwise_step_audit(own, dist, first_seen, counts)
+    else:
+        step = replace(_audit(steps, 2, first_seen, None, counts),
+                       sample_size=int(counts.sum()) * len(ks) * (len(ks) - 1) // 2)
+    # one (pairs,) column per k, laid out so that each column is contiguous
+    pair = np.stack([dist(rows[left, k], rows[right, k]).ravel() for k in ks]).T
+    pairs = np.arange(len(pair))
+    moved = np.packbits(cuts[:, 0] != np.arange(cuts.shape[2]), axis=1)
+    same = (moved[left] == moved[right]).all(axis=-1).ravel()
     return {
-        "step": _audit(steps, 2 * (m - k), first_seen, np.stack([k, m], axis=1), counts),
-        "equal-support": _audit(dist[same, 1:], dist[same, :1], pairs[same], ks[1:, None]),
-        "general": _audit(dist[:, 1:], 2 * dist[:, :1], pairs, ks[1:, None]),
+        "step": step,
+        "equal-support": _audit(pair[same, 1:], pair[same, :1], pairs[same], ks[1:, None]),
+        "general": _audit(pair[:, 1:], 2 * pair[:, :1], pairs, ks[1:, None]),
         "norm-decrease": _audit(support, np.maximum(support[:, :1] - ks, 0), first_seen,
                                 ks[:, None], counts),
     }

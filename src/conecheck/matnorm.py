@@ -470,6 +470,18 @@ def numeric_rank(array, tau: float = 1e-8) -> RankNormValue:
     )
 
 
+def numeric_rank_stack(stack, tau: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numeric_rank on every matrix of an (N, m, m) float stack, m >= 1, as
+    arrays: the ranks, the smallest retained singular values (nan where none
+    is retained) and the largest singular values."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    largest = sv[:, 0]
+    # the singular values come in descending order, so the kept ones lead
+    ranks = (sv > tau * np.maximum(1.0, largest)[:, None]).sum(axis=1)
+    retained = sv[np.arange(len(sv)), np.maximum(ranks - 1, 0)]
+    return ranks, np.where(ranks > 0, retained, np.nan), largest
+
+
 def rank_norm_numeric(g: FloatMatrix, tau: float = 1e-8) -> RankNormValue:
     """Singular values of g - id above tau * max(1, largest singular value)."""
     return numeric_rank(g.data - np.eye(g.n), tau)
@@ -544,6 +556,36 @@ def so_project(g: FloatMatrix, tau: float = 1e-8) -> FloatMatrix:
     if abs(fixed[g.n - 1, g.n - 1] - 1.0) > 1e-8:
         raise NotOrthogonalError("projection failed to fix e_n")
     return FloatMatrix(fixed[: g.n - 1, : g.n - 1])
+
+
+def so_project_stack(g, tau: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """so_project on every matrix of an (N, n, n) float stack, n >= 2: the
+    (N, n-1, n-1) projections, and a mask of the matrices that so_project
+    refuses (not orthogonal, not special, not fixing e_n, image not a unit
+    vector) or that take elementary_rotation's half-turn case.
+
+    Every entry of an unmasked projection has so_project's bits: the same
+    operations run in the same order, and vector norms are taken one row at a
+    time with np.linalg.norm, as so_project takes them.
+    """
+    n = g.shape[1]
+    eye = np.eye(n)
+    e = eye[n - 1]
+    gap = np.abs(g.transpose(0, 2, 1) @ g - eye).max(axis=(1, 2))
+    image = g[:, :, n - 1]
+    x = image / np.array([np.linalg.norm(v) for v in image])[:, None]
+    c = x[:, n - 1]  # x @ e_n
+    residual = x - c[:, None] * e
+    s = np.array([np.linalg.norm(v) for v in residual])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = residual / s[:, None]
+    rot = eye + (c - 1.0)[:, None, None] * (u[:, :, None] * u[:, None, :] + np.outer(e, e))
+    rot += s[:, None, None] * (e[:, None] * u[:, None, :] - u[:, :, None] * e)
+    fixed = rot @ g
+    refused = ((gap > max(tau, 1e-8)) | (np.abs(np.linalg.det(g) - 1.0) > SPECIAL_TOL)
+               | (np.abs(np.array([np.linalg.norm(v) for v in x]) - 1.0) > 1e-12)
+               | (s < 1e-12) | (np.abs(fixed[:, n - 1, n - 1] - 1.0) > 1e-8))
+    return fixed[:, : n - 1, : n - 1], refused
 
 
 def embed(mat: FloatMatrix | RationalMatrix, n: int):
@@ -637,3 +679,13 @@ def random_so(rng: np.random.Generator, n: int) -> FloatMatrix:
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return FloatMatrix(q)
+
+
+def random_so_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """count successive random_so draws as a (count, n, n) float stack, from
+    one rng.normal call over the same stream."""
+    q, r = np.linalg.qr(rng.normal(size=(count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, -1] = -q[flip, :, -1]
+    return q

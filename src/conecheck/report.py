@@ -144,12 +144,14 @@ class RunConfig:
     norm_degree: int = _field(7, 2, MAX_NORM_DEGREE, degree=True)
     # the 3-cycle oracle check measures A_max(m-1, 4) inside A_(m+1)
     alternating_degree: int = _field(6, 4, MAX_THREE_CYCLE_DEGREE - 1, degree=True)
-    # exhaustive cutting beyond S_7 is not sensible
+    # exhaustive cutting beyond S_7 is not sensible.  At 7 the cutting suite
+    # takes 3.0 s and 66 MB peak RSS, 25 MB of it S_7's Hamming table
     cutting_degree: int = _field(6, 2, 7, degree=True)
     # k = 0 leaves exhaustive_s6 no pair to examine; caps keep the cutting
-    # suite within 8 s at the default random_pairs (about 2 s at the
-    # defaults).  cut_bounds compares every pair k < m of cuts, so the suite
-    # grows with k^2: 5.5 s at 20, 6.7-7.4 s at 24, 11.7 s at 32
+    # suite within 8 s at the default random_pairs (about 1 s at the
+    # defaults).  cut_bounds certifies the step bound from adjacent steps, so
+    # the suite grows linearly in k: 1.5 s at 20, 2.1 s at 32; 5.3 s at 20
+    # with 400 000 random pairs
     cutting_max_k: int = _field(8, 1, 20)
     # a sampled check that draws nothing would pass having examined nothing;
     # the cap keeps the cutting suite within the same 8 s: 5.4 s and 42 MB
@@ -189,9 +191,11 @@ class RunConfig:
     # window: depth 8 fails with "unknown at -219".  Its cap is in _RELATIONS
     intnorm_depth: int = _field(12, 9)
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
-    # 5 s at the defaults): 7.5 s at triangular n 16, 10 s at 18; 7.2 s at SPD n
-    # 12, 10.4 s at 13 (Hadamard's bound sends most SPD matrices to Bareiss);
-    # 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at 17
+    # 5 s at the defaults when they were set): 7.5 s at triangular n 16, 10 s
+    # at 18; 7.2 s at SPD n 12, 10.4 s at 13 (Hadamard's bound sends most SPD
+    # matrices to Bareiss); 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at
+    # 17 on the per-pair loop.  The stacked SO blocks take the suite to 1.3-1.9
+    # s at the defaults, 1.9 s at SO n 15 and 2.7 s at 20
     triangular_max_n: int = _field(10, 1, 16, degree=True)
     spd_max_n: int = _field(8, 2, 12, degree=True)
     # SO(1) is the trivial group

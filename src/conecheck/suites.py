@@ -39,6 +39,7 @@ from .perms import (
     _cycle_norms,
     _invert_images,
     _neighbour_columns,
+    _rank_images,
     _tuple_even,
     _unrank_images,
     commutator,
@@ -454,12 +455,13 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------- cutting
 
 
-# random_s30 pairs are cut in blocks of this many; the (block, k, m, d) step
-# comparison makes larger blocks raise the run's peak memory
+# random_s30 pairs are cut in blocks of this many: each block's (2 block,
+# k, d) cut stack is held at once, and larger blocks run no faster
 CUT_BLOCK = 512
-# exhaustive_s6 audits about this many pairs per cut_bounds call, for the
-# same reason: every element against every element is (d!)^2 pairs
-EXHAUSTIVE_PAIR_BLOCK = 1 << 13
+# exhaustive_s6 audits about this many pairs per cut_bounds call: every
+# element against every element is (d!)^2 pairs.  At S_7 a block of 2^13
+# pairs is one element per call, and the suite then runs twice as long
+EXHAUSTIVE_PAIR_BLOCK = 1 << 15
 
 
 def _bound_witness(bounds, rows, left, right) -> str | None:
@@ -468,6 +470,7 @@ def _bound_witness(bounds, rows, left, right) -> str | None:
     for name, audit in bounds.items():
         if audit.first is not None:
             p = audit.first[0]
+            left, right = (a.ravel() for a in np.broadcast_arrays(left, right))
             sigma, tau = _perm(rows[left[p]]), _perm(rows[right[p]])
             return f"{name}: {cutting.witness_text(name, audit.first, sigma, tau)}"
     return None
@@ -482,22 +485,37 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
     n_el = math.factorial(degree)
     images = _unrank_images(np.arange(n_el), degree)
     cuts = cutting.cut_stack(images, kmax)
+    # a cut of a permutation is one, and then every distance is read off the
+    # Hamming table of S_degree by rank; cuts that are not permutations (their
+    # ranks mod n! unrank to other rows) are audited on their images
+    flat = cuts.reshape(-1, degree)
+    ranks = _rank_images(flat)
+    table = None
+    if (_unrank_images(ranks % n_el, degree) == flat).all():
+        table = ranks.reshape(n_el, kmax + 1), cutting.hamming_table(images)
     bound_violations = dict.fromkeys(cutting.CUT_BOUNDS, 0)
     pair_count = 0
     pair_witness = None
     everyone = np.arange(n_el)
     rows = max(1, EXHAUSTIVE_PAIR_BLOCK // n_el)
     for start in range(0, n_el, rows):
-        block = everyone[start:start + rows]
-        left, right = np.repeat(block, n_el), np.tile(everyone, len(block))
-        bounds = cutting.cut_bounds(cuts, left, right)
+        # a (rows, n_el) block of pairs: these left elements against everyone
+        left, right = everyone[start:start + rows, None], everyone
+        bounds = cutting.cut_bounds(cuts, left, right, table)
         for name, audit in bounds.items():
             bound_violations[name] += audit.violations
         pair_count += bounds["general"].sample_size
         pair_witness = pair_witness or _bound_witness(bounds, images, left, right)
 
-    # the batched cuts and distances must match the reference on a seeded sample
+    # the batched cuts and the distances audited must match the reference on
+    # a seeded sample
     rng = np.random.default_rng(cfg.seed)
+
+    def distance(i, j, k):
+        if table is None:
+            return int((cuts[i, k] != cuts[j, k]).sum())
+        rank, hamming = table
+        return int(hamming[rank[i, k], rank[j, k]])
 
     def reference_cases():
         for _ in range(50):
@@ -506,7 +524,7 @@ def run_cutting(cfg: RunConfig) -> list[CheckResult]:
             p, q = _perm(images[i]), _perm(images[j])
             a, b = cutting.cut(p, k).image, cutting.cut(q, k).image
             agree = (a.to_images(degree) == tuple(cuts[i, k])
-                     and supp_norm(a.then(b.inverse())) == int((cuts[i, k] != cuts[j, k]).sum()))
+                     and supp_norm(a.then(b.inverse())) == distance(i, j, k))
             yield None if agree else f"reference cut disagrees at {p} | {q} k={k}"
 
     ref_bad, _ = _first_witness(reference_cases())
@@ -867,9 +885,14 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
                 yield f"symmetry at {x}"
             elif intnorm.norm_upper(x, gens).best_upper < table[x]:
                 yield f"upper below exact at {x}"
-        for x, y in itertools.product(range(-w, w + 1), repeat=2):
-            if table[x + y] > table[x] + table[y]:
-                yield f"triangle at {x},{y}"
+        # the triangle inequality on [-w, w]^2 as one comparison; its first
+        # failure in row-major order is itertools.product's first
+        norms = np.array([table[x] for x in range(-2 * w, 2 * w + 1)], dtype=np.int16)
+        window = np.arange(w, 3 * w + 1)  # the positions of -w..w in norms
+        bad = norms[window[:, None] + window - 2 * w] > norms[window, None] + norms[window]
+        if bad.any():
+            x, y = np.divmod(int(bad.argmax()), 2 * w + 1)
+            yield f"triangle at {x - w},{y - w}"
 
     bad, _ = _first_witness(axiom_failures())
     checks.append(PASS(
@@ -900,11 +923,12 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 def _stacked_cases(rng, n, pairs, seed, stacked, reference):
     """One n-block of a matrix check, as _batched_cases.
 
-    stacked(rng, n, pairs, oracle) runs the block on int64 stacks and returns
-    whether any pair failed, and the cases of its oracle, which re-runs the
-    seeded pair `oracle` through RationalMatrix and bareiss_rank.  A block the
-    int64 guards refuse counts as failed.  A replay restores the block's rng
-    state, so that later draws too are the reference's."""
+    stacked(rng, n, pairs, oracle) runs the block on stacks and returns whether
+    any pair failed, and the cases of its oracle, which re-runs the seeded pair
+    `oracle` through the scalar code (RationalMatrix and bareiss_rank, or
+    random_so, so_project and numeric_rank).  A block the int64 guards refuse
+    counts as failed.  A replay restores the block's rng state, so that later
+    draws too are the reference's."""
     state = rng.bit_generator.state
     oracle = int(np.random.default_rng((seed, n)).integers(pairs))
     try:
@@ -1033,6 +1057,22 @@ def _spd_stacked(rng, n, pairs, oracle):
     return flagged, _disagreements(n, oracle, got, reference)
 
 
+def _so_ranks(g, h, tau):
+    """The four ranks of matnorm.so at one pair: rk(g - I), rk(g h^T - I),
+    rk(p(g) p(h)^T - I) and rk(p(g) g^T - I), p(g) embedded, p = so_project."""
+    n = g.n
+    pg, ph = matnorm.so_project(g, tau), matnorm.so_project(h, tau)
+    return [matnorm.rank_norm_numeric(g, tau),
+            matnorm.numeric_rank(g.data @ h.data.T - np.eye(n), tau),
+            matnorm.numeric_rank(pg.data @ ph.data.T - np.eye(n - 1), tau),
+            matnorm.numeric_rank(matnorm.embed(pg, n).data @ g.data.T - np.eye(n), tau)]
+
+
+def _so_failed(rk_g, rk_gh, rk_p, rk_drop):
+    """matnorm.so's verdict on four ranks, or elementwise on four rank arrays."""
+    return (rk_g % 2 != 0) | (rk_gh % 2 != 0) | (rk_p > rk_gh) | (rk_drop > 2)
+
+
 def _so_pairs(rng, n, pairs, tau, stats):
     """The reference loop of matnorm.so at one n.  stats counts the pairs with a
     borderline rank and the failing ones among them, and the least retained
@@ -1040,22 +1080,66 @@ def _so_pairs(rng, n, pairs, tau, stats):
     for _ in range(pairs):
         g = matnorm.random_so(rng, n)
         h = matnorm.random_so(rng, n)
-        rk_g = matnorm.rank_norm_numeric(g, tau)
-        rk_gh = matnorm.numeric_rank(g.data @ h.data.T - np.eye(n), tau)
-        pg, ph = matnorm.so_project(g, tau), matnorm.so_project(h, tau)
-        rk_p = matnorm.numeric_rank(pg.data @ ph.data.T - np.eye(n - 1), tau)
-        rk_drop = matnorm.numeric_rank(matnorm.embed(pg, n).data @ g.data.T - np.eye(n), tau)
-        ranks = [rk_g, rk_gh, rk_p, rk_drop]
+        ranks = _so_ranks(g, h, tau)
         for r in ranks:
             if r.smallest_retained is not None:
                 if stats["worst"] is None or r.smallest_retained < stats["worst"]:
                     stats["worst"] = r.smallest_retained
         flagged = any(r.borderline() for r in ranks)
-        failed = (rk_g.value % 2 != 0 or rk_gh.value % 2 != 0
-                  or rk_p.value > rk_gh.value or rk_drop.value > 2)
+        failed = _so_failed(*(r.value for r in ranks))
         stats["flagged"] += int(flagged)
         stats["flagged_failures"] += int(flagged and failed)
         yield f"n={n} ranks={[r.value for r in ranks]}" if failed else None
+
+
+def _so_stacked(rng, n, pairs, oracle, tau, stats):
+    """_so_pairs on float stacks; see _stacked_cases.  The pairs are drawn in
+    blocks of about RANK_BLOCK_ENTRIES entries, and a block starts at the
+    oracle pair, so that the oracle can draw it again from the same state.
+    A row that so_project_stack refuses flags the block at once.  stats takes
+    the stacked counts only when nothing was flagged and the oracle agreed;
+    otherwise the reference replay counts them itself."""
+    per_block = max(1, matnorm.RANK_BLOCK_ENTRIES // (2 * n * n))
+    starts = sorted({*range(0, pairs, per_block), oracle})
+    eye = np.eye(n)
+    blocks = []
+    for start, stop in zip(starts, [*starts[1:], pairs]):
+        if start == oracle:
+            state = rng.bit_generator.state
+        stack = matnorm.random_so_stack(rng, n, 2 * (stop - start))
+        projected, refused = matnorm.so_project_stack(stack, tau)
+        if refused.any():
+            return True, []  # the replay draws the block again and meets that row
+        g, h, pg, ph = stack[0::2], stack[1::2], projected[0::2], projected[1::2]
+        embedded = np.broadcast_to(eye, g.shape).copy()
+        embedded[:, : n - 1, : n - 1] = pg
+        # the ranks, smallest retained and largest singular values, each
+        # (4, pairs in the block), in _so_ranks order
+        ranks, smallest, largest = (np.stack(a) for a in zip(*(
+            matnorm.numeric_rank_stack(m, tau) for m in (
+                g - eye, g @ h.transpose(0, 2, 1) - eye,
+                pg @ ph.transpose(0, 2, 1) - eye[1:, 1:], embedded @ g.transpose(0, 2, 1) - eye))))
+        blocks.append((ranks, smallest, largest))
+        if start == oracle:
+            got = {"g": g[0].tolist(), "h": h[0].tolist(), "ranks": [matnorm.RankNormValue(
+                int(r), "singular-threshold", threshold=tau,
+                smallest_retained=None if np.isnan(s) else float(s), largest=float(b))
+                for r, s, b in zip(ranks[:, 0], smallest[:, 0], largest[:, 0])]}
+    ranks, smallest, largest = (np.concatenate(a, axis=-1) for a in zip(*blocks))
+    flagged = bool(_so_failed(*ranks).any())
+    replica = np.random.Generator(type(rng.bit_generator)())
+    replica.bit_generator.state = state
+    g, h = matnorm.random_so(replica, n), matnorm.random_so(replica, n)
+    disagreements = list(_disagreements(n, oracle, got, {
+        "g": g.data.tolist(), "h": h.data.tolist(), "ranks": _so_ranks(g, h, tau)}))
+    if not flagged and not disagreements:
+        retained = smallest[~np.isnan(smallest)]
+        if retained.size:
+            worst = float(retained.min())
+            stats["worst"] = worst if stats["worst"] is None else min(stats["worst"], worst)
+        scale = np.maximum(1.0, largest)
+        stats["flagged"] += int((smallest < matnorm.BORDERLINE_MARGIN * tau * scale).any(axis=0).sum())
+    return flagged, disagreements
 
 
 def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
@@ -1106,7 +1190,9 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     tau = cfg.tau
     so = {"flagged": 0, "flagged_failures": 0, "worst": None}
     bad, pairs = _first_witness(itertools.chain.from_iterable(
-        _so_pairs(rng, n, cfg.matrix_pairs, tau, so)
+        _stacked_cases(rng, n, cfg.matrix_pairs, cfg.seed,
+                       functools.partial(_so_stacked, tau=tau, stats=so),
+                       functools.partial(_so_pairs, tau=tau, stats=so))
         for n in range(cfg.so_min_n, cfg.so_max_n + 1)))
     checks.append(PASS(
         "matnorm.so",

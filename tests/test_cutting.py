@@ -21,7 +21,14 @@ from conecheck.cutting import (
     split_stack,
     verify_cut_lemmas,
 )
-from conecheck.perms import IDENTITY, Permutation, _unrank_images, compose, supp_norm
+from conecheck.perms import (
+    IDENTITY,
+    Permutation,
+    _rank_images,
+    _unrank_images,
+    compose,
+    supp_norm,
+)
 from conecheck.report import RunConfig
 from conecheck.suites import run_cutting
 
@@ -496,8 +503,8 @@ def test_every_cut_check_goes_through_cut_bounds(monkeypatch):
     # it reports must fail each check that audits them, with a witness
     real_cut_bounds = cutting.cut_bounds
 
-    def one_violation(cuts, left, right):
-        bounds = real_cut_bounds(cuts, left, right)
+    def one_violation(*args, **kwargs):
+        bounds = real_cut_bounds(*args, **kwargs)
         bounds["general"] = dataclasses.replace(bounds["general"], violations=1, first=(0, 1))
         return bounds
 
@@ -506,3 +513,132 @@ def test_every_cut_check_goes_through_cut_bounds(monkeypatch):
     for check_id in ("cutting.exhaustive_s6", "cutting.random_s30", "cutting.audit_report"):
         assert rows[check_id].status == "fail", check_id
         assert rows[check_id].witness.startswith("general: sigma="), check_id
+
+
+def _three_entries_changed(cuts, rows, k):
+    """cuts with entries 0, 1 and 2 of c_k rotated in the given rows: each
+    such c_k is a 3-cycle away from the true one."""
+    out = cuts.copy()
+    out[rows, k, :3] = out[rows, k][..., [1, 2, 0]]
+    return out
+
+
+def _pairwise_step(cuts, left, right):
+    """The step bound audited over every pair k < m, as cut_bounds does when a
+    step breaks the adjacent-step certificate."""
+    elements, first_seen, counts = np.unique(np.broadcast_arrays(left, right)[0],
+                                             return_index=True, return_counts=True)
+    return cutting._pairwise_step_audit(cuts[elements], lambda a, b: (a != b).sum(axis=-1),
+                                        first_seen, counts)
+
+
+class TestStepCertificateAndTable:
+    """cut_bounds certifies the step bound from adjacent steps and audits every
+    pair k < m only when a step exceeds 2; exhaustive_s6 reads its distances
+    off hamming_table."""
+
+    images = _unrank_images(np.arange(120), 5)
+    everyone = np.arange(120)
+
+    def _stacks(self):
+        cuts = cut_stack(self.images, 6)
+        return {"true": cuts, "mutant": _three_entries_changed(cuts, [7, 77, 119], 2)}
+
+    def test_certificate_equals_the_pairwise_audit(self):
+        rng = np.random.default_rng(22)
+        drawn = rng.permuted(np.tile(np.arange(30, dtype=np.int16), (400, 1)), axis=1)
+        random_cuts = cut_stack(drawn, 8)
+        cases = [(stack, self.everyone[:, None], self.everyone)
+                 for stack in self._stacks().values()]
+        cases += [(stack, np.arange(0, 400, 2), np.arange(1, 400, 2))
+                  for stack in (random_cuts, _three_entries_changed(random_cuts, [5, 6], 4))]
+        for stack, left, right in cases:
+            certified = cutting.cut_bounds(stack, left, right)["step"]
+            assert certified == _pairwise_step(stack, left, right)
+        # the mutants break the certificate, so their step audits were replayed
+        assert certified.violations > 0
+
+    def test_table_distances_equal_image_distances(self):
+        table = cutting.hamming_table(self.images)
+        for stack in self._stacks().values():
+            ranks = _rank_images(stack.reshape(-1, 5)).reshape(stack.shape[:2])
+            for left, right in ((self.everyone[:, None], self.everyone),
+                                (self.everyone[::-1], self.everyone),
+                                (self.everyone[3:40, None], self.everyone[::7])):
+                assert cutting.cut_bounds(stack, left, right, (ranks, table)) == \
+                    cutting.cut_bounds(stack, left, right)
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 16])
+    def test_hamming_table_in_blocks(self, monkeypatch, block_entries):
+        monkeypatch.setattr(cutting, "HAMMING_BLOCK_ENTRIES", block_entries)
+        table = cutting.hamming_table(self.images)
+        assert table.dtype == np.uint8
+        perms = all_perms(5)
+        assert table.tolist() == [[supp_norm(p.then(q.inverse())) for q in perms] for p in perms]
+
+    def test_a_passing_run_audits_no_step_pair(self, monkeypatch):
+        calls = []
+        pairwise = cutting._pairwise_step_audit
+        monkeypatch.setattr(cutting, "_pairwise_step_audit",
+                            lambda own, *args: calls.append(own.shape) or pairwise(own, *args))
+        rows = run_cutting(RunConfig(random_pairs=2000))
+        assert all(row.status == "pass" for row in rows)
+        assert calls == []
+
+
+def test_three_changed_entries_fail_exhaustive_with_the_pairwise_witness(monkeypatch):
+    # c_1 of the identity, rank 0 of S_5, rotated at three entries: a 3-cycle,
+    # whose step from c_0 is 3, so the certificate fails and the pairwise
+    # audit names the first violation.  No sampled reference cut is at rank
+    # 0, k = 1.
+    real = cutting.cut_stack
+
+    def mutant(images, kmax):
+        out = real(images, kmax)
+        return _three_entries_changed(out, [0], 1) if images.shape[1] == 5 else out
+
+    monkeypatch.setattr(cutting, "cut_stack", mutant)
+    row = {c.check_id: c for c in run_cutting(RunConfig.small())}["cutting.exhaustive_s6"]
+    images = _unrank_images(np.arange(120), 5)
+    everyone = np.arange(120)
+    step = _pairwise_step(mutant(images, 6), everyone[:, None], everyone)
+    assert step.first == (0, 0, 1)
+    assert (row.status, row.witness) == \
+        ("fail", f"step: {cutting.witness_text('step', step.first, IDENTITY, IDENTITY)}")
+    assert row.witness == "step: sigma=() k=0 m=1"
+    assert row.observed["step_violations"] == step.violations
+    assert row.observed["vectorization_crosschecked"] is True
+
+
+def test_a_cut_that_is_no_permutation_is_audited_on_its_images(monkeypatch):
+    # c_1 of the identity with its first entry repeated, (1, 1, 2, 3, 4): its
+    # rank names some other permutation, so the table would read the wrong
+    # distances.  exhaustive_s6 must see that and audit the images instead.
+    real = cutting.cut_stack
+
+    def mutant(images, kmax):
+        out = real(images, kmax)
+        if images.shape[1] == 5:
+            out[0, 1, 0] = out[0, 1, 1]
+        return out
+
+    monkeypatch.setattr(cutting, "cut_stack", mutant)
+    row = {c.check_id: c for c in run_cutting(RunConfig.small())}["cutting.exhaustive_s6"]
+    images = _unrank_images(np.arange(120), 5)
+    everyone = np.arange(120)
+    cuts = mutant(images, 6)
+    on_images = cutting.cut_bounds(cuts, everyone[:, None], everyone)
+    ranks = _rank_images(cuts.reshape(-1, 5)).reshape(120, 7)
+    on_table = cutting.cut_bounds(cuts, everyone[:, None], everyone,
+                                  (ranks, cutting.hamming_table(images)))
+    assert on_table != on_images
+    name = next(name for name, audit in on_images.items() if audit.first is not None)
+    sigma, tau = (Permutation.from_images(tuple(int(x) for x in images[i]))
+                  for i in divmod(on_images[name].first[0], 120))
+    assert (row.status, row.witness) == \
+        ("fail", f"{name}: {cutting.witness_text(name, on_images[name].first, sigma, tau)}")
+    assert row.witness == "norm-decrease: sigma=() k=1"
+    observed = {"norm-decrease": "norm_violations", "step": "step_violations",
+                "general": "general_violations", "equal-support": "equal_support_violations"}
+    assert {name: row.observed[key] for name, key in observed.items()} == \
+        {name: audit.violations for name, audit in on_images.items()}

@@ -19,6 +19,7 @@ from conecheck.matnorm import (
     NotSymmetricError,
     NotTriangularError,
     NotUnitError,
+    RankNormValue,
     RationalMatrix,
     SingularError,
     bareiss_determinant,
@@ -30,8 +31,10 @@ from conecheck.matnorm import (
     int64_matmul,
     leading_minor_signs,
     modular_rank,
+    numeric_rank_stack,
     permutation_matrix,
     random_so,
+    random_so_stack,
     random_spd,
     random_spd_stack,
     random_unit_triangular,
@@ -39,6 +42,7 @@ from conecheck.matnorm import (
     rank_norm_exact,
     rank_norm_numeric,
     so_project,
+    so_project_stack,
     spd_project,
     triangular_project,
     unit_triangular_inverse,
@@ -513,3 +517,145 @@ class TestPermutationCross:
         row = self._row()
         assert (row.status, row.sample_size) == ("fail", 721 + 100)
         assert row.witness.startswith("rank, supp or tr arrays disagree at ")
+
+
+def _rank_value(rank, smallest, largest, tau):
+    return RankNormValue(int(rank), "singular-threshold", threshold=tau,
+                         smallest_retained=None if np.isnan(smallest) else float(smallest),
+                         largest=float(largest))
+
+
+class TestStackedSO:
+    """matnorm.so runs each n as stacked blocks.  One seeded pair per n re-runs
+    random_so, so_project and numeric_rank as the oracle, and _so_pairs is the
+    replay."""
+
+    @staticmethod
+    def _so_row(cfg=None):
+        return next(c for c in suites.run_matnorm(cfg or RunConfig.small())
+                    if c.check_id == "matnorm.so")
+
+    @staticmethod
+    def _watch_replays(monkeypatch):
+        """The n of each block whose reference loop _so_pairs is replayed."""
+        replayed, real = [], suites._so_pairs
+        monkeypatch.setattr(suites, "_so_pairs", lambda rng, n, pairs, tau, stats: (
+            replayed.append(n) or real(rng, n, pairs, tau, stats)))
+        return replayed
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_stack_kernels_have_the_scalar_bits(self, n):
+        one, many = np.random.default_rng(n), np.random.default_rng(n)
+        scalar = [random_so(one, n) for _ in range(30)]
+        stack = random_so_stack(many, n, 30)
+        assert one.bit_generator.state == many.bit_generator.state
+        assert [g.data.tobytes() for g in scalar] == [g.tobytes() for g in stack]
+        projected, refused = so_project_stack(stack)
+        assert not refused.any()
+        assert [so_project(g).data.tobytes() for g in scalar] == \
+            [np.ascontiguousarray(p).tobytes() for p in projected]
+        for tau in (1e-8, 0.3):
+            stacked = numeric_rank_stack(stack - np.eye(n), tau)
+            assert [rank_norm_numeric(g, tau) for g in scalar] == \
+                [_rank_value(*values, tau) for values in zip(*stacked)]
+
+    def test_so_project_stack_masks_what_so_project_refuses(self):
+        rng = np.random.default_rng(3)
+        rotation = random_so(rng, 4).data
+        swap = np.eye(4)[[1, 0, 2, 3]]
+        stack = np.stack([
+            rotation,
+            np.eye(4),                       # g e_n = e_n: the identity rotation
+            np.diag([1.0, 1.0, -1.0, -1.0]),  # g e_n = -e_n: the half-turn
+            2 * rotation,                    # not orthogonal
+            swap @ rotation,                 # determinant -1
+        ])
+        _, refused = so_project_stack(stack)
+        assert refused.tolist() == [False, True, True, True, True]
+        for bad in stack[3:]:
+            with pytest.raises((NotOrthogonalError, matnorm.NotSpecialError)):
+                so_project(FloatMatrix(bad))
+
+    @pytest.mark.parametrize("tau", [1e-8, 0.02])
+    def test_each_block_leaves_the_reference_rng_state_and_stats(self, tau):
+        # 70 pairs at n = 12 are four blocks, one starting at the oracle pair 33;
+        # at tau = 0.02 most pairs are borderline
+        for n in range(4, 13):
+            stacked, loop = np.random.default_rng(n), np.random.default_rng(n)
+            stats = [{"flagged": 0, "flagged_failures": 0, "worst": None} for _ in range(2)]
+            flagged, disagreements = suites._so_stacked(stacked, n, 70, 33, tau, stats[0])
+            assert list(suites._so_pairs(loop, n, 70, tau, stats[1])) == [None] * 70
+            assert (flagged, disagreements) == (False, [])
+            assert stacked.bit_generator.state == loop.bit_generator.state
+            assert stats[0] == stats[1]
+        assert stats[0]["flagged"] > 0 if tau > 1e-8 else stats[0]["flagged"] == 0
+
+    def test_runs_the_scalar_code_only_on_the_oracle_pairs(self, monkeypatch):
+        calls = []
+        real = matnorm.random_so
+        monkeypatch.setattr(matnorm, "random_so", lambda rng, n: calls.append(n) or real(rng, n))
+        cfg = RunConfig.small()
+        assert self._so_row(cfg).status == "pass"
+        assert calls == [n for n in range(cfg.so_min_n, cfg.so_max_n + 1) for _ in range(2)]
+
+    def test_a_half_turn_row_replays_its_block(self, monkeypatch):
+        # g e_n = -e_n takes elementary_rotation's half-turn case, which the
+        # stack refuses: each n's first block is flagged before any SVD runs,
+        # and the reference loop, drawing its own matrices, passes
+        reference = self._so_row()
+        real = matnorm.random_so_stack
+
+        def with_half_turn(rng, n, count):
+            stack = real(rng, n, count)
+            stack[0] = np.diag([1.0] * (n - 2) + [-1.0, -1.0])
+            return stack
+
+        monkeypatch.setattr(matnorm, "random_so_stack", with_half_turn)
+        replayed = self._watch_replays(monkeypatch)
+        assert self._so_row().as_dict() == reference.as_dict()
+        assert replayed == [4, 5, 6]
+
+    def _perturbed_svd(self, monkeypatch, perturb):
+        # the stacked kernel's SVDs are the only ones of 3-D stacks
+        real, calls = np.linalg.svd, []
+
+        def svd(a, *args, **kwargs):
+            sv = real(a, *args, **kwargs)
+            if np.ndim(a) == 3:
+                calls.append(a.shape)
+                sv = perturb(sv.copy(), len(calls))
+            return sv
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return calls
+
+    @pytest.mark.parametrize("tau", [1e-8, 0.02])
+    def test_a_rank_changing_singular_value_replays_the_block(self, monkeypatch, tau):
+        # The smallest singular value of g - I at pair 0 of n = 4 set to 0 makes
+        # its rank odd: the block is flagged and the reference loop replays it
+        # and passes, so the row reads as the per-pair loop's.  At tau = 0.02
+        # most pairs are borderline, so stacked counts kept as well would show.
+        cfg = RunConfig.small()
+        cfg.tau = tau
+        reference = self._so_row(cfg)
+
+        def zero_first(sv, call):
+            if call == 1:
+                sv[0, -1] = 0.0
+            return sv
+
+        self._perturbed_svd(monkeypatch, zero_first)
+        replayed = self._watch_replays(monkeypatch)
+        assert self._so_row(cfg).as_dict() == reference.as_dict()
+        assert replayed == [4]
+        assert reference.status == "pass"
+
+    def test_a_shifted_singular_value_fails_through_the_oracle(self, monkeypatch):
+        # Every stacked singular value one part in 2^40 high: no rank moves and
+        # no pair is flagged, so only the oracle pair can see it.  The n = 4
+        # block replays and passes, then the disagreement fails as one more case.
+        self._perturbed_svd(monkeypatch, lambda sv, call: sv * (1 + 2.0 ** -40))
+        row = self._so_row()
+        assert (row.status, row.sample_size) == ("fail", 41)
+        assert row.witness.startswith("ranks: stacked [RankNormValue(value=4, ")
+        assert row.witness.endswith(" at n=4 pair 9")

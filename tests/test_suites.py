@@ -317,7 +317,12 @@ def test_corrupt_neighbour_column_fails_after_the_passing_replay(monkeypatch):
 @pytest.mark.parametrize("suite, cfg", [
     *[(name, RunConfig.small()) for name in RunConfig.small().suites],
     ("norms", RunConfig(norm_degree=8, alternating_degree=7)),
-], ids=[*RunConfig.small().suites, "norms-exhaustive"])
+    # the default degrees at the acceptance_scaled workload's sample counts:
+    # SO(4)..SO(12) blocks, exhaustive S_6 and S_30 pairs
+    ("matnorm", RunConfig(matrix_pairs=166)),
+    ("cutting", RunConfig(random_pairs=16_666)),
+], ids=[*RunConfig.small().suites, "norms-exhaustive", "matnorm-acceptance",
+        "cutting-acceptance"])
 def test_no_batched_kernel_replays_on_a_passing_run(monkeypatch, suite, cfg):
     # A batched kernel that fails falsely is replayed by its reference loop, and
     # the row passes as if nothing happened, at the reference's cost.  On these
@@ -489,3 +494,31 @@ def test_window_stability_makes_no_norm_exact_call(monkeypatch):
     w = cfg.intnorm_axiom_window
     assert [r.check_id for r in rows[-2:]] == ["intnorm.axioms_window", "intnorm.window_stability"]
     assert calls[-(4 * w + 1):] == [(x, cfg.intnorm_depth) for x in range(-2 * w, 2 * w + 1)]
+
+
+def test_axioms_window_triangle_fails_at_the_first_product_pair(monkeypatch):
+    # A certified sum two terms longer at +-70, outside [-w, w] for w = 40, so
+    # only the triangle inequality sees it.  The array comparison names the
+    # pair that the loop over itertools.product(range(-w, w + 1), repeat=2)
+    # meets first.
+    import itertools
+
+    exact = suites.intnorm.norm_exact
+
+    def padded(x, gens, depth_cap=16):
+        result = exact(x, gens, depth_cap)
+        if abs(x) != 70:
+            return result
+        cert = result.certificate + (1, -1)
+        return suites.intnorm.IntNormResult(len(cert), cert, result.method, result.window)
+
+    monkeypatch.setattr(suites.intnorm, "norm_exact", padded)
+    cfg = RunConfig.small()
+    w = cfg.intnorm_axiom_window
+    gens = suites.intnorm.FactorialGenerators(base=2, max_index=suites.intnorm.MAX_INTNORM_INDEX)
+    table = {x: padded(x, gens, cfg.intnorm_depth).value for x in range(-2 * w, 2 * w + 1)}
+    first = next(f"triangle at {x},{y}" for x, y in itertools.product(range(-w, w + 1), repeat=2)
+                 if table[x + y] > table[x] + table[y])
+    row = next(r for r in suites.run_intnorm(cfg) if r.check_id == "intnorm.axioms_window")
+    assert (row.status, row.witness, row.sample_size) == ("fail", first, (2 * w + 1) ** 2)
+    assert first == "triangle at -40,-30"
