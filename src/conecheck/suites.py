@@ -905,8 +905,7 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     # them, so that window holds a minimal sum, and ordering its terms keeps it within reach
     steps = gens.window_for(w, max(table.values(), default=0))
     reach = w + steps[-1]
-    dist = wordnorm.bfs([0], lambda y: [z for g in steps for z in (y + g, y - g)
-                                         if abs(z) <= reach]) if reach <= 1 << 16 else {}
+    dist = quasimorphism.window_word_norm(reach, steps) if reach <= 1 << 16 else {}
     bad, _ = _first_witness(f"BFS half-width {reach} exceeds 2^16" if not dist else None
                             if dist[x] == table.get(x) else str(x) for x in range(-w, w + 1))
     checks.append(PASS(

@@ -4,6 +4,13 @@ The whole default suite runs once per session; each criterion below asserts
 its checks passed at the stated scale and tolerance and prints one line.
 The mapping from criteria to check ids is fixed here, nothing is scaled
 down, and a red criterion fails loudly with the recorded witness.
+
+tests/data/default_report.json is that run's report.  A deliberate report
+change regenerates it with
+
+    PYTHONPATH=src python3 tests/test_acceptance.py
+
+and says so in CHANGES.md, like the workload digests.
 """
 
 import itertools
@@ -13,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conecheck.report import RunConfig
+from conecheck.report import RunConfig, report_to_json
 from conecheck.suites import run_suite
 
 # the default run's report, committed: a refactor must reproduce it row for row
@@ -210,3 +217,7 @@ def test_default_report_matches_golden(full_report):
         where = _first_difference(got, want)
         assert where is None, f"{want['check_id']} differs at {where.lstrip('.')}"
     assert report["counts"] == golden["counts"] and report["status"] == golden["status"]
+
+
+if __name__ == "__main__":
+    GOLDEN_REPORT.write_text(report_to_json(run_suite(RunConfig(), echo=lambda *_: None)[1]))

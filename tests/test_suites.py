@@ -463,9 +463,10 @@ def _padded_at_37(pairs):
 
 
 def _bfs_cut_at_the_largest_member_below_w(monkeypatch):
-    # RunConfig.small() has w = 40: steps +-1, +-2, +-8 only, over [-48, 48]
-    bfs = suites.wordnorm.bfs
-    monkeypatch.setattr(suites.wordnorm, "bfs", lambda starts, step: bfs(
+    # RunConfig.small() has w = 40: steps +-1, +-2, +-8 only, over [-48, 48].
+    # window_word_norm runs the one BFS through quasimorphism's binding
+    bfs = suites.quasimorphism.bfs
+    monkeypatch.setattr(suites.quasimorphism, "bfs", lambda starts, step: bfs(
         starts, lambda y: [z for z in step(y) if abs(z - y) <= 8 and abs(z) <= 48]))
 
 
