@@ -36,8 +36,6 @@ _SCALE_FLAGS = [
                  help="Ceiling on the exhaustive symmetric-group degrees."),
     click.option("--samples", type=int, default=None,
                  help="Rescale the sampled checks (random pairs, certificates)."),
-    click.option("--depth", type=int, default=None,
-                 help="Depth cap for the integer-norm search."),
     click.option("--tau", type=float, default=None,
                  help="Relative singular-value threshold (default 1e-8)."),
     click.option("--seed", type=int, default=None, help="Random seed (default 2020)."),
@@ -54,13 +52,10 @@ def _with_scale_flags(fn):
     return fn
 
 
-def _build_config(suites, max_degree, samples, depth, tau, seed, out,
-                  config_path) -> RunConfig:
+def _build_config(suites, max_degree, samples, tau, seed, out, config_path) -> RunConfig:
     cfg = RunConfig(suites=tuple(suites))
     cfg.apply_ceiling(max_degree)
     cfg.apply_samples(samples)
-    if depth is not None:
-        cfg.intnorm_depth = depth
     if tau is not None:
         cfg.tau = tau
     if seed is not None:

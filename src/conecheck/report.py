@@ -26,17 +26,11 @@ MAX_CIRCLE_GRID_WORK = 25_600_000
 # Random cutting pairs times their degree: 4.7 s at 100 000 pairs of degree
 # 150 and 150 000 of degree 100, 5.8 s at 400 000 of degree 37.
 MAX_RANDOM_PAIR_WORK = 15_000_000
-# intnorm.axioms_window searches every x in [-2w, 2w], so the window must lie
-# within reach of every accepted depth.  The least depth, 9, reaches
-# |x| <= 596: window 299 fails falsely with "unknown at -597" (and window 900
-# at depth 12 with "unknown at -1755").
+# intnorm.axioms_window searches every x in [-2w, 2w] to depth 9
+# (suites.AXIOMS_WINDOW_DEPTH), which reaches |x| <= 596: window 299 fails
+# falsely with "unknown at -597" (and window 900 at depth 12 with "unknown at
+# -1755").
 MAX_INTNORM_WINDOW = 298
-# Every norm on an accepted window is at most 9, so no search passes depth 9
-# and the depth changes no row and no cost: the intnorm suite takes 0.36-0.37 s
-# at window 298 for each depth from 9 to 18, and 0.61-0.68 s with every intnorm
-# field at its cap (three runs on a 2-core VM).  The cap stays at 18 so that
-# existing configs and their exit-2 tests keep their meaning.
-MAX_INTNORM_DEPTH = 18
 
 
 class ConfigInvalidError(ValueError):
@@ -86,15 +80,6 @@ _RELATIONS = (
     (("suites",), lambda c: set(c.suites) <= {*SUITE_NAMES, "all"},
      "suites must name known suites, got {suites!r}"),
     (("tau",), lambda c: 0 < c.tau < 1, "tau must lie in (0, 1), got {tau!r}"),
-    # coneprobe.admissibility runs fixed series.  The 60-value alternating one
-    # keeps two tail values only when tail_fraction > 1/60, and its tail spread
-    # of 1 converges at convergence_tol 1; at 0 or less every varying series is
-    # unconverged, so the check shows nothing.  The 399-value series 1/n
-    # converges at 1e-2 only when tail_fraction <= 320/399
-    (("tail_fraction",), lambda c: 0.02 <= c.tail_fraction <= 0.8,
-     "tail_fraction must lie in 0.02..0.8, got {tail_fraction!r}"),
-    (("convergence_tol",), lambda c: 0 < c.convergence_tol < 1,
-     "convergence_tol must lie in (0, 1), got {convergence_tol!r}"),
     # the direct-sum check draws up to sum_terms distinct summands of Z/2..Z/sum_indices
     (("sum_terms", "sum_indices"), lambda c: c.sum_terms < c.sum_indices,
      "sum_terms must be below sum_indices, got {sum_terms} >= {sum_indices}"),
@@ -110,13 +95,11 @@ _RELATIONS = (
      lambda c: c.random_pairs * c.random_degree <= MAX_RANDOM_PAIR_WORK,
      f"random_pairs * random_degree must be at most {MAX_RANDOM_PAIR_WORK}, "
      "got {random_pairs} * {random_degree}"),
-    # the intnorm window and depth caps, kept out of lo..hi so that each
-    # field's lower bound keeps its own message
+    # the intnorm window cap, kept out of lo..hi so that the field's lower bound
+    # keeps its own message
     (("intnorm_axiom_window",), lambda c: c.intnorm_axiom_window <= MAX_INTNORM_WINDOW,
      f"intnorm_axiom_window must be at most {MAX_INTNORM_WINDOW}, the reach of depth 9, "
      "got {intnorm_axiom_window}"),
-    (("intnorm_depth",), lambda c: c.intnorm_depth <= MAX_INTNORM_DEPTH,
-     f"intnorm_depth must be at most {MAX_INTNORM_DEPTH}, got {{intnorm_depth}}"),
     # the report is written after every suite has run, so a path that cannot
     # take it is refused before the first one
     (("out",), lambda c: c.out is None or not os.path.isdir(c.out)
@@ -187,9 +170,6 @@ class RunConfig:
     # the window is [-w, w]; w = -1 would pass over no integer.  Its cap is in
     # _RELATIONS
     intnorm_axiom_window: int = _field(200, 0)
-    # below depth 9 the search cannot reach every x in [-2w, 2w] at the default
-    # window: depth 8 fails with "unknown at -219".  Its cap is in _RELATIONS
-    intnorm_depth: int = _field(12, 9)
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
     # 5 s at the defaults when they were set): 7.5 s at triangular n 16, 10 s
     # at 18; 7.2 s at SPD n 12, 10.4 s at 13 (Hadamard's bound sends most SPD
@@ -227,8 +207,6 @@ class RunConfig:
     # (the suite 6.3 s at 32 and 11 s at 36), and the circle checks at their
     # caps 6.3 s
     sequence_stage_max: int = _field(8, None, 20)
-    tail_fraction: float = 0.25
-    convergence_tol: float = 1e-3
 
     def validate(self) -> None:
         """Raise one ConfigInvalidError naming every field of a wrong type or

@@ -821,6 +821,13 @@ def _random_even(rng: np.random.Generator, degree: int) -> Permutation:
 # ------------------------------------------------------------------------- intnorm
 
 
+# intnorm.axioms_window searches every x in [-2w, 2w] to this depth.  Its reach,
+# |x| <= 596, sets report.MAX_INTNORM_WINDOW, and every norm on an accepted
+# window is at most 9, so a deeper cap changes no row (depths 9, 12 and 18 give
+# the same rows at windows 0..298)
+AXIOMS_WINDOW_DEPTH = 9
+
+
 def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     gens = intnorm.FactorialGenerators(base=2, max_index=intnorm.MAX_INTNORM_INDEX)
@@ -872,7 +879,7 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 
     def axiom_failures():
         for x in range(-2 * w, 2 * w + 1):
-            r = intnorm.norm_exact(x, gens, depth_cap=cfg.intnorm_depth)
+            r = intnorm.norm_exact(x, gens, depth_cap=AXIOMS_WINDOW_DEPTH)
             if r.value is None:
                 yield f"unknown at {x}"
                 return
@@ -1445,6 +1452,15 @@ def _stage_families(cfg: RunConfig):
 
 # coneprobe.arc_identity checks every pair of residues mod n up to this
 ARC_IDENTITY_MAX = 64
+# coneprobe.monotonicity and coneprobe.admissibility take tail statistics over
+# this share of a series, converged within this spread.  admissibility's fixed
+# series need a fraction in 0.02..0.8 and a tolerance in (0, 1): the 60-value
+# alternating one keeps two tail values only above 1/60, and its spread of 1
+# converges at tolerance 1 (at 0 or less no varying series converges, so the
+# check shows nothing); the 399-value series 1/n converges at 1e-2 only for a
+# fraction up to 320/399
+TAIL_FRACTION = 0.25
+CONVERGENCE_TOL = 1e-3
 
 
 def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
@@ -1576,8 +1592,8 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         for trial in range(50):
             b_series = rng.uniform(0, 2, 60)
             a_series = b_series - rng.uniform(0, 1, 60)
-            ea = coneprobe.estimate_limit(a_series, cfg.tail_fraction, cfg.convergence_tol)
-            eb = coneprobe.estimate_limit(b_series, cfg.tail_fraction, cfg.convergence_tol)
+            ea = coneprobe.estimate_limit(a_series, TAIL_FRACTION, CONVERGENCE_TOL)
+            eb = coneprobe.estimate_limit(b_series, TAIL_FRACTION, CONVERGENCE_TOL)
             above = [stat for stat in ("tail_min", "tail_max", "tail_mean")
                      if getattr(ea, stat) > getattr(eb, stat)]
             yield f"trial {trial}: {above[0]} of a above b's" if above else None
@@ -1595,10 +1611,8 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         {"family": "constant-identity", "stages": list(range(1, 40)), "scaling": "n"})
     square = coneprobe.load_sequence(
         {"family": "square-cycle", "stages": list(range(1, 40)), "scaling": "n"})
-    alternating = coneprobe.estimate_limit([0.0, 1.0] * 30, cfg.tail_fraction,
-                                           cfg.convergence_tol)
-    vanishing = coneprobe.estimate_limit([1.0 / n for n in range(1, 400)],
-                                         cfg.tail_fraction, 1e-2)
+    alternating = coneprobe.estimate_limit([0.0, 1.0] * 30, TAIL_FRACTION, CONVERGENCE_TOL)
+    vanishing = coneprobe.estimate_limit([1.0 / n for n in range(1, 400)], TAIL_FRACTION, 1e-2)
 
     def admissibility_cases():
         for seq, bound, admissible in ((cyc, 1.0, True), (ident, 0.0, True),

@@ -13,7 +13,7 @@ from conecheck.cli import main, verify_certificate
 from conecheck.cli import MalformedCertificateError, RecompositionMismatchError
 from conecheck.covering import express_as_conjugates
 from conecheck.perms import Permutation
-from conecheck.report import ConfigInvalidError, RunConfig, load_config_file
+from conecheck.report import SUITE_NAMES, ConfigInvalidError, RunConfig, load_config_file
 from conecheck.suites import run_suite
 
 
@@ -61,6 +61,10 @@ def test_invalid_config_exits_2(runner, tmp_path):
 @pytest.mark.parametrize("overrides, message", [
     # the suites always run one after another; an old config naming jobs fails loudly
     ({"jobs": 2}, "unknown config key"),
+    # ... and so does one naming a knob retired because no accepted value changed a row
+    ({"intnorm_depth": 12}, "unknown config key 'intnorm_depth'"),
+    ({"suites": ["coneprobe"], "tail_fraction": 0.25}, "unknown config key 'tail_fraction'"),
+    ({"suites": ["coneprobe"], "convergence_tol": 1e-3}, "unknown config key 'convergence_tol'"),
     # the ambient-stability check would need the 3-cycle oracle on A_9
     ({"alternating_degree": 8}, "alternating_degree"),
     # ... and would measure A_4 inside A_4, which cannot hold its support
@@ -95,9 +99,6 @@ def test_invalid_config_exits_2(runner, tmp_path):
      "random_pairs * random_degree must be at most 15000000, got 100001 * 150"),
     ({"matrix_pairs": 1501}, "matrix_pairs must lie in 1..1500"),
     ({"certificate_count": 201}, "certificate_count must lie in 1..200"),
-    # estimate_limit raised ValueError mid-run
-    ({"suites": ["coneprobe"], "tail_fraction": 2}, "tail_fraction"),
-    ({"suites": ["coneprobe"], "tail_fraction": 0}, "tail_fraction"),
     # a float seed ran and exited 0; a bool is no seed either
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
@@ -143,36 +144,19 @@ def test_invalid_config_exits_2(runner, tmp_path):
     # x_16 failed falsely: the suite's generators stop at index 14
     ({"intnorm_exact_max": 16}, "intnorm_exact_max must lie in 1..15"),
     ({"intnorm_sandwich_max": 16}, "intnorm_sandwich_max must lie in 1..15"),
-    # the search could not reach [-400, 400] and intnorm.axioms_window failed
-    # falsely with "unknown at ..."
-    ({"intnorm_depth": -1}, "intnorm_depth must be at least 9"),
-    ({"intnorm_depth": 0}, "intnorm_depth must be at least 9"),
-    ({"intnorm_depth": 8}, "intnorm_depth must be at least 9"),
     # depth 9 cannot reach [-598, 598]; at 900 depth 12 failed falsely with
     # "unknown at -1755"
     ({"intnorm_axiom_window": 299}, "intnorm_axiom_window must be at most 298"),
     ({"intnorm_axiom_window": 900}, "intnorm_axiom_window must be at most 298"),
-    # the intnorm suite took 12 s at depth 40, and 8.7 s at 22 with window 298
-    ({"intnorm_depth": 40}, "intnorm_depth must be at most 18, got 40"),
-    ({"intnorm_depth": 19}, "intnorm_depth must be at most 18, got 19"),
     # the staged contraction checks still ran after 60 s at 100; 32 took 6.3 s
     ({"suites": ["coneprobe"], "sequence_stage_max": 100}, "sequence_stage_max must be at most 20"),
-    # coneprobe.admissibility failed falsely: at 1.0 and 0.81 the series 1/n
-    # does not converge at 1e-2, at 0.0166 the alternating tail is one value
-    ({"suites": ["coneprobe"], "tail_fraction": 1.0}, "tail_fraction must lie in 0.02..0.8"),
-    ({"suites": ["coneprobe"], "tail_fraction": 0.81}, "tail_fraction must lie in 0.02..0.8"),
-    ({"suites": ["coneprobe"], "tail_fraction": 0.0166}, "tail_fraction must lie in 0.02..0.8"),
-    # ... at 1.0 the alternating series converged; at -0.5 it passed, as no
-    # series can converge
-    ({"suites": ["coneprobe"], "convergence_tol": 1.0}, "convergence_tol must lie in (0, 1)"),
-    ({"suites": ["coneprobe"], "convergence_tol": -0.5}, "convergence_tol must lie in (0, 1)"),
-], ids=["stale_jobs_key", "alternating_degree_8", "alternating_degree_3",
+], ids=["stale_jobs_key", "stale_intnorm_depth_key", "stale_tail_fraction_key",
+        "stale_convergence_tol_key", "alternating_degree_8", "alternating_degree_3",
         "ore_degree_9", "ore_degree_0", "brenner_degree_4", "brenner_degree_2",
         "norm_degree_9", "norm_degree_1", "norm_degree_0", "cutting_max_k_negative",
         "cutting_max_k_0", "cutting_max_k_21", "cutting_max_k_400", "random_degree_5000",
         "random_pairs_400001", "random_pairs_times_random_degree", "matrix_pairs_1501",
-        "certificate_count_201",
-        "tail_fraction_2", "tail_fraction_0", "seed_float", "seed_bool",
+        "certificate_count_201", "seed_float", "seed_bool",
         "norm_degree_str", "tau_str", "brenner_degrees_scalar", "out_int",
         "split_degree_10", "displacement_degree_11", "certificate_degree_30",
         "triangular_max_n_0", "spd_max_n_1", "intnorm_exact_max_0",
@@ -182,10 +166,7 @@ def test_invalid_config_exits_2(runner, tmp_path):
         "word_l1_budget_40", "sum_indices_1001", "so_max_n_400", "so_max_n_16",
         "circle_roundtrip_max_100000", "circle_mod_max_100000", "circle_grid_50000000",
         "circle_grid_times_circle_mod_max", "intnorm_exact_max_16", "intnorm_sandwich_max_16",
-        "intnorm_depth_negative", "intnorm_depth_0", "intnorm_depth_8",
-        "intnorm_axiom_window_299", "intnorm_axiom_window_900", "intnorm_depth_40",
-        "intnorm_depth_19", "sequence_stage_max_100", "tail_fraction_1", "tail_fraction_0.81",
-        "tail_fraction_0.0166", "convergence_tol_1", "convergence_tol_negative"])
+        "intnorm_axiom_window_299", "intnorm_axiom_window_900", "sequence_stage_max_100"])
 def test_rejected_config_file_exits_2(runner, tmp_path, overrides, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
@@ -210,17 +191,20 @@ def test_jobs_flag_is_gone(runner):
     assert "No such option" in result.output
 
 
+@pytest.mark.parametrize("command", [*SUITE_NAMES, "all"])
+def test_depth_flag_is_gone(runner, command):
+    # it set the axioms_window search cap, which changed no row; integer-norm
+    # keeps its own --depth
+    result = runner.invoke(main, [command, "--depth", "12"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
 def test_covering_below_degree_4_exits_2(runner):
     # A_3 has no even element with a 2-cycle, so no certificate base exists
     result = runner.invoke(main, ["covering", "--max-degree", "3"])
     assert result.exit_code == 2
     assert "certificate_degree" in result.output
-
-
-def test_depth_flag_below_the_bound_exits_2(runner):
-    result = runner.invoke(main, ["intnorm", "--depth", "8"])
-    assert result.exit_code == 2
-    assert "intnorm_depth must be at least 9, got 8" in result.output
 
 
 def test_negative_samples_exit_2(runner):

@@ -494,7 +494,8 @@ def test_window_stability_makes_no_norm_exact_call(monkeypatch):
     rows = suites.run_intnorm(cfg)
     w = cfg.intnorm_axiom_window
     assert [r.check_id for r in rows[-2:]] == ["intnorm.axioms_window", "intnorm.window_stability"]
-    assert calls[-(4 * w + 1):] == [(x, cfg.intnorm_depth) for x in range(-2 * w, 2 * w + 1)]
+    depth = suites.AXIOMS_WINDOW_DEPTH
+    assert calls[-(4 * w + 1):] == [(x, depth) for x in range(-2 * w, 2 * w + 1)]
 
 
 def test_axioms_window_triangle_fails_at_the_first_product_pair(monkeypatch):
@@ -517,7 +518,7 @@ def test_axioms_window_triangle_fails_at_the_first_product_pair(monkeypatch):
     cfg = RunConfig.small()
     w = cfg.intnorm_axiom_window
     gens = suites.intnorm.FactorialGenerators(base=2, max_index=suites.intnorm.MAX_INTNORM_INDEX)
-    table = {x: padded(x, gens, cfg.intnorm_depth).value for x in range(-2 * w, 2 * w + 1)}
+    table = {x: padded(x, gens, suites.AXIOMS_WINDOW_DEPTH).value for x in range(-2 * w, 2 * w + 1)}
     first = next(f"triangle at {x},{y}" for x, y in itertools.product(range(-w, w + 1), repeat=2)
                  if table[x + y] > table[x] + table[y])
     row = next(r for r in suites.run_intnorm(cfg) if r.check_id == "intnorm.axioms_window")
