@@ -344,9 +344,12 @@ def _plain(value):
 
 def build_report(config: RunConfig, checks: list[CheckResult]) -> dict:
     failures = [c for c in checks if c.status != "pass"]
+    # the report path is not recorded: one run written to two paths gives the same bytes
+    recorded = config.as_dict()
+    del recorded["out"]
     return {
         "tool": "conecheck",
-        "config": _plain(config.as_dict()),
+        "config": _plain(recorded),
         "checks": [c.as_dict() for c in checks],
         "counts": {"total": len(checks), "failed": len(failures)},
         "status": "pass" if not failures else "fail",

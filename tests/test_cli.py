@@ -40,6 +40,17 @@ def test_single_suite_command(runner, tmp_path):
     assert "exhaustive S_4" in invariance["lemma"]
 
 
+def test_one_run_written_to_two_paths_gives_the_same_bytes(runner, tmp_path):
+    # the report path is not recorded in the report's config
+    (tmp_path / "elsewhere").mkdir()
+    paths = [tmp_path / "report.json", tmp_path / "elsewhere" / "other-report.json"]
+    for path in paths:
+        result = runner.invoke(main, ["intnorm", "--seed", "7", "--out", str(path)])
+        assert result.exit_code == 0, result.output
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "out" not in json.loads(paths[0].read_text())["config"]
+
+
 def test_all_with_suite_selection(runner):
     result = runner.invoke(main, [
         "all", "--suite", "intnorm", "--suite", "products",
