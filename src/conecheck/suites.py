@@ -388,9 +388,8 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         observed={"size": len(closure)},
     ))
 
-    # norm-table axioms + conjugation invariance on a finite carrier: positivity
-    # and symmetry at each element of S_4, the triangle inequality and
-    # conjugation invariance at each pair, and the five Z/5 norms
+    # norm-table axioms + conjugation invariance on a finite carrier: each element
+    # of S_4, each pair twice (triangle, conjugation), and the Z/5 norms
     z5_norms = wordnorm.bfs_norm(wordnorm.cyclic_oracle(5), {1}).norms()
     bad, _ = _first_witness(itertools.chain(
         tr_table_s4.check_axioms(), tr_table_s4.check_conjugation_invariance(),
@@ -824,9 +823,8 @@ def _random_even(rng: np.random.Generator, degree: int) -> Permutation:
 
 
 # intnorm.axioms_window searches every x in [-2w, 2w] to this depth.  Its reach,
-# |x| <= 596, sets report.MAX_INTNORM_WINDOW, and every norm on an accepted
-# window is at most 9, so a deeper cap changes no row (depths 9, 12 and 18 give
-# the same rows at windows 0..298)
+# |x| <= 596, sets report.MAX_INTNORM_WINDOW; no norm there exceeds 9, so a
+# deeper cap changes no row
 AXIOMS_WINDOW_DEPTH = 9
 
 
@@ -1454,13 +1452,11 @@ def _stage_families(cfg: RunConfig):
 
 # coneprobe.arc_identity checks every pair of residues mod n up to this
 ARC_IDENTITY_MAX = 64
-# coneprobe.monotonicity and coneprobe.admissibility take tail statistics over
-# this share of a series, converged within this spread.  admissibility's fixed
-# series need a fraction in 0.02..0.8 and a tolerance in (0, 1): the 60-value
-# alternating one keeps two tail values only above 1/60, and its spread of 1
-# converges at tolerance 1 (at 0 or less no varying series converges, so the
-# check shows nothing); the 399-value series 1/n converges at 1e-2 only for a
-# fraction up to 320/399
+# the tail share and convergence spread of coneprobe.monotonicity and
+# coneprobe.admissibility.  admissibility's fixed series need a share in
+# 0.02..0.8 and a spread in (0, 1): the 60-value alternating one keeps two tail
+# values only above 1/60 and converges at spread 1 (at 0 or less nothing
+# varying converges); the 399-value 1/n converges at 1e-2 only up to 320/399
 TAIL_FRACTION = 0.25
 CONVERGENCE_TOL = 1e-3
 

@@ -233,8 +233,7 @@ def test_bumped_norm_table_fails_table_axioms_with_a_witness(flags):
 
 def test_table_axioms_counts_every_case_it_examines():
     # positivity and symmetry at the 24 elements of S_4, the triangle inequality
-    # and conjugation invariance at its 576 pairs, and the five Z/5 norms; the
-    # row once said 24^2 + 5 = 581
+    # and conjugation invariance at its 576 pairs, and the five Z/5 norms
     row = next(r for r in suites.run_norms(RunConfig.small()) if r.check_id == "norms.table_axioms")
     assert row.sample_size == 24 + 2 * 576 + 5 == 1181
 
