@@ -18,9 +18,13 @@ from .perms import (
     OddPermutationError,
     Permutation,
     _compose_images,
+    _cycle_lengths,
+    _cycle_norms,
+    _cycle_type_codes,
     _even_tuples,
     _images_of_type,
     _invert_images,
+    _layouts,
     _rank_images,
     _tuple_cycle_type,
     _tuple_cycles,
@@ -123,11 +127,16 @@ def brenner_hypotheses(sigma: Permutation, n: int) -> str | None:
 
 
 def brenner_check(sigma: Permutation, n: int) -> CoveringReport:
-    """The least e <= 4 with C_sigma^e = A_n, by class products on rank masks.
+    """The least e <= 4 with C_sigma^e = A_n, by class products on cycle types.
 
     Requires the covering hypotheses; raises HypothesisUnmetError otherwise,
     and refuses degrees above MAX_COVERING_DEGREE rather than sampling.
     """
+    return _brenner_report(sigma, n, _type_covering_exponent)
+
+
+def _rank_mask_brenner_check(sigma: Permutation, n: int) -> CoveringReport:
+    """brenner_check on rank masks over S_n: the oracle kernel."""
     return _brenner_report(sigma, n, _covering_exponent)
 
 
@@ -150,9 +159,55 @@ def _brenner_report(sigma: Permutation, n: int, kernel) -> CoveringReport:
     return CoveringReport(cls.size(), covered, exponent)
 
 
-# Products ranked per block by _covering_exponent: 2^16 rows keep each
-# block's temporaries under a megabyte at n = 8.
-_PRODUCT_BLOCK = 1 << 16
+def _even_cycle_types(n: int) -> list[tuple[int, ...]]:
+    """Cycle types (parts >= 2, sum <= n) of even permutations, the identity's
+    () excluded."""
+    types = []
+
+    def build(remaining, smallest, acc):
+        if acc:
+            types.append(tuple(sorted(acc, reverse=True)))
+        for part in range(smallest, remaining + 1):
+            build(remaining - part, part, acc + [part])
+
+    build(n, 2, [])
+    return sorted({
+        t for t in types
+        if sum(length - 1 for length in t) % 2 == 0
+    })
+
+
+def _type_covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
+    """The least e <= 4 with C^e = A_n for an S_n class C of even elements,
+    else None.
+
+    Every C^e is a union of S_n classes, so it is decided on cycle types: h
+    lies in C^e exactly when h then c^-1 lies in C^(e-1) for some c in C.  The
+    types of rep then c^-1 over all of C, for one representative rep of each
+    even type, are computed once; each step keeps the types that hit the last.
+    """
+    import numpy as np
+
+    inverses = np.argsort(np.array(members, dtype=np.uint8), axis=1).astype(np.uint8)
+    reps = np.array([_images_of_type(t, n) for t in [(), *_even_cycle_types(n)]],
+                    dtype=np.uint8)
+    # Python sets: a plain np.unique imports numpy.ma, about 0.5 MB resident
+    codes = _cycle_type_codes(_cycle_lengths(reps)).tolist()
+    # row k of inverses[:, rep] is rep then the inverse of members[k]
+    hits = [set(_cycle_type_codes(_cycle_lengths(inverses[:, rep])).tolist()) for rep in reps]
+    power = set(_cycle_type_codes(_cycle_lengths(inverses[:1])).tolist())
+    for e in range(1, 5):
+        if e > 1:
+            power = {code for code, hit in zip(codes, hits) if hit & power}
+        if len(power) == len(codes):
+            return e
+    return None
+
+
+# Products ranked per block by _covering_exponent: 2^14 rows keep each
+# block's temporaries near a megabyte at n = 8 (2^16 rows peaked at 4 MB,
+# and were no faster).
+_PRODUCT_BLOCK = 1 << 14
 
 
 @cache
@@ -160,8 +215,8 @@ def _alternating_mask(n: int):
     """Read-only boolean mask over the lexicographic ranks of S_n, true on A_n."""
     import numpy as np
 
-    mask = np.fromiter(map(_tuple_even, permutations(range(n))),
-                       dtype=bool, count=factorial(n))
+    images = _unrank_images(np.arange(factorial(n)), n)
+    mask = _cycle_norms(_cycle_lengths(images))[1] % 2 == 0
     mask.flags.writeable = False
     return mask
 
@@ -283,13 +338,38 @@ def commutator_witness(g: Permutation, n: int) -> tuple[Permutation, Permutation
                  for t in _search_witness(g.cycle_type(), m))
 
 
+def _stacked_commutator_witnesses(n: int):
+    """commutator_witness for every element of A_n, in lexicographic order, as
+    (N, m) uint8 image arrays g, b and c with m = max(n, 5): the elements
+    padded with fixed points, and each row's pair relabelled from its type's
+    _search_witness pair along the row's layout.  The caller verifies the
+    pairs."""
+    import numpy as np
+
+    m = max(n, 5)
+    ranks = np.flatnonzero(_alternating_mask(n))
+    g = np.tile(np.arange(m, dtype=np.uint8), (len(ranks), 1))
+    g[:, :n] = _unrank_images(ranks, n)
+    _, first, kind = np.unique(_cycle_type_codes(_cycle_lengths(g)),
+                               return_index=True, return_inverse=True)
+    pairs = np.array([_search_witness(_tuple_cycle_type(tuple(g[i].tolist())), m)
+                      for i in first], dtype=np.uint8)[kind]
+    layout = _layouts(g)
+    to_canonical = np.argsort(layout, axis=1)
+    # as commutator_witness: to_canonical, then the canonical witness, then layout
+    b, c = (np.take_along_axis(layout, np.take_along_axis(pairs[:, k], to_canonical, axis=1),
+                               axis=1) for k in (0, 1))
+    return g, b, c
+
+
 @cache
 def _search_witness(cycle_type: tuple[int, ...], m: int) -> tuple[tuple, tuple]:
     # Even image tuples b, c of degree m with [b, c] = rep, the canonical element
     # of the type.  [b, c] = rep  iff  b c b^{-1} = rep * c, and the left side
     # is a conjugate of c; so scan c and look for an even conjugator.
     rep = _images_of_type(sorted(cycle_type, reverse=True), m)
-    for c in _even_tuples(m):
+    # lazily: the first c that works comes early in the scan
+    for c in filter(_tuple_even, permutations(range(m))):
         u = _compose_images(rep, c)
         if _tuple_cycle_type(u) != _tuple_cycle_type(c):
             continue

@@ -363,6 +363,39 @@ def _cycle_lengths(images):
     return np.stack([(low == j).sum(axis=1, dtype=np.uint8) for j in range(n)], axis=1)
 
 
+def _cycle_type_codes(lengths):
+    """One int64 code per row of _cycle_lengths, equal exactly when the cycle
+    types are: the digit at place k >= 1 in base n + 1 counts the cycles of
+    length k, and place 0 counts the points that are not least in their
+    cycle."""
+    import numpy as np
+
+    return ((lengths.shape[1] + 1) ** lengths.astype(np.int64)).sum(axis=1)
+
+
+def _layouts(images):
+    """covering._layout of every row of an (N, n) image array, n < 32: the
+    points ordered by their cycle's length, longest first, then by the
+    cycle's least point, then by steps from that point, so that fixed points
+    come last in ascending order."""
+    import numpy as np
+
+    n = images.shape[1]
+    # int16 throughout: the sort keys stay below n^3
+    point = np.arange(n, dtype=np.int16)
+    walk = np.broadcast_to(point, images.shape)
+    low, low_at = walk, np.zeros(images.shape, dtype=np.int16)
+    length = np.zeros(images.shape, dtype=np.int16)
+    for k in range(1, n + 1):
+        walk = np.take_along_axis(images, walk, axis=1)
+        length = np.where((length == 0) & (walk == point), np.int16(k), length)
+        # low_at is the first step that reaches the least point
+        below = walk < low
+        low, low_at = np.where(below, walk, low), np.where(below, np.int16(k), low_at)
+    steps = (length - low_at) % length
+    return np.argsort(((n - length) * n + low) * n + steps, axis=1).astype(images.dtype)
+
+
 def _cycle_norms(lengths):
     """supp_norm and tr_norm of every row of _cycle_lengths: the moved points,
     and n minus the number of cycles, fixed points included."""

@@ -6,9 +6,10 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from conecheck import covering
+from conecheck import covering, suites
 from conecheck.covering import (
     ConjugateProductCertificate,
     HypothesisUnmetError,
@@ -30,8 +31,11 @@ from conecheck.perms import (
     OddPermutationError,
     Permutation,
     _compose_images,
+    _even_tuples,
     _invert_images,
+    _layouts,
     _tuple_even,
+    _unrank_images,
     commutator,
     supp_norm,
 )
@@ -111,13 +115,37 @@ def test_class_size_is_orbit_stabiliser(n, cycle_type):
     assert cls.size() == math.factorial(n) // _centraliser_order(cycle_type, n)
 
 
-@pytest.mark.parametrize("n, cycle_type", [
-    (n, t) for n in range(5, 8) for t in _cycle_types(n)
-    if brenner_hypotheses(canonical_of_type(t), n) is None
-])
+def _hypothesis_classes(degrees):
+    return [(n, t) for n in degrees for t in _cycle_types(n)
+            if brenner_hypotheses(canonical_of_type(t), n) is None]
+
+
+@pytest.mark.parametrize("n, cycle_type", _hypothesis_classes(range(5, 8)))
 def test_rank_mask_kernel_matches_tuple_reference(n, cycle_type):
+    # brenner_check decides on cycle types; the rank masks and the sets of
+    # image tuples are its oracle and its reference
     sigma = canonical_of_type(cycle_type)
-    assert brenner_check(sigma, n) == _tuple_brenner_check(sigma, n)
+    assert brenner_check(sigma, n) == _tuple_brenner_check(sigma, n) \
+        == covering._rank_mask_brenner_check(sigma, n)
+
+
+@pytest.mark.parametrize("n, cycle_type", _hypothesis_classes(range(5, 9)))
+def test_type_kernel_matches_rank_masks(n, cycle_type):
+    members = sorted(conjugacy_class(canonical_of_type(cycle_type), n).members)
+    assert covering._type_covering_exponent(members, n) == covering._covering_exponent(members, n)
+
+
+def test_type_kernel_reports_the_least_exponent():
+    # (2, 2, 2, 2) needs four factors in A_8: its C^3 misses a type
+    sigma = canonical_of_type((2, 2, 2, 2))
+    assert brenner_check(sigma, 8) == covering.CoveringReport(105, True, 4)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_alternating_mask_is_the_tuple_parity(n):
+    mask = covering._alternating_mask(n)
+    assert mask.tolist() == [_tuple_even(t) for t in itertools.permutations(range(n))]
+    assert not mask.flags.writeable
 
 
 def _brenner_row(degrees):
@@ -128,21 +156,62 @@ def _brenner_row(degrees):
 
 def test_wrong_kernel_exponent_fails_against_reference(monkeypatch):
     # the kernel's exponent 3 still claims covering; only the reference sees it is wrong
-    monkeypatch.setattr(covering, "_covering_exponent", lambda members, n: 3)
+    monkeypatch.setattr(covering, "_type_covering_exponent", lambda members, n: 3)
     row = _brenner_row((5,))
     assert row.status == "fail"
-    assert row.witness == ("A_5 type (2, 2): exponent 3 from the rank-mask kernel, "
+    assert row.witness == ("A_5 type (2, 2): exponent 3 from the type kernel, "
                            "2 from the tuple reference")
 
 
+def test_wrong_kernel_exponent_fails_against_the_rank_mask_oracle(monkeypatch):
+    # A_8 has no tuple reference; the seeded class at seed 2020 is its first
+    monkeypatch.setattr(covering, "_type_covering_exponent", lambda members, n: 3)
+    row = _brenner_row((8,))
+    assert (row.status, row.sample_size, row.witness) == (
+        "fail", 105, "A_8 type (2, 2, 2, 2): exponent 3 from the type kernel, "
+        "4 from the rank-mask oracle")
+
+
 def test_failing_first_class_keeps_its_witness(monkeypatch):
-    # A_7 has no reference run, so the kernel's verdict alone fails the check;
+    # A_7 has no tuple reference, and its first class is the seeded oracle's;
     # the failing class still counts as examined
-    monkeypatch.setattr(covering, "_covering_exponent", lambda members, n: None)
+    monkeypatch.setattr(covering, "_type_covering_exponent", lambda members, n: None)
     row = _brenner_row((7,))
     assert row.status == "fail"
-    assert row.witness == "A_7 type (3, 2, 2)"
+    assert row.witness == ("A_7 type (3, 2, 2): exponent None from the type kernel, "
+                           "2 from the rank-mask oracle")
     assert row.sample_size == conjugacy_class(canonical_of_type((3, 2, 2)), 7).size()
+
+
+def test_uncovered_class_off_the_oracle_fails_on_the_verdict(monkeypatch):
+    # A_7's second class has no reference run, so the kernel's verdict alone
+    # fails the check
+    kernel = covering._type_covering_exponent
+    monkeypatch.setattr(covering, "_type_covering_exponent",
+                        lambda members, n: None if len(members) == 630 else kernel(members, n))
+    row = _brenner_row((7,))
+    assert (row.status, row.sample_size, row.witness) == ("fail", 210 + 630, "A_7 type (4, 2)")
+
+
+def test_exhaustive_run_reruns_only_the_oracle_samples(monkeypatch):
+    # the rank masks re-run one class per degree, and commutator_witness at
+    # most ORACLE_SAMPLES elements per degree; the replays never run
+    calls = {"_covering_exponent": 0, "commutator_witness": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(covering, "_covering_exponent")
+    counted(suites, "commutator_witness")
+    rows = run_covering(RunConfig(brenner_degrees=(5, 6, 7, 8), ore_degrees=(5, 6, 7)))
+    assert all(row.status == "pass" for row in rows)
+    assert calls["_covering_exponent"] == 4
+    assert calls["commutator_witness"] <= 3 * suites.ORACLE_SAMPLES
 
 
 def _conjugated(t, tau):
@@ -228,6 +297,85 @@ class TestCommutatorWitness:
     def test_odd_rejected(self):
         with pytest.raises(OddPermutationError):
             commutator_witness(Permutation.parse("(1 2)"), 5)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layouts_are_the_tuple_layouts(n):
+    images = _unrank_images(np.arange(math.factorial(n)), n)
+    assert [tuple(row) for row in _layouts(images).tolist()] \
+        == [covering._layout(tuple(row)) for row in images.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_witnesses_are_commutator_witness(n):
+    g, b, c = covering._stacked_commutator_witnesses(n)
+    m = max(n, 5)
+    assert g.shape == b.shape == c.shape == (math.factorial(n) // 2 if n > 1 else 1, m)
+    elements = [t + tuple(range(n, m)) for t in _even_tuples(n)]
+    assert [tuple(row) for row in g.tolist()] == elements
+    for t, row_b, row_c in zip(elements, b.tolist(), c.tolist()):
+        assert commutator_witness(Permutation.from_images(t), n) \
+            == (Permutation.from_images(row_b), Permutation.from_images(row_c))
+
+
+def _ore_row(monkeypatch, stack):
+    """The ore_witnesses row of RunConfig.small() (A_5, seed 2020) with the
+    stacked kernel replaced, and the number of commutator_witness calls."""
+    calls = []
+    witness = suites.commutator_witness
+    monkeypatch.setattr(suites, "commutator_witness",
+                        lambda g, n: calls.append(g) or witness(g, n))
+    monkeypatch.setattr(suites, "_stacked_commutator_witnesses", stack)
+    row = next(r for r in run_covering(RunConfig.small())
+               if r.check_id == "covering.ore_witnesses")
+    return (row.status, row.sample_size, row.witness), len(calls)
+
+
+def _oracle_rows(cfg=RunConfig.small()):
+    return np.random.default_rng((cfg.seed, 12)).integers(60, size=suites.ORACLE_SAMPLES)
+
+
+def _identity_b(g, b, c, row):
+    b[row] = np.arange(b.shape[1])
+
+
+def _odd_b(g, b, c, row):
+    # b then a transposition z of two fixed points of c: z commutes with c, so
+    # [b z, c] = [b, c] still holds and only the parity check fails
+    p, q = np.flatnonzero(c[row] == np.arange(c.shape[1]))[:2]
+    z = np.arange(c.shape[1])
+    z[[p, q]] = q, p
+    b[row] = z[b[row]]
+    assert (c[row][b[row]] == b[row][c[row][g[row]]]).all()
+
+
+@pytest.mark.parametrize("corrupt", [_identity_b, _odd_b])
+def test_corrupted_stacked_witness_replays_as_the_loop(monkeypatch, corrupt):
+    # one unsampled element's b corrupted: the array check fails, the loop over
+    # Permutations replays and passes, and the oracle agrees
+    sampled = set(_oracle_rows().tolist())
+
+    def corrupted(n):
+        g, b, c = covering._stacked_commutator_witnesses(n)
+        row = next(i for i in range(1, len(g)) if i not in sampled
+                   and (c[i] == np.arange(c.shape[1])).sum() >= 2)
+        corrupt(g, b, c, row)
+        return g, b, c
+
+    assert _ore_row(monkeypatch, corrupted) == (("pass", 60, None), 60 + suites.ORACLE_SAMPLES)
+
+
+def test_stack_that_always_holds_fails_on_the_oracle(monkeypatch):
+    # [b c, c] = [b, c], so every row of (b c, c) passes the array check; the
+    # seeded commutator_witness disagrees at its first non-identity element,
+    # after the replayed loop passes, as one more case
+    def shifted(n):
+        g, b, c = covering._stacked_commutator_witnesses(n)
+        return g, np.take_along_axis(c, b, axis=1), c
+
+    first = next(i for i in _oracle_rows() if i > 0)
+    g = Permutation.from_images(_even_tuples(5)[first])
+    assert _ore_row(monkeypatch, shifted)[0] == ("fail", 61, f"stacked witness disagrees at {g}")
 
 
 class TestCertificates:

@@ -17,6 +17,7 @@ from conecheck.perms import (
     _full_cycle_type,
     _cycle_lengths,
     _cycle_norms,
+    _cycle_type_codes,
     _neighbour_columns,
     _rank_images,
     _three_cycle_table,
@@ -325,6 +326,13 @@ class TestImageArrayNorms:
                 == _full_cycle_type(t), t
             # each cycle is counted at its least point
             assert all(lengths[min(cycle)] == len(cycle) for cycle in perms._tuple_cycles(t))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cycle_type_codes_separate_exactly_the_cycle_types(self, n):
+        rows = _unrank_images(np.arange(math.factorial(n)), n)
+        codes = _cycle_type_codes(_cycle_lengths(rows)).tolist()
+        types = [_full_cycle_type(t) for t in itertools.permutations(range(n))]
+        assert len(set(zip(codes, types))) == len(set(codes)) == len(set(types))
 
     @pytest.mark.parametrize("n, even", [(4, False), (5, False), (5, True), (6, True)])
     def test_neighbour_columns_are_products(self, n, even):

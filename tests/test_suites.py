@@ -328,8 +328,10 @@ def test_corrupt_neighbour_column_fails_after_the_passing_replay(monkeypatch):
     # SO(4)..SO(12) blocks, exhaustive S_6 and S_30 pairs
     ("matnorm", RunConfig(matrix_pairs=166)),
     ("cutting", RunConfig(random_pairs=16_666)),
+    # the exhaustive workload's covering degrees: A_8 classes, Ore stacks to A_7
+    ("covering", RunConfig(brenner_degrees=(5, 6, 7, 8), ore_degrees=(5, 6, 7))),
 ], ids=[*RunConfig.small().suites, "norms-exhaustive", "matnorm-acceptance",
-        "cutting-acceptance"])
+        "cutting-acceptance", "covering-exhaustive"])
 def test_no_batched_kernel_replays_on_a_passing_run(monkeypatch, suite, cfg):
     # A batched kernel that fails falsely is replayed by its reference loop, and
     # the row passes as if nothing happened, at the reference's cost.  On these
