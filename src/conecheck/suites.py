@@ -764,11 +764,11 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
             # rows are max(n, 5) points wide, so b and c are supported there
             g, b, c = _stacked_commutator_witnesses(n)
             # [b, c] = g  iff  b then c equals g then c then b
-            commutes = (np.take_along_axis(c, b, axis=1)
-                        == np.take_along_axis(b, np.take_along_axis(c, g, axis=1), axis=1))
-            even = [_cycle_norms(_cycle_lengths(x))[1] % 2 == 0 for x in (b, c)]
-            held = (commutes.all(axis=1) & even[0] & even[1]).all()
-            yield from _batched_cases(len(g), held, ore_oracle(rng, n, g, b, c),
+            commutator_held = (np.take_along_axis(c, b, axis=1) == np.take_along_axis(
+                b, np.take_along_axis(c, g, axis=1), axis=1)).all()
+            even = all((_cycle_norms(_cycle_lengths(x))[1] % 2 == 0).all() for x in (b, c))
+            yield from _batched_cases(len(g), commutator_held and even,
+                                      ore_oracle(rng, n, g, b, c),
                                       ore_loop_cases(n))
 
     bad, total = _first_witness(ore_cases())

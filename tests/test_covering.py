@@ -331,8 +331,10 @@ def _ore_row(monkeypatch, stack):
     return (row.status, row.sample_size, row.witness), len(calls)
 
 
-def _oracle_rows(cfg=RunConfig.small()):
-    return np.random.default_rng((cfg.seed, 12)).integers(60, size=suites.ORACLE_SAMPLES)
+def _oracle_rows():
+    """The rows of A_5 the Ore oracle re-runs under RunConfig.small()."""
+    seed = RunConfig.small().seed
+    return np.random.default_rng((seed, 12)).integers(60, size=suites.ORACLE_SAMPLES)
 
 
 def _identity_b(g, b, c, row):
