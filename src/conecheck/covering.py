@@ -8,6 +8,7 @@ Everything here is certified by explicit recomposition, never by trust.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
@@ -153,10 +154,11 @@ def _brenner_report(sigma: Permutation, n: int, kernel) -> CoveringReport:
         raise HypothesisUnmetError(
             f"degree {n} above exhaustive bound {MAX_COVERING_DEGREE}"
         )
-    cls = conjugacy_class(sigma, n)
-    exponent = kernel(sorted(cls.members), n)
+    # one class build per (cycle type, degree), shared by every kernel
+    members = _window_class(sigma.cycle_type(), n)
+    exponent = kernel(members, n)
     covered = exponent is not None  # C^e = A_n implies C^4 = A_n
-    return CoveringReport(cls.size(), covered, exponent)
+    return CoveringReport(len(members), covered, exponent)
 
 
 def _even_cycle_types(n: int) -> list[tuple[int, ...]]:
@@ -177,7 +179,7 @@ def _even_cycle_types(n: int) -> list[tuple[int, ...]]:
     })
 
 
-def _type_covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
+def _type_covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int | None:
     """The least e <= 4 with C^e = A_n for an S_n class C of even elements,
     else None.
 
@@ -221,7 +223,7 @@ def _alternating_mask(n: int):
     return mask
 
 
-def _covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
+def _covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int | None:
     """The least e <= 4 with C^e = A_n for the even class C, else None.
 
     Each C^e is a mask over the ranks of S_n.  C^e is C^(e-1) times C, one
@@ -250,7 +252,7 @@ def _covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
     return None
 
 
-def _tuple_covering_exponent(members: list[tuple[int, ...]], n: int) -> int | None:
+def _tuple_covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int | None:
     """_covering_exponent on Python sets of image tuples."""
     alternating = frozenset(_even_tuples(n))
     power = set(members)

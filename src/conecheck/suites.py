@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -1666,14 +1668,15 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
 def run_determinism(cfg: RunConfig) -> list[CheckResult]:
     small = RunConfig.small(seed=cfg.seed)
 
-    def run():
-        report = build_report(small, _run_suites(small))
+    def run(runner):
+        report = build_report(small, runner(small))
         return len(report_to_json(report)), [(c["check_id"], report_to_json(c))
                                              for c in report["checks"]]
 
     # only row bytes outlive a run.  The reports share their config, and counts
-    # and status follow from the rows, so equal rows give byte-identical reports
-    (size, first), (_, second) = run(), run()
+    # and status follow from the rows, so equal rows give byte-identical reports.
+    # The two-process runner is checked against its one-process reference.
+    (size, first), (_, second) = run(_run_suites_in_process), run(_run_suites)
     differing = next(((a or b)[0] for a, b in itertools.zip_longest(first, second)
                       if a != b), None)
     return [PASS(
@@ -1699,10 +1702,98 @@ SUITES = {
 }
 
 
+class SuiteWorkerError(RuntimeError):
+    """The suite worker ended without sending its rows."""
+
+
+class _RemoteTraceback(Exception):
+    """The worker's formatted traceback, as its message: the __cause__ of the
+    exception the parent re-raises, as in concurrent.futures."""
+
+
+def _selected(cfg: RunConfig) -> list[str]:
+    return [name for name in SUITES if name in cfg.suites or "all" in cfg.suites]
+
+
+def _run_suites_in_process(cfg: RunConfig) -> list[CheckResult]:
+    """The selected suites run one after another in this process: the
+    reference for _run_suites."""
+    return [check for name in _selected(cfg) for check in SUITES[name](cfg)]
+
+
+def _take_suites(cfg: RunConfig, names, queue: int, alive=lambda: True) -> dict:
+    """{name: rows} for the suites this process takes from the queue, one byte
+    (an index into names) at a time, while alive() holds."""
+    rows = {}
+    while alive() and (taken := os.read(queue, 1)):
+        name = names[taken[0]]
+        rows[name] = SUITES[name](cfg)
+    return rows
+
+
 def _run_suites(cfg: RunConfig) -> list[CheckResult]:
-    return [check for name, suite in SUITES.items()
-            if name in cfg.suites or "all" in cfg.suites
-            for check in suite(cfg)]
+    """The selected suites' rows in SUITES order, run in two processes.
+
+    This process forks one worker, and both take suites from one queue, a
+    pipe that holds one byte per suite.  A one-byte pipe read is atomic, so
+    each suite runs exactly once.  Every suite seeds its own streams, so the
+    process that runs a suite changes no byte of its rows.  The worker
+    pickles its {name: rows}, or the exception that ended it with its
+    formatted traceback, back over a second pipe and leaves by os._exit.
+    One selected suite runs here, and nothing is forked.
+    """
+    names = _selected(cfg)
+    if len(names) < 2:
+        return _run_suites_in_process(cfg)
+    queue, queue_w = os.pipe()
+    os.write(queue_w, bytes(range(len(names))))
+    os.close(queue_w)  # an empty queue then reads as end of file
+    result_r, result_w = os.pipe()
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        _serve_suites(cfg, names, queue, result_r, result_w, parent)
+    os.close(result_w)
+    try:
+        with os.fdopen(result_r, "rb") as result:
+            rows = _take_suites(cfg, names, queue)
+            payload = result.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)  # the worker's rows are of no use now
+        raise
+    finally:
+        os.close(queue)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        # negative: the signal that ended the worker
+        raise SuiteWorkerError(f"suite worker ended with exit status {status} "
+                               "before sending its rows")
+    sent, tb = pickle.loads(payload)  # bytes written by the worker above
+    if tb is not None:
+        raise sent from _RemoteTraceback(tb)
+    rows.update(sent)
+    return [check for name in names for check in rows[name]]
+
+
+def _serve_suites(cfg, names, queue, result_r, result_w, parent):
+    """The forked worker: take suites while the parent lives, send (rows,
+    None) or (exception, traceback) back, and leave by os._exit."""
+    status = 1
+    try:
+        os.close(result_r)
+        try:
+            sent = _take_suites(cfg, names, queue, lambda: os.getppid() == parent), None
+        except BaseException as exc:  # re-raised by the parent
+            import traceback
+
+            sent = exc, traceback.format_exc()
+        with os.fdopen(result_w, "wb") as result:
+            pickle.dump(sent, result)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run_suite(cfg: RunConfig, echo=print) -> tuple[int, dict]:

@@ -195,8 +195,11 @@ def test_uncovered_class_off_the_oracle_fails_on_the_verdict(monkeypatch):
 
 def test_exhaustive_run_reruns_only_the_oracle_samples(monkeypatch):
     # the rank masks re-run one class per degree, and commutator_witness at
-    # most ORACLE_SAMPLES elements per degree; the replays never run
-    calls = {"_covering_exponent": 0, "commutator_witness": 0}
+    # most ORACLE_SAMPLES elements per degree; the replays never run.  Every
+    # kernel of a class shares one conjugacy_class build per (cycle type,
+    # degree): 8 for brenner and 2 for class_closure, where each check of a
+    # class once built its own (19 calls)
+    calls = {"_covering_exponent": 0, "commutator_witness": 0, "conjugacy_class": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -208,9 +211,13 @@ def test_exhaustive_run_reruns_only_the_oracle_samples(monkeypatch):
 
     counted(covering, "_covering_exponent")
     counted(suites, "commutator_witness")
+    counted(covering, "conjugacy_class")
+    counted(suites, "conjugacy_class")
+    covering._window_class.cache_clear()
     rows = run_covering(RunConfig(brenner_degrees=(5, 6, 7, 8), ore_degrees=(5, 6, 7)))
     assert all(row.status == "pass" for row in rows)
     assert calls["_covering_exponent"] == 4
+    assert calls["conjugacy_class"] == 10
     assert calls["commutator_witness"] <= 3 * suites.ORACLE_SAMPLES
 
 

@@ -418,6 +418,9 @@ def _expected_k_halved(monkeypatch):
 
 
 def _second_run_differs(monkeypatch):
+    # the norms suite reports how often it has run: 1 in the reference run, 2
+    # in the two-process run, whichever process takes it (a forked worker
+    # inherits the first run's count)
     from conecheck.report import CheckResult
     runs = []
 
@@ -425,7 +428,7 @@ def _second_run_differs(monkeypatch):
         runs.append(cfg)
         return [CheckResult.from_outcome("norms.same", "same on every run", None, 1),
                 CheckResult.from_outcome("norms.counted", "counts the runs", None, len(runs))]
-    monkeypatch.setattr(suites, "_run_suites", rows)
+    monkeypatch.setitem(suites.SUITES, "norms", rows)
 
 
 _WITNESSED_FAULTS = [
