@@ -1741,6 +1741,10 @@ def _run_suites(cfg: RunConfig) -> list[CheckResult]:
     pickles its {name: rows}, or the exception that ended it with its
     formatted traceback, back over a second pipe and leaves by os._exit.
     One selected suite runs here, and nothing is forked.
+
+    The fork comes after the imports, so the worker imports nothing again.
+    numpy's OpenBLAS thread pool survives it through OpenBLAS's
+    pthread_atfork handlers.
     """
     names = _selected(cfg)
     if len(names) < 2:

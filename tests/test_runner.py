@@ -93,12 +93,6 @@ def test_a_worker_that_dies_names_its_exit_status(split):
     _assert_no_child_left()
 
 
-def test_a_passing_run_leaves_no_child(split):
-    cfg = split(lambda: [])
-    assert suites.run_suite(cfg, echo=lambda *_: None)[1]["checks"] == []
-    _assert_no_child_left()
-
-
 @pytest.mark.parametrize("chosen, forks", [(("products",), 0), (("intnorm", "products"), 1)])
 def test_one_suite_forks_nothing(monkeypatch, chosen, forks):
     calls = []
