@@ -12,6 +12,7 @@ import sys
 
 import click
 
+from .coneprobe import CONVERGENCE_TOL, TAIL_FRACTION
 from .covering import ConjugateProductCertificate
 from .intnorm import FactorialGenerators
 from .report import (
@@ -158,9 +159,9 @@ def integer_norm_command(target, depth, base, out):
                    "sequence file; writes a CSV series next to --out.")
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--bound", type=float, default=1.0, help="Admissibility bound.")
-@click.option("--tail", type=click.FloatRange(0, 1, min_open=True), default=0.25,
+@click.option("--tail", type=click.FloatRange(0, 1, min_open=True), default=TAIL_FRACTION,
               help="Tail fraction, in (0, 1].")
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-3,
+@click.option("--tol", type=click.FloatRange(min=0), default=CONVERGENCE_TOL,
               help="Convergence tolerance, at least 0.")
 @click.option("--out", type=click.Path(), default=None, help="JSON summary path.")
 def probe_sequence_command(path, bound, tail, tol, out):

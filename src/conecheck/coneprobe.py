@@ -79,8 +79,18 @@ class UltralimitEstimate:
         }
 
 
-def estimate_limit(values, tail_fraction: float = 0.25,
-                   tolerance: float = 1e-3) -> UltralimitEstimate:
+# the tail share and convergence spread of estimate_limit, which
+# coneprobe.monotonicity and coneprobe.admissibility use, and of
+# probe-sequence's --tail and --tol.  admissibility's fixed series need a share
+# in 0.02..0.8 and a spread in (0, 1): the 60-value alternating one keeps two
+# tail values only above 1/60 and converges at spread 1 (at 0 or less nothing
+# varying converges); the 399-value 1/n converges at 1e-2 only up to 320/399
+TAIL_FRACTION = 0.25
+CONVERGENCE_TOL = 1e-3
+
+
+def estimate_limit(values, tail_fraction: float = TAIL_FRACTION,
+                   tolerance: float = CONVERGENCE_TOL) -> UltralimitEstimate:
     """Tail statistics over the last tail_fraction of the series.
 
     Converged means tail_max - tail_min <= tolerance; an alternating series

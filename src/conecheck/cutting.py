@@ -9,9 +9,10 @@ image.
 
 Each has a batched form on (N, d) arrays of 0-based image arrays, which the
 cutting suite runs: ``cut_stack`` (every k up to kmax, one step per k),
-``split_stack`` (every k) and ``displaced_stack``, the last two read off one
-walk of each cycle from its minimum.  The ``Permutation`` functions stay
-their references and run inside each check on a seeded sample.
+``split_stack`` (every k) and ``displaced_stack``, the last two read off
+``perms._cycle_walk``, one walk of each cycle from its least point.  The
+``Permutation`` functions stay their references and run inside each check on
+a seeded sample.
 ``cut_bounds`` is the one audit of the four bounds over index pairs into an
 array of cut images; ``verify_cut_lemmas`` runs it on permutation pairs cut
 by ``cut``, and the suite's exhaustive and random checks on ``cut_stack``,
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .perms import IDENTITY, Permutation, supp_norm
+from .perms import IDENTITY, Permutation, _cycle_walk, supp_norm
 
 
 class OutOfRangeError(ValueError):
@@ -155,25 +156,6 @@ def displaced_set(sigma: Permutation) -> frozenset[int]:
         stop = k if k % 2 == 0 else k - 1
         moved.update(cyc[0:stop:2])
     return frozenset(moved)
-
-
-def _cycle_walk(images: np.ndarray):
-    """Per point of each row of an (N, d) image array: the minimum of its
-    cycle, its position counted from that minimum, and its cycle length.
-    Fixed points are their own minimum at position 0 of a 1-cycle.  Takes d
-    gathers; each result has the input's dtype."""
-    points = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
-    low = points.copy()
-    to_low = np.zeros_like(low)  # steps forward from the point to its minimum
-    length = np.zeros_like(low)
-    walk = points
-    for step in range(1, images.shape[1] + 1):
-        walk = np.take_along_axis(images, walk, axis=1)
-        lower = walk < low
-        low = np.where(lower, walk, low)
-        to_low = np.where(lower, step, to_low)
-        length = np.where((length == 0) & (walk == points), step, length)
-    return low, (length - to_low) % length, length
 
 
 def split_stack(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -268,20 +268,7 @@ def _images_of_type(cycle_type, degree: int = 0) -> tuple[int, ...]:
 
 
 def _tuple_even(t: tuple[int, ...]) -> bool:
-    # its own cycle walk, not _tuple_cycle_type: parity filters every element
-    # of A_n on the covering path, and this runs twice as fast
-    seen = [False] * len(t)
-    transpositions = 0
-    for i in range(len(t)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = t[j]
-            length += 1
-        transpositions += length - 1
-    return transpositions % 2 == 0
+    return sum(len(c) - 1 for c in _tuple_cycles(t)) % 2 == 0
 
 
 def _even_tuples(n: int) -> list[tuple[int, ...]]:
@@ -351,7 +338,11 @@ def _cycle_lengths(images):
     """For every row of an (N, n) image array, the length of the cycle whose
     least point is j in column j, and 0 where j is not least in its cycle
     (uint8).  n - 1 steps along each cycle reach every point's least orbit
-    point."""
+    point.
+
+    Its own walk, not _cycle_walk: one gather and one minimum per step, and
+    _cycle_lengths built from _cycle_walk took twice as long at S_8 and S_9.
+    """
     import numpy as np
 
     n = images.shape[1]
@@ -361,6 +352,27 @@ def _cycle_lengths(images):
         low = np.minimum(low, walk)
         walk = np.take_along_axis(images, walk, axis=1)
     return np.stack([(low == j).sum(axis=1, dtype=np.uint8) for j in range(n)], axis=1)
+
+
+def _cycle_walk(images):
+    """Per point of each row of an (N, n) image array: the least point of its
+    cycle, its steps forward from that point, and its cycle length.  Fixed
+    points are their own least point at step 0 of a 1-cycle.  Takes n
+    gathers; each result has the input's dtype."""
+    import numpy as np
+
+    points = np.broadcast_to(np.arange(images.shape[1], dtype=images.dtype), images.shape)
+    low = points.copy()
+    to_low = np.zeros_like(low)  # steps forward from the point to its least point
+    length = np.zeros_like(low)
+    walk = points
+    for step in range(1, images.shape[1] + 1):
+        walk = np.take_along_axis(images, walk, axis=1)
+        lower = walk < low
+        low = np.where(lower, walk, low)
+        to_low = np.where(lower, step, to_low)
+        length = np.where((length == 0) & (walk == points), step, length)
+    return low, (length - to_low) % length, length
 
 
 def _cycle_type_codes(lengths):
@@ -382,17 +394,7 @@ def _layouts(images):
 
     n = images.shape[1]
     # int16 throughout: the sort keys stay below n^3
-    point = np.arange(n, dtype=np.int16)
-    walk = np.broadcast_to(point, images.shape)
-    low, low_at = walk, np.zeros(images.shape, dtype=np.int16)
-    length = np.zeros(images.shape, dtype=np.int16)
-    for k in range(1, n + 1):
-        walk = np.take_along_axis(images, walk, axis=1)
-        length = np.where((length == 0) & (walk == point), np.int16(k), length)
-        # low_at is the first step that reaches the least point
-        below = walk < low
-        low, low_at = np.where(below, walk, low), np.where(below, np.int16(k), low_at)
-    steps = (length - low_at) % length
+    low, steps, length = _cycle_walk(images.astype(np.int16))
     return np.argsort(((n - length) * n + low) * n + steps, axis=1).astype(images.dtype)
 
 

@@ -1354,13 +1354,13 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
         observed={"dense_elements": len(dense), "sampled_elements": len(sampled)},
     ))
 
+    # fpi differs from fp only in its factor projections, so it has the same words
     fpi = products.FreeProduct({
         1: products.cyclic_factor(2, "discrete", "identity"),
         2: products.cyclic_factor(3, "discrete", "identity"),
     })
     rep_neg = products.verify_contraction_conditions(
-        fpi.prefix_project, fpi.enumerate_words(cfg.word_l1_budget),
-        fpi.l1_norm, fpi.distance, lambda wd: wd.is_identity(), 1)
+        fpi.prefix_project, words, fpi.l1_norm, fpi.distance, lambda wd: wd.is_identity(), 1)
     # whether the identity projection must violate each condition
     expected = {"norm-decrease": True, "non-expansive": False, "displacement": False}
     neg_bad = next((f"{name} violation count {rep_neg[name]['violations']}"
@@ -1471,13 +1471,6 @@ def _stage_families(cfg: RunConfig):
 
 # coneprobe.arc_identity checks every pair of residues mod n up to this
 ARC_IDENTITY_MAX = 64
-# the tail share and convergence spread of coneprobe.monotonicity and
-# coneprobe.admissibility.  admissibility's fixed series need a share in
-# 0.02..0.8 and a spread in (0, 1): the 60-value alternating one keeps two tail
-# values only above 1/60 and converges at spread 1 (at 0 or less nothing
-# varying converges); the 399-value 1/n converges at 1e-2 only up to 320/399
-TAIL_FRACTION = 0.25
-CONVERGENCE_TOL = 1e-3
 
 
 def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
@@ -1609,8 +1602,8 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         for trial in range(50):
             b_series = rng.uniform(0, 2, 60)
             a_series = b_series - rng.uniform(0, 1, 60)
-            ea = coneprobe.estimate_limit(a_series, TAIL_FRACTION, CONVERGENCE_TOL)
-            eb = coneprobe.estimate_limit(b_series, TAIL_FRACTION, CONVERGENCE_TOL)
+            ea = coneprobe.estimate_limit(a_series)
+            eb = coneprobe.estimate_limit(b_series)
             above = [stat for stat in ("tail_min", "tail_max", "tail_mean")
                      if getattr(ea, stat) > getattr(eb, stat)]
             yield f"trial {trial}: {above[0]} of a above b's" if above else None
@@ -1628,8 +1621,9 @@ def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
         {"family": "constant-identity", "stages": list(range(1, 40)), "scaling": "n"})
     square = coneprobe.load_sequence(
         {"family": "square-cycle", "stages": list(range(1, 40)), "scaling": "n"})
-    alternating = coneprobe.estimate_limit([0.0, 1.0] * 30, TAIL_FRACTION, CONVERGENCE_TOL)
-    vanishing = coneprobe.estimate_limit([1.0 / n for n in range(1, 400)], TAIL_FRACTION, 1e-2)
+    alternating = coneprobe.estimate_limit([0.0, 1.0] * 30)
+    vanishing = coneprobe.estimate_limit([1.0 / n for n in range(1, 400)],
+                                         coneprobe.TAIL_FRACTION, 1e-2)
 
     def admissibility_cases():
         for seq, bound, admissible in ((cyc, 1.0, True), (ident, 0.0, True),

@@ -1,20 +1,21 @@
 """The batch front-end: subcommands, config handling, certificate checks."""
 
 import dataclasses
+import functools
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conecheck.cli import main, verify_certificate
 from conecheck.cli import MalformedCertificateError, RecompositionMismatchError
 from conecheck.covering import express_as_conjugates
 from conecheck.perms import Permutation
 from conecheck.report import SUITE_NAMES, ConfigInvalidError, RunConfig, load_config_file
-from conecheck.suites import run_suite
+from conecheck.suites import SUITES, run_suite
 
 
 @pytest.fixture
@@ -268,6 +269,51 @@ def test_wrong_typed_field_is_named(case):
     name, value = case
     with pytest.raises(ConfigInvalidError, match=name):
         RunConfig.from_dict({name: value}).validate()
+
+
+
+def _moved_value(f: dataclasses.Field):
+    """A value inside a field's declared range: a degree list of up to three
+    entries from lo..hi, or an int from lo (-2 where the range is open below)
+    up to the field's value in RunConfig.small(), so that every run stays
+    small."""
+    lo, hi = f.metadata["lo"], f.metadata["hi"]
+    if isinstance(f.default, tuple):
+        return st.lists(st.integers(lo, hi), max_size=3).map(tuple)
+    return st.integers(-2 if lo is None else lo, getattr(RunConfig.small(), f.name))
+
+
+@functools.cache
+def _fields_read_by(suite: str) -> list[dataclasses.Field]:
+    """The fields with a declared range that the suite reads, as recorded on
+    one RunConfig.small() run."""
+    read = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    SUITES[suite](Recording(**vars(RunConfig.small())))
+    return [f for f in dataclasses.fields(RunConfig) if f.metadata and f.name in read]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from([s for s in SUITE_NAMES if s != "determinism"]).flatmap(
+    lambda suite: st.tuples(st.just(suite), st.lists(
+        st.sampled_from(_fields_read_by(suite)), min_size=1, max_size=3, unique=True).flatmap(
+            lambda fields: st.tuples(*(st.tuples(st.just(f.name), _moved_value(f))
+                                       for f in fields))))))
+def test_every_small_config_ends_in_a_verdict(case):
+    # either a refusal that names a moved field, or rows and an exit status
+    suite, moves = case
+    cfg = dataclasses.replace(RunConfig.small(), suites=(suite,), **dict(moves))
+    try:
+        status, report = run_suite(cfg, echo=lambda line: None)
+    except ConfigInvalidError as err:
+        assert any(name in str(err) for name, _ in moves), err
+        return
+    assert status in (0, 1) and report["checks"]
 
 
 def _workload_configs():

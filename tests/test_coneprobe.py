@@ -244,7 +244,8 @@ class TestLimitCheckWitnesses:
     def test_admissibility_names_the_failed_series(self, monkeypatch, patch, witness):
         true_estimate = coneprobe.estimate_limit
         fakes = {"admissibility": lambda seq, bound: (True, {}),
-                 "estimate_limit": lambda values, tail, tol: true_estimate(values, tail, 1.0)}
+                 "estimate_limit": lambda values, tail=coneprobe.TAIL_FRACTION, tol=None:
+                 true_estimate(values, tail, 1.0)}
         monkeypatch.setattr(coneprobe, patch, fakes[patch])
         row = _coneprobe_row("coneprobe.admissibility")
         assert (row.status, row.sample_size, row.witness) == ("fail", 5, witness)

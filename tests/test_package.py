@@ -1,13 +1,15 @@
 """Package-wide lint: no function that nothing in the package calls, no
-dataclass field that nothing reads, and no private helper named in the README
-that the package does not define."""
+dataclass field that nothing reads, no private helper named in the README
+that the package does not define, and the README's count of config fields."""
 
 import ast
+import dataclasses
 import re
 from collections import defaultdict
 from pathlib import Path
 
 import conecheck
+from conecheck.report import RunConfig
 
 PACKAGE = Path(conecheck.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -107,3 +109,9 @@ def test_readme_names_only_defined_private_helpers():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     cited = set(re.findall(r"`(?:\w+\.)*(_[A-Za-z]\w*)", README.read_text()))
     assert sorted(cited - defined) == []
+
+
+def test_readme_counts_the_runconfig_fields():
+    # the count has changed with every retired field
+    cited = re.search(r"Keys\s+mirror\s+the\s+(\d+)\s+`RunConfig`\s+fields", README.read_text())
+    assert cited and int(cited.group(1)) == len(dataclasses.fields(RunConfig))

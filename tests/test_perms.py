@@ -1,7 +1,9 @@
 """Permutation arithmetic and the three conjugation-invariant norms."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conecheck.perms import (
     _cycle_lengths,
     _cycle_norms,
     _cycle_type_codes,
+    _cycle_walk,
     _neighbour_columns,
     _rank_images,
     _three_cycle_table,
@@ -327,6 +330,20 @@ class TestImageArrayNorms:
             # each cycle is counted at its least point
             assert all(lengths[min(cycle)] == len(cycle) for cycle in perms._tuple_cycles(t))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+    def test_cycle_walk_reads_each_point_off_its_tuple_cycle(self, n, dtype):
+        rows = _unrank_images(np.arange(math.factorial(n)), n).astype(dtype)
+        low, steps, length = _cycle_walk(rows)
+        assert low.dtype == steps.dtype == length.dtype == dtype
+        for t, *walked in zip(itertools.permutations(range(n)), low, steps, length):
+            expected = [list(range(n)), [0] * n, [1] * n]
+            for cycle in perms._tuple_cycles(t):
+                for k, point in enumerate(cycle):
+                    expected[0][point], expected[1][point] = cycle[0], k
+                    expected[2][point] = len(cycle)
+            assert [w.tolist() for w in walked] == expected, t
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cycle_type_codes_separate_exactly_the_cycle_types(self, n):
         rows = _unrank_images(np.arange(math.factorial(n)), n)
@@ -346,3 +363,27 @@ class TestImageArrayNorms:
             t for t in itertools.permutations(range(n)) if sum(a != b for a, b in enumerate(t)) == 2]
         for s, column in zip(gens, _neighbour_columns(rows, gens, position)):
             assert [elements[j] for j in column] == [_compose_images(g, s) for g in elements]
+
+
+def walk_sites(snippet):
+    """module.function holding each line of the package that contains snippet,
+    in file and line order."""
+    sites = []
+    for path in sorted(Path(perms.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        defs = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        for line, text in enumerate(source.splitlines(), 1):
+            if snippet in text:
+                inner = max((d for d in defs if d.lineno <= line <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                sites.append(f"{path.stem}.{inner.name if inner else '<module>'}")
+    return sites
+
+
+def test_each_cycle_walk_is_written_once():
+    # one array walk per purpose: _cycle_lengths keeps its cheaper gather and
+    # minimum, and splitting, displacement and the layouts read _cycle_walk
+    assert walk_sites("np.take_along_axis(images, walk, axis=1)") \
+        == ["perms._cycle_lengths", "perms._cycle_walk"]
+    # one tuple walk: parity and cycle types read _tuple_cycles
+    assert walk_sites("seen = [False] * len(t)") == ["perms._tuple_cycles"]
