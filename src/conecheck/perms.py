@@ -341,7 +341,8 @@ def _cycle_lengths(images):
     point.
 
     Its own walk, not _cycle_walk: one gather and one minimum per step, and
-    _cycle_lengths built from _cycle_walk took twice as long at S_8 and S_9.
+    _cycle_lengths built from _cycle_walk took about twice as long at S_8 and
+    S_9.
     """
     import numpy as np
 

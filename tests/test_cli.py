@@ -271,7 +271,6 @@ def test_wrong_typed_field_is_named(case):
         RunConfig.from_dict({name: value}).validate()
 
 
-
 def _moved_value(f: dataclasses.Field):
     """A value inside a field's declared range: a degree list of up to three
     entries from lo..hi, or an int from lo (-2 where the range is open below)
