@@ -131,7 +131,7 @@ def run_all(chosen, **kwargs):
 @click.option("--out", type=click.Path(), default=None,
               help="Write the result as a verifiable certificate file.")
 def integer_norm_command(target, depth, base, out):
-    from .intnorm import norm_exact, parse_target
+    from .intnorm import IndexBudgetExceededError, norm_exact, parse_target
 
     try:
         value, parsed_base = parse_target(target)
@@ -140,7 +140,11 @@ def integer_norm_command(target, depth, base, out):
         sys.exit(2)
     t = base or parsed_base
     gens = FactorialGenerators(base=t, max_index=max(depth + 4, 16))
-    result = norm_exact(value, gens, depth_cap=depth)
+    try:
+        result = norm_exact(value, gens, depth_cap=depth)
+    except IndexBudgetExceededError as exc:
+        click.echo(f"target out of range: {exc}", err=True)
+        sys.exit(2)
     payload = {
         "kind": "integer-norm",
         "target": value,
@@ -245,9 +249,9 @@ def verify_certificate(path) -> str:
             target = int(data["target"])
             base = int(data.get("base", 2))
             terms = [int(t) for t in data["certificate"]]
+            members = set(FactorialGenerators(base=base, max_index=64).members)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCertificateError(str(exc)) from exc
-        members = set(FactorialGenerators(base=base, max_index=64).members)
         outside = [t for t in terms if abs(t) not in members]
         if outside:
             raise MalformedCertificateError(f"terms outside the generating set: {outside}")

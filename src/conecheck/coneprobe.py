@@ -28,11 +28,17 @@ class ScaledSequence:
         # admissibility and the tail statistics have nothing to take the max of
         if not self.stages:
             raise ValueError("a sequence needs at least one stage")
+        # the series is written as JSON, which has no infinity
         for n, norm in self.stages:
-            if norm < 0:
-                raise ValueError("norms must be non-negative")
-            if self.scaling(n) <= 0:
-                raise ValueError("scaling must be strictly positive")
+            try:
+                scale = self.scaling(n)
+                if not (norm >= 0 and math.isfinite(norm)):
+                    raise ValueError(f"norm at stage {n} must be finite and non-negative: {norm}")
+                if not (scale > 0 and math.isfinite(scale) and math.isfinite(norm / scale)):
+                    raise ValueError(f"scaling at stage {n} must be finite and strictly "
+                                     f"positive, with a finite norm / scaling: {scale}")
+            except ArithmeticError as exc:  # a float overflow, or 0 to a negative power
+                raise ValueError(f"stage {n} is out of range: {exc}") from exc
 
     def normalized(self) -> tuple[float, ...]:
         return tuple(norm / self.scaling(n) for n, norm in self.stages)

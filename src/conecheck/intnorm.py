@@ -103,7 +103,8 @@ def norm_upper(x: int, gens: FactorialGenerators, step_budget: int = 10**5) -> I
         return IntNormResult(0, (), "upper-construction", best_upper=0)
     if abs(x) > members[-1] * step_budget:
         raise IndexBudgetExceededError(
-            f"|{x}| cannot be reached within {step_budget} steps of the largest member"
+            f"|{x}| cannot be reached within {step_budget} steps of the largest member, "
+            f"{members[-1]}"
         )
 
     def build(r: int, budget: int) -> list[int] | None:

@@ -420,9 +420,9 @@ def three_cycle_generators(n: int) -> list[tuple[int, ...]]:
 # --- 3-cycle word norm on cycle types -----------------------------------------
 
 # Ambient degrees above this are refused.  norms.three_cycle_oracle measures
-# every element of A_m, held as image tuples and as an (N, m) image array, a
-# failure replays an element BFS over A_m, and ambient stability reads the
-# table of A_(m+1); so alternating_degree stays one below this.
+# every element of A_m, held as an (N, m) image array and read row by row as
+# tuples, a failure replays an element BFS over A_m, and ambient stability
+# reads the table of A_(m+1); so alternating_degree stays one below this.
 MAX_THREE_CYCLE_DEGREE = 8
 
 

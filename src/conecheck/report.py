@@ -16,9 +16,9 @@ from .covering import MAX_COVERING_DEGREE
 from .intnorm import MAX_INTNORM_INDEX
 from .perms import MAX_THREE_CYCLE_DEGREE
 
-# The norms suite holds all of S_norm_degree as image tuples and as an (N, n)
-# image array, and a failing check replays a transposition BFS over it; S_9
-# has 362880 elements.
+# The norms suite holds all of S_norm_degree as an (N, n) image array, and a
+# failing check builds its image tuples and replays a transposition BFS over
+# them; S_9 has 362880 elements.
 MAX_NORM_DEGREE = 8
 # Grid angles projected by coneprobe.lipschitz_grid, over every n: 3.2-3.4 s
 # at 100 000 angles with n <= 256 or 12 500 with n <= 2048.

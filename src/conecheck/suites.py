@@ -106,11 +106,10 @@ def _perm(images) -> Permutation:
 
 
 def _group_arrays(n, even=False):
-    """S_n, or A_n when even, as an (N, n) uint8 image array in the order of
-    its wordnorm oracle (rank order); each row's supp, tr and number of odd
-    cycles (fixed points included); the row of each S_n rank (-1 off A_n);
-    and the rows an oracle re-runs: evenly spaced, and the first of each
-    cycle type, so that every type is sampled."""
+    """S_n, or A_n when even, as an (N, n) uint8 image array in rank order;
+    each row's supp, tr and number of odd cycles (fixed points included); the
+    row of each S_n rank (-1 off A_n); and the rows an oracle re-runs: evenly
+    spaced, and the first of each cycle type, so that every type is sampled."""
     images = _unrank_images(np.arange(math.factorial(n)), n)
     lengths = _cycle_lengths(images)
     position = np.arange(len(images))
@@ -128,48 +127,49 @@ def _group_arrays(n, even=False):
 def run_norms(cfg: RunConfig) -> list[CheckResult]:
     checks = []
 
+    # Tuple oracles are built on first use, once per run: by a replay and by the
+    # small groups' checks.  Every call passes even by position, since
+    # functools.cache keys group(5) and group(5, False) apart.
     @functools.cache
-    def group(n, even=False):
-        """S_n, or A_n when even, enumerated once per run: its oracle over image
-        tuples and its generators, transpositions or for A_n 3-cycles."""
-        if even:
-            return wordnorm.alternating_oracle(n), three_cycle_generators(n)
-        return wordnorm.symmetric_oracle(n), wordnorm.transposition_generators(n)
+    def group(n, even):
+        """S_n, or A_n when even, as its wordnorm oracle over image tuples."""
+        return wordnorm.alternating_oracle(n) if even else wordnorm.symmetric_oracle(n)
 
-    # The tuple tables are references, built on first use: by a replay, and by
-    # the small groups' checks, which read them by tuple.
+    def generators(n, even):  # transpositions, or for A_n 3-cycles
+        return three_cycle_generators(n) if even else wordnorm.transposition_generators(n)
+
     @functools.cache
-    def norm_table(n, even=False):
+    def norm_table(n, even):
         """The (supp, tr) of each element by image tuple, each a Permutation once."""
-        elements = group(n, even)[0].elements
+        elements = group(n, even).elements
         perms = map(Permutation.from_images, elements)
         return {t: (supp_norm(p), tr_norm(p)) for t, p in zip(elements, perms)}
 
     @functools.cache
-    def word_table(n, even=False):
+    def word_table(n, even):
         """The BFS word norms over the group's generators."""
-        return wordnorm.bfs_norm(*group(n, even))
+        return wordnorm.bfs_norm(group(n, even), generators(n, even))
 
-    def sampled_norms(oracle, images, rows):
-        """The sampled elements re-run on Permutations: each one's row,
-        Permutation, supp_norm and tr_norm, and whether the row is its tuple."""
-        for i in rows:
-            t = oracle.elements[i]
-            p = Permutation.from_images(t)
-            yield i, p, supp_norm(p), tr_norm(p), images[i].tolist() == list(t)
+    def sampled_norms(images, position, rows):
+        """The sampled rows re-run on Permutations: each one's row, Permutation,
+        supp_norm and tr_norm, and whether the row is the element of its rank."""
+        ranked = position[_rank_images(images[rows])] == rows
+        for i, at_rank in zip(rows, ranked.tolist()):
+            p = _perm(images[i])
+            yield i, p, supp_norm(p), tr_norm(p), at_rank
 
     def disagreements(samples, agrees):
         """An oracle's cases: a witness at each sampled element whose row is not
-        its tuple, or where agrees(row, supp_norm, tr_norm) fails."""
-        for i, p, supp, tr, row in samples:
-            yield None if row and agrees(i, supp, tr) else f"image arrays disagree at {p}"
+        the element of its rank, or where agrees(row, supp_norm, tr_norm) fails."""
+        for i, p, supp, tr, ranked in samples:
+            yield None if ranked and agrees(i, supp, tr) else f"image arrays disagree at {p}"
 
-    def certified(oracle, gens, images, position, rows, values):
+    def certified(gens, images, position, rows, values):
         """Whether values are the word lengths over gens, by
         wordnorm.certify_word_lengths on the image array's neighbour columns;
-        and the first neighbour of a sampled row that oracle.multiply
-        disagrees with."""
-        gens = wordnorm.generating_set(oracle, gens)
+        and the first neighbour of a sampled row that image-tuple composition
+        disagrees with.  Columns as wordnorm.generating_set orders them."""
+        gens = sorted({*gens, *map(_invert_images, gens)}, key=lambda s: str(_perm(s)))
         at_rows = []
 
         def columns():
@@ -178,10 +178,9 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
                 yield column
 
         held = wordnorm.certify_word_lengths(values, columns(), identity=0)
-        elements, mul, name = oracle.elements, oracle.multiply, oracle.describe
         disagreement, _ = _first_witness(
-            None if mul(elements[i], s) == elements[j]
-            else f"neighbour columns disagree at {name(elements[i])} times {name(s)}"
+            None if _compose_images(tuple(images[i].tolist()), s) == tuple(images[j].tolist())
+            else f"neighbour columns disagree at {_perm(images[i])} times {_perm(s)}"
             for s, column in zip(gens, at_rows) for i, j in zip(rows, column))
         return held, disagreement
 
@@ -241,68 +240,68 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         bad, count,
     ))
 
-    # norm sandwich and tr word lengths on exhaustive S_norm_degree, on its
-    # image array; tr is certified as the word length over transpositions,
-    # never searched.  Sampled elements re-run supp_norm, tr_norm and
-    # oracle.multiply as the oracle, and the tuple tables are the replay.
+    # norm sandwich and tr word lengths on exhaustive S_norm_degree, on its image
+    # array alone; tr is certified as the word length over transpositions, never
+    # searched.  Sampled rows re-run supp_norm, tr_norm and image-tuple
+    # composition as the oracle, and the tuple tables are the replay.
     degree = cfg.norm_degree
-    s_d, gens_d = group(degree)
     images_d, supp_d, tr_d, _, position_d, rows_d = _group_arrays(degree)
-    samples_d = list(sampled_norms(s_d, images_d, rows_d))
+    samples_d = list(sampled_norms(images_d, position_d, rows_d))
     sandwich_d = (tr_d <= supp_d) & (supp_d <= 2 * tr_d)
 
     def sandwich_cases():
-        for t, (supp, tr) in norm_table(degree).items():
+        for t, (supp, tr) in norm_table(degree, False).items():
             yield None if tr <= supp <= 2 * tr else str(_perm(t))
 
     bad, _ = _first_witness(_batched_cases(
-        s_d.order(), sandwich_d.all(),
+        len(images_d), sandwich_d.all(),
         disagreements(samples_d, lambda i, supp, tr: (tr <= supp <= 2 * tr) == sandwich_d[i]),
         sandwich_cases()))
     checks.append(PASS(
         "norms.sandwich_s7",
         f"tr <= supp <= 2 tr on exhaustive S_{degree}",
-        bad, s_d.order(),
+        bad, len(images_d),
         constants={"upper_factor": 2},
     ))
 
     # closed-form tr norm against the word lengths over transpositions
-    tr_held, neighbour_bad = certified(s_d, gens_d, images_d, position_d, rows_d, tr_d)
+    tr_held, neighbour_bad = certified(
+        generators(degree, False), images_d, position_d, rows_d, tr_d)
 
     def tr_agreement_cases():
-        tr_words = word_table(degree)
-        for t, (_, tr) in norm_table(degree).items():
+        tr_words = word_table(degree, False)
+        for t, (_, tr) in norm_table(degree, False).items():
             yield None if tr_words[t] == tr else str(_perm(t))
 
     bad, _ = _first_witness(_batched_cases(
-        s_d.order(), tr_held,
+        len(images_d), tr_held,
         itertools.chain(disagreements(samples_d, lambda i, _, tr: tr == tr_d[i]),
                         [neighbour_bad]),
         tr_agreement_cases()))
     checks.append(PASS(
         "norms.bfs_tr_agreement",
         f"closed-form transposition norm equals BFS word length on S_{degree}",
-        bad, s_d.order(),
+        bad, len(images_d),
     ))
 
     # alternating sandwich: tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_m, on
-    # its image array; n3 is three_cycle_norm of every element, certified as
-    # the word length over 3-cycles
+    # its image array; n3 is three_cycle_norm of every element, read off its
+    # row as a tuple and certified as the word length over 3-cycles
     m = cfg.alternating_degree
-    alt, gens_m = group(m, even=True)
     images_m, _, tr_m, odd_m, position_m, rows_m = _group_arrays(m, even=True)
-    samples_m = list(sampled_norms(alt, images_m, rows_m))
-    n3_m = np.array([three_cycle_norm(p) for p in map(Permutation.from_images, alt.elements)])
-    n3_held, neighbour_bad = certified(alt, gens_m, images_m, position_m, rows_m, n3_m)
+    tuples_m = list(map(tuple, images_m.tolist()))
+    samples_m = list(sampled_norms(images_m, position_m, rows_m))
+    n3_m = np.array([three_cycle_norm(p) for p in map(Permutation.from_images, tuples_m)])
+    n3_held, neighbour_bad = certified(generators(m, True), images_m, position_m, rows_m, n3_m)
     alternating_m = (tr_m <= 2 * n3_m) & (2 * n3_m <= 3 * tr_m)
 
     def alternating_cases():
-        n3_table = word_table(m, even=True)
-        for (t, (_, tr)), n3 in zip(norm_table(m, even=True).items(), n3_table.norms()):
+        n3_table = word_table(m, True)
+        for (t, (_, tr)), n3 in zip(norm_table(m, True).items(), n3_table.norms()):
             yield f"{_perm(t)}: tr={tr} n3={n3}" if 2 * n3 < tr or 2 * n3 > 3 * tr else None
 
     bad, _ = _first_witness(_batched_cases(
-        alt.order(), n3_held and alternating_m.all(),
+        len(images_m), n3_held and alternating_m.all(),
         itertools.chain(disagreements(
             samples_m, lambda i, _, tr: (tr <= 2 * n3_m[i] <= 3 * tr) == alternating_m[i]),
             [neighbour_bad]),
@@ -310,7 +309,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     checks.append(PASS(
         "norms.alternating_a6",
         f"tr <= 2 n3 and n3 <= 1.5 tr on exhaustive A_{m}",
-        bad, alt.order(),
+        bad, len(images_m),
         constants={"tr_upper": 2, "n3_upper": 1.5},
     ))
 
@@ -323,7 +322,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 
     def table_agreement(t):
         p = Permutation.from_images(t)
-        n3 = word_table(m, even=True)[t]
+        n3 = word_table(m, True)[t]
         agree = three_cycle_norm(p) == n3 and 2 * n3 == m - odd_cycles(t)
         return None if agree else str(p)
 
@@ -333,21 +332,21 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         return None if stable else f"ambient instability at {p}"
 
     table_bad, _ = _first_witness(_batched_cases(
-        alt.order(), n3_held and (2 * n3_m == m - odd_m).all(),
+        len(images_m), n3_held and (2 * n3_m == m - odd_m).all(),
         itertools.chain(disagreements(
-            samples_m, lambda i, *_: odd_cycles(alt.elements[i]) == odd_m[i]), [neighbour_bad]),
-        map(table_agreement, alt.elements)))
-    small = group(max(m - 1, 4), even=True)[0]
+            samples_m, lambda i, *_: odd_cycles(tuples_m[i]) == odd_m[i]), [neighbour_bad]),
+        map(table_agreement, tuples_m)))
+    small = group(max(m - 1, 4), True)
     ambient_bad, _ = _first_witness(map(ambient_stability, small.elements))
     checks.append(PASS(
         "norms.three_cycle_oracle",
         "3-cycle norm equals the BFS table and is ambient-stable",
-        ambient_bad or table_bad, alt.order() + small.order(),
+        ambient_bad or table_bad, len(images_m) + small.order(),
     ))
 
     # conjugation invariance + metric axioms on image tuples, exhaustive S_sd (S_5 by default)
     sd = min(5, degree)
-    s5, norms_sd, tr_table = group(sd)[0], norm_table(sd), word_table(sd)
+    s5, norms_sd, tr_table = group(sd, False), norm_table(sd, False), word_table(sd, False)
     inverse = {t: _invert_images(t) for t in s5.elements}
     n3_of = {t: three_cycle_norm(_perm(t)) for t in s5.elements if _tuple_even(t)}
 
@@ -381,7 +380,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # conjugacy closure of a transposition: exactly the 6 transpositions of S_4
-    s4, norms_4, tr_table_s4 = group(4)[0], norm_table(4), word_table(4)
+    s4, norms_4, tr_table_s4 = group(4, False), norm_table(4, False), word_table(4, False)
     closure = wordnorm.conjugacy_closure(s4, {Permutation.parse("(1 2)").to_images(4)})
     expected = {g for g, (supp, _) in norms_4.items() if supp == 2}  # the transpositions
     stray = min(closure ^ expected, default=None)
@@ -407,11 +406,10 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 
     # domination audits: supp vs tr on S_sd, tr vs n3 on A_ad (S_5 and A_5 by default)
     ad = min(5, m)
-    supp_table = wordnorm.NormTable(s5, {t: supp for t, (supp, _) in norms_sd.items()}, frozenset())
+    supp_table = wordnorm.NormTable(s5, {t: supp for t, (supp, _) in norms_sd.items()})
     c_supp, at_supp = wordnorm.audit_domination(tr_table, supp_table)
-    a5, norms_ad, n3_a5 = (group(ad, even=True)[0], norm_table(ad, even=True),
-                           word_table(ad, even=True))
-    tr_a5 = wordnorm.NormTable(a5, {t: tr for t, (_, tr) in norms_ad.items()}, frozenset())
+    a5, norms_ad, n3_a5 = group(ad, True), norm_table(ad, True), word_table(ad, True)
+    tr_a5 = wordnorm.NormTable(a5, {t: tr for t, (_, tr) in norms_ad.items()})
     c_tr, at_tr = wordnorm.audit_domination(n3_a5, tr_a5)   # tr <= C * n3
     c_n3, at_n3 = wordnorm.audit_domination(tr_a5, n3_a5)   # n3 <= C * tr
     bad, _ = _first_witness(
@@ -955,7 +953,9 @@ def _stacked_cases(rng, n, pairs, seed, stacked, reference):
     counts as failed.  A replay restores the block's rng state, so that later
     draws too are the reference's."""
     state = rng.bit_generator.state
-    oracle = int(np.random.default_rng((seed, n)).integers(pairs))
+    # SeedSequence pads keys with zeros to four words, and every other stream of
+    # a run has at most three: (seed, n) would meet other oracles at n = 7..12
+    oracle = int(np.random.default_rng((seed, n, 0, 1)).integers(pairs))
     try:
         flagged, disagreements = stacked(rng, n, pairs, oracle)
     except matnorm.EntryBoundError:

@@ -49,7 +49,6 @@ class NormTable:
 
     oracle: FiniteGroupOracle
     values: dict
-    generating_set: frozenset
 
     def __getitem__(self, g) -> int:
         return self.values[g]
@@ -121,7 +120,7 @@ def bfs_norm(oracle: FiniteGroupOracle, gens: Iterable) -> NormTable:
     dist = bfs([oracle.identity], lambda g: [mul(g, s) for s in gen_list])
     if len(dist) != oracle.order():
         raise NotGeneratingError(oracle.order() - len(dist))
-    return NormTable(oracle, dist, frozenset(gen_list))
+    return NormTable(oracle, dist)
 
 
 def generating_set(oracle: FiniteGroupOracle, gens: Iterable) -> list:

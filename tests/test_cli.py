@@ -643,3 +643,37 @@ class TestVerifyCertificate:
         path.write_text(json.dumps({"kind": "other"}))
         with pytest.raises(MalformedCertificateError):
             verify_certificate(path)
+
+
+@pytest.mark.parametrize("command, file_text, message", [
+    ("verify-certificate",
+     '{"kind": "integer-norm", "target": 2, "base": 1, "certificate": [1, 1]}',
+     "malformed certificate: base must be at least 2"),
+    ("probe-sequence",
+     '{"family": "cycle", "stages": [2, 3], "scaling": "n^alpha", "alpha": 1e308}',
+     "stage 2 is out of range: (34, 'Numerical result out of range')"),
+    ("probe-sequence",
+     '{"family": "cycle", "stages": [0, 1], "scaling": "n^alpha", "alpha": -1}',
+     "stage 0 is out of range: 0.0 cannot be raised to a negative power"),
+    ("probe-sequence", '{"family": "table", "values": [[1, 1e400]], "scaling": "n"}',
+     "norm at stage 1 must be finite and non-negative: inf"),
+    ("integer-norm", None,
+     "target out of range: |100000000000000000000000000000000000000000000000000| cannot be "
+     "reached within 100000 steps of the largest member, 1371195958099968000"),
+], ids=["certificate-base-1", "alpha-overflow", "zero-to-negative-power", "infinite-norm",
+        "integer-norm-past-budget"])
+def test_utility_command_refuses_bad_input_in_one_line(runner, tmp_path, command, file_text,
+                                                       message):
+    # each once ended in a traceback with exit 1, or, for the infinite norm,
+    # printed Infinity, which is not JSON
+    if file_text is None:
+        args = [command, str(10 ** 50), "--depth", "2"]
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        args = [command, str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(message), result.output

@@ -436,11 +436,13 @@ class TestStackedMatnormChecks:
                             lambda rows: 0 if len(rows) < 6 else real(rows))
         checks = self._checks()
         assert checks["matnorm.triangular"].witness == \
-            "ranks: stacked [0, 0, 1] != reference [0, 0, 0] at n=1 pair 21"
+            "ranks: stacked [1, 0, 1] != reference [0, 0, 0] at n=2 pair 5"
         assert checks["matnorm.spd"].witness == \
-            "ranks: stacked [1, 2, 2] != reference [0, 0, 0] at n=2 pair 21"
-        # the oracle's disagreement is one more case after the replayed block
-        assert checks["matnorm.triangular"].sample_size == 41
+            "ranks: stacked [1, 2, 2] != reference [0, 0, 0] at n=2 pair 5"
+        # the oracle's disagreement is one more case after the replayed block;
+        # triangular's n = 1 oracle pair has x = I, whose rank is 0 either way,
+        # so its 40 pairs pass before the n = 2 block
+        assert checks["matnorm.triangular"].sample_size == 40 + 41
         assert checks["matnorm.spd"].sample_size == 41
 
     def test_broken_projection_replays_the_reference_witness(self, monkeypatch):
@@ -658,4 +660,4 @@ class TestStackedSO:
         row = self._so_row()
         assert (row.status, row.sample_size) == ("fail", 41)
         assert row.witness.startswith("ranks: stacked [RankNormValue(value=4, ")
-        assert row.witness.endswith(" at n=4 pair 9")
+        assert row.witness.endswith(" at n=4 pair 13")

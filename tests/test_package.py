@@ -8,6 +8,8 @@ import re
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import conecheck
 from conecheck.report import RunConfig
 
@@ -75,12 +77,26 @@ def _is_dataclass(cls) -> bool:
                for d in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list))
 
 
+def _module_names(tree, sources: dict) -> set[str]:
+    """The package's modules and every name an import binds in this file."""
+    names = {Path(name).stem for name in sources}
+    names.update((alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names)
+    return names
+
+
 def _unread_fields(sources: dict) -> list[str]:
     """The dataclass fields whose name no attribute read in the package
-    mentions, their own class's methods included."""
+    mentions, their own class's methods included.  module.name is a read of a
+    module's name, not of a field: wordnorm.generating_set(...) once hid an
+    unread NormTable.generating_set field from this list."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = set()
+    for tree in trees.values():
+        modules = _module_names(tree, sources)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and getattr(node.value, "id", None) not in modules)
     return [f"{module}:{cls.name}.{item.target.id}"
             for module, tree in trees.items() for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
@@ -99,6 +115,18 @@ def test_unread_field_guard_catches_an_appended_field():
     sources["perms.py"] += ("\n\n@dataclass(frozen=True)\nclass Orphan:\n    kept: int\n"
                             "    unread: int\n\n    def twice(self):\n        return 2 * self.kept\n")
     assert _unread_fields(sources) == ["perms.py:Orphan.unread"]
+
+
+@pytest.mark.parametrize("module, call", [
+    ("wordnorm", "bfs_norm"),  # a package module, imported by suites.py
+    ("np", "asarray"),  # a name that suites.py binds by import
+])
+def test_unread_field_guard_ignores_a_module_function_of_the_same_name(module, call):
+    # a field read only as module.same_name(...) is still unread
+    sources = _package_sources()
+    sources["suites.py"] += (f"\n\n@dataclass\nclass Orphan:\n    {call}: int\n\n\n"
+                             f"def orphan_call():\n    return {module}.{call}(0)\n")
+    assert _unread_fields(sources) == [f"suites.py:Orphan.{call}"]
 
 
 def test_readme_names_only_defined_private_helpers():

@@ -120,6 +120,30 @@ def test_norms_evaluates_supp_and_tr_once_per_element(monkeypatch):
     assert counts == {"supp_norm": 330, "tr_norm": 330}
 
 
+@pytest.mark.parametrize("cfg, built", [
+    (RunConfig(norm_degree=8, alternating_degree=7), ["A_5", "A_6", "S_4", "S_5"]),
+    (RunConfig(), ["A_5", "S_4", "S_5"]),
+    (RunConfig.small(), ["A_4", "A_5", "S_4", "S_5"]),
+], ids=["exhaustive-degrees", "default", "small"])
+def test_norms_builds_each_tuple_oracle_once(monkeypatch, cfg, built):
+    # S_norm_degree and A_alternating_degree run on their image arrays alone,
+    # so a passing run builds tuple oracles only for the small groups:
+    # S_min(5, d), S_4, A_min(5, m) and A_max(m - 1, 4).  Keying the cache by
+    # group(5) and group(5, False) apart built S_4, S_5 and A_5 twice.
+    from conecheck import wordnorm
+
+    calls = []
+    for name in ("symmetric_oracle", "alternating_oracle"):
+        def recorded(n, build=getattr(wordnorm, name), letter=name[0].upper()):
+            calls.append(f"{letter}_{n}")
+            return build(n)
+
+        monkeypatch.setattr(wordnorm, name, recorded)
+    rows = suites.run_norms(cfg)
+    assert all(row.status == "pass" for row in rows)
+    assert sorted(calls) == built
+
+
 def test_fixed_size_exact_checks_rerun_only_their_oracle_samples(monkeypatch):
     # Under RunConfig.small() the scalar loops made 89 440 arc_identity_exact,
     # 2 580 circle_to_zmod (2 080 round trips and the grid's 500-angle
@@ -536,3 +560,32 @@ def test_axioms_window_triangle_fails_at_the_first_product_pair(monkeypatch):
     row = next(r for r in suites.run_intnorm(cfg) if r.check_id == "intnorm.axioms_window")
     assert (row.status, row.witness, row.sample_size) == ("fail", first, (2 * w + 1) ** 2)
     assert first == "triangle at -40,-30"
+
+
+def test_matrix_oracle_pairs_draw_from_streams_of_their_own(monkeypatch):
+    # _stacked_cases drew each block's oracle pair from (seed, n): at n = 7..12
+    # the stream of the split, displacement, direct-sum, coneprobe, Brenner and
+    # Ore oracles, and at n = 2..8 of coneprobe's stage samples
+    import sys
+
+    import numpy as np
+
+    real, started = np.random.default_rng, []
+
+    def recorded(*args, **kwargs):
+        rng = real(*args, **kwargs)
+        state = rng.bit_generator.state["state"]
+        pair = sys._getframe(1).f_code.co_name == "_stacked_cases"
+        started.append((pair, (state["state"], state["inc"])))
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    cfg = RunConfig.small()
+    cfg.so_max_n = 12
+    cfg.validate()
+    for name in ("cutting", "covering", "matnorm", "products", "coneprobe"):
+        assert all(row.status == "pass" for row in getattr(suites, "run_" + name)(cfg))
+    pairs = {state for pair, state in started if pair}
+    others = {state for pair, state in started if not pair}
+    assert len(pairs) >= 12 and len(others) >= 12
+    assert not pairs & others
