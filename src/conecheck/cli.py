@@ -8,6 +8,7 @@ reports are deterministic given (config, seed).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -175,14 +176,19 @@ def probe_sequence_command(path, bound, tail, tol, out):
 
     from .coneprobe import admissibility, estimate_limit, load_sequence
 
+    # the summary is JSON, which has no infinity or NaN, and FloatRange passes nan
+    for flag, value in (("--bound", bound), ("--tail", tail), ("--tol", tol)):
+        if not math.isfinite(value):
+            click.echo(f"bad {flag}: {value} is not a finite number", err=True)
+            sys.exit(2)
     try:
         with open(path) as fh:
             seq = load_sequence(json.load(fh))
+        estimate = estimate_limit(seq.normalized(), tail, tol)
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         click.echo(f"bad sequence description in {path}: {exc}", err=True)
         sys.exit(2)
     ok, witness = admissibility(seq, bound)
-    estimate = estimate_limit(seq.normalized(), tail, tol)
     summary = {
         "label": seq.label,
         "stages": len(seq.stages),

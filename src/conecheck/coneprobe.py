@@ -9,11 +9,10 @@ at the configured tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,14 @@ def estimate_limit(values, tail_fraction: float = TAIL_FRACTION,
     start = min(len(values) - 1, int(len(values) * (1 - tail_fraction)))
     tail = values[start:]
     tail_min, tail_max = min(tail), max(tail)
+    tail_mean = sum(tail) / len(tail)
+    if not math.isfinite(tail_mean):  # finite values can overflow their sum
+        raise ValueError(f"the tail's sum exceeds the largest float, {sys.float_info.max!r}")
     return UltralimitEstimate(
         series=values,
         tail_min=tail_min,
         tail_max=tail_max,
-        tail_mean=sum(tail) / len(tail),
+        tail_mean=tail_mean,
         converged=(tail_max - tail_min) <= tolerance,
         tolerance=tolerance,
     )
@@ -191,6 +193,8 @@ def zmod_to_circle(k: int, n: int) -> float:
 
 def zmod_to_circle_array(n: int):
     """zmod_to_circle of every residue mod n, bit for bit."""
+    import numpy as np
+
     return 2.0 * math.pi * np.arange(n) / n
 
 
@@ -213,6 +217,8 @@ def circle_to_zmod(angle: float, n: int) -> int:
 
 def circle_to_zmod_array(angles, n: int):
     """circle_to_zmod on an array of angles, with its tie rule."""
+    import numpy as np
+
     scaled = (np.asarray(angles) / (2.0 * math.pi)) % 1.0 * n
     k = np.floor(scaled).astype(np.int64)
     frac = scaled - k
@@ -238,6 +244,8 @@ def arc_identity_array(n: int):
 
     Both sides are whole 1/n turns, so their numerators are compared.
     """
+    import numpy as np
+
     a, b = np.divmod(np.arange(n * n), n)
     d = (a - b) % n
     return np.minimum(d, n - d) == np.minimum(d, (b - a) % n)

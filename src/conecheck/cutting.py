@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .perms import IDENTITY, Permutation, _cycle_walk, supp_norm
 
 
@@ -92,6 +90,8 @@ def cut_stack(images: np.ndarray, kmax: int) -> np.ndarray:
     to p_k becomes c_(k-1)(p_k), and p_k becomes fixed.  A row with fewer than
     k moved points stays as it is.
     """
+    import numpy as np
+
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     images = np.asarray(images)
@@ -168,6 +168,8 @@ def split_stack(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cycles wholly after or before it; that cycle splits as (a_1 .. a_m) *
     (a_1 a_(m+1) .. a_j), which at m = j is the cycle boundary.
     """
+    import numpy as np
+
     n, d = images.shape
     low, pos, length = _cycle_walk(images)
     point = np.arange(d, dtype=images.dtype)
@@ -222,6 +224,8 @@ def _audit(observed, allowed, first_pair, labels, weight=1) -> BoundAudit:
     """One bound over rows of samples: row r holds the samples of one element
     or pair, counted weight[r] times, and first_pair[r] is the first pair it
     stands for; labels[c] is the k (or k, m) of column c."""
+    import numpy as np
+
     weight = np.broadcast_to(weight, first_pair.shape)
     sample_size = int(weight.sum()) * observed.shape[1]
     bad = observed > allowed
@@ -254,6 +258,8 @@ def hamming_table(images) -> np.ndarray:
     """The (N, N) uint8 table of Hamming distances between the rows of an
     (N, d) image array, d < 256, filled one block of rows and one point at a
     time, so that no (N, N) or (N, N, d) temporary is made."""
+    import numpy as np
+
     n = len(images)
     table = np.zeros((n, n), dtype=np.uint8)
     rows = max(1, HAMMING_BLOCK_ENTRIES // n)
@@ -267,6 +273,8 @@ def hamming_table(images) -> np.ndarray:
 def _pairwise_step_audit(own, dist, first_seen, counts) -> BoundAudit:
     """The step bound of cut_bounds over every pair k < m of each element's
     cuts, own[e, k], at distances dist."""
+    import numpy as np
+
     k, m = np.triu_indices(own.shape[1], 1)
     return _audit(dist(own[:, k], own[:, m]), 2 * (m - k), first_seen,
                   np.stack([k, m], axis=1), counts)
@@ -292,6 +300,8 @@ def cut_bounds(cuts, left, right, table=None) -> dict[str, BoundAudit]:
     When some step exceeds 2, every pair k < m is audited, for the exact
     count and the first violation.
     """
+    import numpy as np
+
     if table is None:
         rows, identity = cuts, np.arange(cuts.shape[2])
 
@@ -342,6 +352,8 @@ def verify_cut_lemmas(pairs, max_k: int = 8) -> dict:
     always; supp(c_k s) <= max(supp(s) - k, 0).  Each distinct permutation
     is cut by ``cut``; ``cut_bounds`` evaluates the bounds.
     """
+    import numpy as np
+
     index: dict[Permutation, int] = {}
     left, right = [], []
     for sigma, tau in pairs:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .perms import Permutation
 
 
@@ -268,6 +266,8 @@ def hadamard_log2(stack) -> np.ndarray:
     It bounds every minor of every size.  Float rounding shifts it by far less
     than the bit between HADAMARD_LOG2_LIMIT and what the primes cover.
     """
+    import numpy as np
+
     norms = np.sqrt(np.square(stack, dtype=float).sum(-1))
     return np.log2(np.maximum(norms, 1.0)).sum(-1)
 
@@ -287,6 +287,8 @@ def unit_triangular_inverse(stack) -> np.ndarray:
     s (1 + s)^(j - i - 1) (induction on j - i), so every sum formed stays below
     max(s, 1) (1 + s)^(n - 1) n, which must be below 2^62 (EntryBoundError).
     """
+    import numpy as np
+
     n = stack.shape[-1]
     diagonal = np.diagonal(stack, axis1=1, axis2=2)
     if np.tril(stack, -1).any() or not np.isin(diagonal, (-1, 1)).all():
@@ -305,6 +307,8 @@ def unit_triangular_inverse(stack) -> np.ndarray:
 def _residues(stack) -> tuple[np.ndarray, np.ndarray]:
     """The stack mod P1 and mod P2, stacked on a new first axis, and the primes
     shaped to broadcast against it."""
+    import numpy as np
+
     primes = np.array([P1, P2], dtype=np.int64).reshape(2, *(1,) * stack.ndim)
     return stack % primes, primes
 
@@ -316,6 +320,8 @@ def modular_rank(stack) -> np.ndarray:
     RANK_BLOCK_ENTRIES entries; the rank is the larger of the two.  A matrix
     whose Hadamard bound reaches 2^60 goes to bareiss_rank.
     """
+    import numpy as np
+
     stack = np.asarray(stack, dtype=np.int64)
     ranks = np.zeros(stack.shape[0], dtype=np.int64)
     if stack.shape[1] == 0 or stack.shape[2] == 0:
@@ -344,6 +350,8 @@ def modular_rank(stack) -> np.ndarray:
 
 def _inverse_mod(x, primes) -> np.ndarray:
     """x^(p - 2) mod p elementwise: the inverse mod each prime (0 for 0)."""
+    import numpy as np
+
     result = np.ones_like(x)
     base = x % primes
     for bit in range(31):
@@ -361,6 +369,8 @@ def leading_minor_signs(stack) -> np.ndarray:
     matrix whose Hadamard bound reaches 2^60, or that meets a pivot divisible
     by either prime, goes to bareiss_determinant.
     """
+    import numpy as np
+
     stack = np.asarray(stack, dtype=np.int64)
     count, n = stack.shape[:2]
     a, primes = _residues(stack)
@@ -436,6 +446,8 @@ class FloatMatrix:
     __slots__ = ("data",)
 
     def __init__(self, data):
+        import numpy as np
+
         arr = np.array(data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
@@ -446,11 +458,15 @@ class FloatMatrix:
         return self.data.shape[0]
 
     def assert_orthogonal(self, tol: float = 1e-8) -> None:
+        import numpy as np
+
         gap = np.abs(self.data.T @ self.data - np.eye(self.n)).max()
         if gap > tol:
             raise NotOrthogonalError(f"|g^T g - I|_max = {gap:.3e} > {tol:.0e}")
 
     def assert_special(self) -> None:
+        import numpy as np
+
         det = np.linalg.det(self.data)
         if abs(det - 1.0) > SPECIAL_TOL:
             raise NotSpecialError(f"det = {det:.6f} != +1")
@@ -458,6 +474,8 @@ class FloatMatrix:
 
 def numeric_rank(array, tau: float = 1e-8) -> RankNormValue:
     """Thresholded singular-value rank of a raw array (not shifted by id)."""
+    import numpy as np
+
     sv = np.linalg.svd(np.asarray(array, dtype=float), compute_uv=False)
     cutoff = tau * max(1.0, float(sv[0]) if sv.size else 1.0)
     kept = sv[sv > cutoff]
@@ -474,6 +492,8 @@ def numeric_rank_stack(stack, tau: float = 1e-8) -> tuple[np.ndarray, np.ndarray
     """numeric_rank on every matrix of an (N, m, m) float stack, m >= 1, as
     arrays: the ranks, the smallest retained singular values (nan where none
     is retained) and the largest singular values."""
+    import numpy as np
+
     sv = np.linalg.svd(stack, compute_uv=False)
     largest = sv[:, 0]
     # the singular values come in descending order, so the kept ones lead
@@ -484,6 +504,8 @@ def numeric_rank_stack(stack, tau: float = 1e-8) -> tuple[np.ndarray, np.ndarray
 
 def rank_norm_numeric(g: FloatMatrix, tau: float = 1e-8) -> RankNormValue:
     """Singular values of g - id above tau * max(1, largest singular value)."""
+    import numpy as np
+
     return numeric_rank(g.data - np.eye(g.n), tau)
 
 
@@ -518,6 +540,8 @@ def elementary_rotation(x, n: int | None = None) -> FloatMatrix:
     R_{e_n} is the identity; for x = -e_n the choice is the half-turn of the
     (e_{n-1}, e_n) plane, which the general position formula cannot decide.
     """
+    import numpy as np
+
     x = np.array(x, dtype=float).ravel()
     if n is None:
         n = x.size
@@ -548,6 +572,8 @@ def elementary_rotation(x, n: int | None = None) -> FloatMatrix:
 
 def so_project(g: FloatMatrix, tau: float = 1e-8) -> FloatMatrix:
     """R_{g(e_n)} g with the last row and column stripped; lands in SO(n-1)."""
+    import numpy as np
+
     g.assert_orthogonal(max(tau, 1e-8))
     g.assert_special()
     image = g.data[:, g.n - 1]
@@ -568,6 +594,8 @@ def so_project_stack(g, tau: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     operations run in the same order, and vector norms are taken one row at a
     time with np.linalg.norm, as so_project takes them.
     """
+    import numpy as np
+
     n = g.shape[1]
     eye = np.eye(n)
     e = eye[n - 1]
@@ -590,6 +618,8 @@ def so_project_stack(g, tau: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
 
 def embed(mat: FloatMatrix | RationalMatrix, n: int):
     """Direct sum with an identity block, up to dimension n."""
+    import numpy as np
+
     if isinstance(mat, RationalMatrix):
         rows = [
             tuple(row) + tuple(0 for _ in range(n - mat.n)) for row in mat.rows
@@ -632,6 +662,8 @@ def random_unit_triangular(rng: np.random.Generator, n: int) -> RationalMatrix:
 def random_unit_triangular_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """count successive random_unit_triangular draws as an (count, n, n) int64
     stack, from one rng.integers call over the same stream."""
+    import numpy as np
+
     i, j = np.triu_indices(n)
     diagonal = i == j
     # rng.choice((-1, 1)) draws its index as integers(0, 2)
@@ -668,12 +700,16 @@ def random_spd(rng: np.random.Generator, n: int) -> RationalMatrix:
 def random_spd_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """count successive random_spd draws as an (count, n, n) int64 stack, from
     one rng.integers call over the same stream."""
+    import numpy as np
+
     m = rng.integers(-SPREAD, SPREAD + 1, size=(count, n, n))
     return int64_matmul(m.transpose(0, 2, 1), m) + np.eye(n, dtype=np.int64)
 
 
 def random_so(rng: np.random.Generator, n: int) -> FloatMatrix:
     """QR of a Gaussian matrix, sign-fixed, determinant +1."""
+    import numpy as np
+
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
@@ -684,6 +720,8 @@ def random_so(rng: np.random.Generator, n: int) -> FloatMatrix:
 def random_so_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """count successive random_so draws as a (count, n, n) float stack, from
     one rng.normal call over the same stream."""
+    import numpy as np
+
     q, r = np.linalg.qr(rng.normal(size=(count, n, n)))
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     flip = np.linalg.det(q) < 0

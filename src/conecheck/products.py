@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Factor:
@@ -256,6 +254,8 @@ class DirectSum:
 def sum_coordinates(elements) -> tuple[tuple, np.ndarray]:
     """The indices the elements are supported on, in order, and one int16
     row per element: column j holds its residue at indices[j], 0 none."""
+    import numpy as np
+
     indices = tuple(sorted({idx for g in elements for idx, _ in g.terms}))
     column = {idx: j for j, idx in enumerate(indices)}
     coords = np.zeros((len(elements), len(indices)), dtype=np.int16)
@@ -273,6 +273,8 @@ def sum_element(indices, row) -> SparseSumElement:
 def collapse_least(coords: np.ndarray) -> np.ndarray:
     """DirectSum.sum_project on coordinate rows when every factor's projection
     collapses (cyclic_factor(i, "discrete")): zero each least nonzero column."""
+    import numpy as np
+
     nonzero = coords != 0
     return np.where(nonzero & (nonzero.cumsum(axis=1) == 1), 0, coords)
 
@@ -322,6 +324,8 @@ def verify_coordinate_conditions(elements, coords: np.ndarray, images: np.ndarra
     The report is the one the pairwise audit gives, with the same counts and
     the same first witnesses; elements only name the witnesses.
     """
+    import numpy as np
+
     report = _empty_report(displacement_bound, len(elements))
 
     def flag(name, failed, witness):

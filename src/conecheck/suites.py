@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import pickle
 from fractions import Fraction
-
-import numpy as np
 
 from . import coneprobe, cutting, intnorm, matnorm, products, quasimorphism, wordnorm
 from .covering import (
@@ -68,11 +67,16 @@ ORACLE_SAMPLES = 50
 def _first_witness(cases) -> tuple[str | None, int]:
     """The first failure among cases, and how many cases were examined.
 
-    Each case is None when it holds and its witness string when it fails.
-    Consumption stops at the first failure, which the count includes.
+    Each case is None when it holds and its witness string when it fails;
+    _batched_cases hands over a passing batch as one itertools.repeat of
+    None, which counts as its length.  Consumption stops at the first
+    failure, which the count includes.
     """
     examined = 0
     for witness in cases:
+        if isinstance(witness, itertools.repeat):
+            examined += operator.length_hint(witness)
+            continue
         examined += 1
         if witness is not None:
             return witness, examined
@@ -85,13 +89,13 @@ def _batched_cases(count, held, oracle, reference):
     held says whether the batched kernel found every case to hold; oracle
     yields its seeded oracle's cases, a witness where the oracle disagrees
     with the kernel.  When the kernel held and the oracle agreed, the cases
-    pass.  Otherwise the cases are the reference loop's, so that a failure
-    reads as the reference alone would have it, then the oracle's
-    disagreement, if any, as one more case.
+    pass, as one batch.  Otherwise the cases are the reference loop's, so
+    that a failure reads as the reference alone would have it, then the
+    oracle's disagreement, if any, as one more case.
     """
     disagreement, _ = _first_witness(oracle)
     if held and disagreement is None:
-        yield from itertools.repeat(None, count)
+        yield itertools.repeat(None, count)
         return
     yield from reference
     if disagreement is not None:
@@ -110,6 +114,8 @@ def _group_arrays(n, even=False):
     each row's supp, tr and number of odd cycles (fixed points included); the
     row of each S_n rank (-1 off A_n); and the rows an oracle re-runs: evenly
     spaced, and the first of each cycle type, so that every type is sampled."""
+    import numpy as np
+
     images = _unrank_images(np.arange(math.factorial(n)), n)
     lengths = _cycle_lengths(images)
     position = np.arange(len(images))
@@ -125,6 +131,8 @@ def _group_arrays(n, even=False):
 
 
 def run_norms(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
 
     # Tuple oracles are built on first use, once per run: by a replay and by the
@@ -470,6 +478,8 @@ EXHAUSTIVE_PAIR_BLOCK = 1 << 15
 def _bound_witness(bounds, rows, left, right) -> str | None:
     """The first violation among cutting.cut_bounds results, bound by bound,
     on pairs of image rows."""
+    import numpy as np
+
     for name, audit in bounds.items():
         if audit.first is not None:
             p = audit.first[0]
@@ -480,6 +490,8 @@ def _bound_witness(bounds, rows, left, right) -> str | None:
 
 
 def run_cutting(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
     degree, kmax = cfg.cutting_degree, cfg.cutting_max_k
 
@@ -681,6 +693,8 @@ _TUPLE_REFERENCE_MAX_DEGREE = 6
 
 
 def run_covering(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
 
     unmet_classes = []
@@ -846,6 +860,8 @@ AXIOMS_WINDOW_DEPTH = 9
 
 
 def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
     gens = intnorm.FactorialGenerators(base=2, max_index=intnorm.MAX_INTNORM_INDEX)
 
@@ -952,6 +968,8 @@ def _stacked_cases(rng, n, pairs, seed, stacked, reference):
     random_so, so_project and numeric_rank).  A block the int64 guards refuse
     counts as failed.  A replay restores the block's rng state, so that later
     draws too are the reference's."""
+    import numpy as np
+
     state = rng.bit_generator.state
     # SeedSequence pads keys with zeros to four words, and every other stream of
     # a run has at most three: (seed, n) would meet other oracles at n = 7..12
@@ -1007,6 +1025,8 @@ def _triangular_pairs(rng, n, pairs):
 
 def _triangular_stacked(rng, n, pairs, oracle):
     """_triangular_pairs on int64 stacks; see _stacked_cases."""
+    import numpy as np
+
     stack = matnorm.random_unit_triangular_stack(rng, n, 2 * pairs)
     g, h = stack[0::2], stack[1::2]
     eye = np.eye(n, dtype=np.int64)
@@ -1055,6 +1075,8 @@ def _spd_pairs(rng, n, pairs):
 
 def _spd_stacked(rng, n, pairs, oracle):
     """_spd_pairs on int64 stacks; see _stacked_cases."""
+    import numpy as np
+
     stack = matnorm.random_spd_stack(rng, n, 2 * pairs)
     a, b = stack[0::2], stack[1::2]
     signs = matnorm.leading_minor_signs(stack)
@@ -1085,6 +1107,8 @@ def _spd_stacked(rng, n, pairs, oracle):
 def _so_ranks(g, h, tau):
     """The four ranks of matnorm.so at one pair: rk(g - I), rk(g h^T - I),
     rk(p(g) p(h)^T - I) and rk(p(g) g^T - I), p(g) embedded, p = so_project."""
+    import numpy as np
+
     n = g.n
     pg, ph = matnorm.so_project(g, tau), matnorm.so_project(h, tau)
     return [matnorm.rank_norm_numeric(g, tau),
@@ -1124,6 +1148,8 @@ def _so_stacked(rng, n, pairs, oracle, tau, stats):
     A row that so_project_stack refuses flags the block at once.  stats takes
     the stacked counts only when nothing was flagged and the oracle agreed;
     otherwise the reference replay counts them itself."""
+    import numpy as np
+
     per_block = max(1, matnorm.RANK_BLOCK_ENTRIES // (2 * n * n))
     starts = sorted({*range(0, pairs, per_block), oracle})
     eye = np.eye(n)
@@ -1168,6 +1194,8 @@ def _so_stacked(rng, n, pairs, oracle, tau, stats):
 
 
 def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
     rng = np.random.default_rng(cfg.seed + 3)
 
@@ -1285,6 +1313,8 @@ def _direct_sum_cases(ds, elements, rng):
     coordinate rows, as one case for _first_witness.  DirectSum itself re-runs
     ORACLE_SAMPLES seeded elements and pairs, drawn from rng, as the oracle,
     and the pairwise audit is the reference."""
+    import numpy as np
+
     indices, coords = products.sum_coordinates(elements)
     images = products.collapse_least(coords)
     held = products.verify_coordinate_conditions(elements, coords, images, 1)["all_hold"]
@@ -1314,6 +1344,8 @@ def _direct_sum_cases(ds, elements, rng):
 
 
 def run_products(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
 
     fp = products.FreeProduct({
@@ -1420,6 +1452,8 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _stage_families(cfg: RunConfig):
+    import numpy as np
+
     tau = cfg.tau
 
     def b_distance(n, x, y):
@@ -1474,6 +1508,8 @@ ARC_IDENTITY_MAX = 64
 
 
 def run_coneprobe(cfg: RunConfig) -> list[CheckResult]:
+    import numpy as np
+
     checks = []
     # the oracles' own stream: the grid's random pairs below consume seed + 6
     oracle_rng = np.random.default_rng((cfg.seed, 10))
@@ -1736,13 +1772,16 @@ def _run_suites(cfg: RunConfig) -> list[CheckResult]:
     formatted traceback, back over a second pipe and leaves by os._exit.
     One selected suite runs here, and nothing is forked.
 
-    The fork comes after the imports, so the worker imports nothing again.
-    numpy's OpenBLAS thread pool survives it through OpenBLAS's
-    pthread_atfork handlers.
+    The suites import numpy where they use it, and this process imports it
+    just before the fork, so the worker imports nothing again.  numpy's
+    OpenBLAS thread pool survives the fork through OpenBLAS's pthread_atfork
+    handlers.
     """
     names = _selected(cfg)
     if len(names) < 2:
         return _run_suites_in_process(cfg)
+    import numpy  # loaded once, here, for both processes
+
     queue, queue_w = os.pipe()
     os.write(queue_w, bytes(range(len(names))))
     os.close(queue_w)  # an empty queue then reads as end of file

@@ -4,12 +4,16 @@ import dataclasses
 import functools
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import conecheck
 from conecheck.cli import main, verify_certificate
 from conecheck.cli import MalformedCertificateError, RecompositionMismatchError
 from conecheck.covering import express_as_conjugates
@@ -645,6 +649,9 @@ class TestVerifyCertificate:
             verify_certificate(path)
 
 
+_CYCLE_STAGES = '{"family": "cycle", "stages": [2, 3, 4, 5, 6, 7, 8, 9], "scaling": "n"}'
+
+
 @pytest.mark.parametrize("command, file_text, message", [
     ("verify-certificate",
      '{"kind": "integer-norm", "target": 2, "base": 1, "certificate": [1, 1]}',
@@ -660,20 +667,53 @@ class TestVerifyCertificate:
     ("integer-norm", None,
      "target out of range: |100000000000000000000000000000000000000000000000000| cannot be "
      "reached within 100000 steps of the largest member, 1371195958099968000"),
+    ("probe-sequence --bound 1e309", _CYCLE_STAGES, "bad --bound: inf is not a finite number"),
+    ("probe-sequence --bound nan", _CYCLE_STAGES, "bad --bound: nan is not a finite number"),
+    ("probe-sequence --tail nan", _CYCLE_STAGES, "bad --tail: nan is not a finite number"),
+    ("probe-sequence --tol inf", _CYCLE_STAGES, "bad --tol: inf is not a finite number"),
+    ("probe-sequence --tol nan", _CYCLE_STAGES, "bad --tol: nan is not a finite number"),
+    ("probe-sequence",
+     json.dumps({"family": "table", "values": [[1, 1.7e308]] * 8, "scaling": "n"}),
+     "the tail's sum exceeds the largest float, 1.7976931348623157e+308"),
 ], ids=["certificate-base-1", "alpha-overflow", "zero-to-negative-power", "infinite-norm",
-        "integer-norm-past-budget"])
+        "integer-norm-past-budget", "infinite-bound", "nan-bound", "nan-tail", "infinite-tol",
+        "nan-tol", "tail-mean-overflow"])
 def test_utility_command_refuses_bad_input_in_one_line(runner, tmp_path, command, file_text,
                                                        message):
     # each once ended in a traceback with exit 1, or, for the infinite norm,
-    # printed Infinity, which is not JSON
+    # the flags and the tail mean, printed Infinity or NaN, which are not JSON
     if file_text is None:
-        args = [command, str(10 ** 50), "--depth", "2"]
+        args = [*command.split(), str(10 ** 50), "--depth", "2"]
     else:
         path = tmp_path / "input.json"
         path.write_text(file_text)
-        args = [command, str(path)]
+        args = [*command.split(), str(path)]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].endswith(message), result.output
+
+
+_WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom conecheck.cli import main\nmain()\n"
+
+
+def test_utility_commands_and_refusals_run_without_numpy(tmp_path):
+    # numpy loads when the first suite runs; a verifier of certificates, the
+    # integer norm, --help and a refused config never import it
+    conjugate = tmp_path / "conjugate.json"
+    conjugate.write_text(json.dumps(express_as_conjugates(
+        Permutation.parse("(1 2 3)(4 5 6)"), Permutation.parse("(1 2)(3 4)")).to_json_dict()))
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps({"seed": -1}))
+    integer = tmp_path / "integer.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(conecheck.__file__).parents[1])}
+    for args, code in [(["integer-norm", "x(3)", "--out", str(integer)], 0),
+                       (["verify-certificate", str(integer)], 0),
+                       (["verify-certificate", str(conjugate)], 0),
+                       (["--help"], 0),
+                       (["all", "--config", str(refused)], 2)]:
+        done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *args], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == code, (args, done.stdout, done.stderr)
+        assert "Traceback" not in done.stderr, (args, done.stderr)

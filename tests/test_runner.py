@@ -2,6 +2,7 @@
 the suite queue, and the report bytes equal the one-process reference's."""
 
 import importlib.util
+import json
 import os
 import select
 import subprocess
@@ -158,11 +159,47 @@ def test_an_orphaned_worker_stops_after_its_suite():
     assert done.stdout.split().count("True") == 1, done.stdout + done.stderr
 
 
-def test_importing_the_runner_loads_no_process_pool():
-    # importing either costs about 25 ms of set-up per process
+def test_importing_the_runner_loads_no_process_pool(tmp_path):
+    # importing either costs about 25 ms of set-up per process, and numpy about
+    # 0.12 s, which a refused config does not need: the benchmark's set-up
+    # process imports the CLI and validates a config
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(RunConfig.small().as_dict()))
     code = ("import sys\nimport conecheck.cli, conecheck.suites\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+            "from conecheck.report import RunConfig, load_config_file\n"
+            "RunConfig.from_dict(load_config_file(sys.argv[1])).validate()\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'numpy'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env=env, timeout=60)
     assert done.stdout.split() == ["[]"], done.stderr
+
+
+_FORK_WATCHED = """
+import os, sys
+from conecheck import suites
+from conecheck.report import RunConfig
+
+fork, loaded = os.fork, []
+
+
+def watched():
+    loaded.append("numpy" in sys.modules)
+    return fork()
+
+
+os.fork = watched
+cfg = RunConfig.small()
+cfg.suites = ("intnorm", "products")
+print("numpy" in sys.modules)
+suites._run_suites(cfg)
+print(loaded)
+"""
+
+
+def test_the_runner_loads_numpy_once_before_it_forks():
+    # loaded after the fork, numpy would be imported by both processes
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", _FORK_WATCHED], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.stdout.split() == ["False", "[True]"], done.stdout + done.stderr
