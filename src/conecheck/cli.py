@@ -70,7 +70,6 @@ def _build_config(suites, max_degree, samples, tau, seed, out, config_path) -> R
     if overrides:
         merged = cfg.as_dict()
         merged.update(overrides)
-        merged.setdefault("suites", list(suites))
         cfg = RunConfig.from_dict(merged)
     return cfg
 

@@ -174,15 +174,17 @@ class RunConfig:
     # 5 s at the defaults when they were set): 7.5 s at triangular n 16, 10 s
     # at 18; 7.2 s at SPD n 12, 10.4 s at 13 (Hadamard's bound sends most SPD
     # matrices to Bareiss); 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at
-    # 17 on the per-pair loop.  The stacked SO blocks take the suite to 1.3-1.9
-    # s at the defaults, 1.9 s at SO n 15 and 2.7 s at 20
+    # 17 on the per-pair loop.  With one stack per SO n the suite takes
+    # 0.9-1.1 s at the defaults, 1.3-1.5 s at SO n 15 and 1.6 s at 16, and run
+    # alone peaks at 51 and 57 MB RSS (47 MB for both in SO blocks)
     triangular_max_n: int = _field(10, 1, 16, degree=True)
     spd_max_n: int = _field(8, 2, 12, degree=True)
     # SO(1) is the trivial group
     so_min_n: int = _field(4, 2)
     so_max_n: int = _field(12, None, 15, degree=True)
-    # the cap keeps the matnorm suite within the same 8 s: 4.9-5.6 s and
-    # 52 MB peak RSS at 1500, 6.2-10.2 s at 2000
+    # the cap keeps the matnorm suite within the same 8 s: 1.3-1.5 s and 56 MB
+    # peak RSS at 1500 (53 MB in SO blocks), 1.9 s and 64 MB at 2000; with
+    # SO n 15 as well, 2.0-2.2 s and 66 MB at 1500 (53 MB in SO blocks)
     matrix_pairs: int = _field(1000, 1, 1500)
     # caps keep the coneprobe suite within 8 s (about 1 s at the defaults).
     # The round trip holds n(n+1)/2 residues: 1.7 s at 4096, 3.8 s at 8192.

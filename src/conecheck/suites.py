@@ -891,18 +891,22 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
         bad, cfg.intnorm_sandwich_max,
     ))
 
-    probe = intnorm.torsion_probe(range(1, cfg.intnorm_sandwich_max + 1), base=2,
-                                  exact_cutoff=cfg.intnorm_exact_max)
-    probe3 = intnorm.torsion_probe(range(1, 5), base=3, exact_cutoff=3)
-    bad, _ = _first_witness(itertools.chain(
-        (None if (r["norm_x_n"], r["norm_t_x_n"]) == (r["n"], 1)
-         else f"base {p['base']} n={r['n']}: ({r['norm_x_n']}, {r['norm_t_x_n']})"
-         for p in (probe, probe3) for r in p["rows"]),
-        [None if probe3["modeled_generating_set"] else "base 3 not flagged as modeled"]))
+    try:
+        probe = intnorm.torsion_probe(range(1, cfg.intnorm_sandwich_max + 1), base=2,
+                                      exact_cutoff=cfg.intnorm_exact_max)
+        probe3 = intnorm.torsion_probe(range(1, 5), base=3, exact_cutoff=3)
+        bad, _ = _first_witness(itertools.chain(
+            (None if (r["norm_x_n"], r["norm_t_x_n"]) == (r["n"], 1)
+             else f"base {p['base']} n={r['n']}: ({r['norm_x_n']}, {r['norm_t_x_n']})"
+             for p in (probe, probe3) for r in p["rows"]),
+            [None if probe3["modeled_generating_set"] else "base 3 not flagged as modeled"]))
+    except intnorm.ArgumentCheckFailedError as exc:
+        # norm_xn's search or upper construction missed the lower bound
+        probe, bad = {"rows": []}, str(exc)
     checks.append(PASS(
         "intnorm.torsion",
         "torsion probe reports (||x_n||, ||t x_n||) = (n, 1); base 3 flagged as modeled",
-        bad, len(probe["rows"]) + len(probe3["rows"]),
+        bad, cfg.intnorm_sandwich_max + 4,  # the rows of both probes
         observed={"base2": [(r["n"], r["norm_x_n"], r["norm_t_x_n"]) for r in probe["rows"]]},
     ))
 
@@ -1142,47 +1146,40 @@ def _so_pairs(rng, n, pairs, tau, stats):
 
 
 def _so_stacked(rng, n, pairs, oracle, tau, stats):
-    """_so_pairs on float stacks; see _stacked_cases.  The pairs are drawn in
-    blocks of about RANK_BLOCK_ENTRIES entries, and a block starts at the
-    oracle pair, so that the oracle can draw it again from the same state.
-    A row that so_project_stack refuses flags the block at once.  stats takes
-    the stacked counts only when nothing was flagged and the oracle agreed;
+    """_so_pairs on float stacks; see _stacked_cases.  The oracle draws its
+    pair again from the entry state, past the 2 * oracle matrices before it.
+    A row that so_project_stack refuses flags the n at once.  stats takes the
+    stacked counts only when nothing was flagged and the oracle agreed;
     otherwise the reference replay counts them itself."""
     import numpy as np
 
-    per_block = max(1, matnorm.RANK_BLOCK_ENTRIES // (2 * n * n))
-    starts = sorted({*range(0, pairs, per_block), oracle})
+    state = rng.bit_generator.state
+    stack = matnorm.random_so_stack(rng, n, 2 * pairs)
+    projected, refused = matnorm.so_project_stack(stack, tau)
+    if refused.any():
+        return True, []  # the replay draws the pairs again and meets that row
+    g, h, pg, ph = stack[0::2], stack[1::2], projected[0::2], projected[1::2]
     eye = np.eye(n)
-    blocks = []
-    for start, stop in zip(starts, [*starts[1:], pairs]):
-        if start == oracle:
-            state = rng.bit_generator.state
-        stack = matnorm.random_so_stack(rng, n, 2 * (stop - start))
-        projected, refused = matnorm.so_project_stack(stack, tau)
-        if refused.any():
-            return True, []  # the replay draws the block again and meets that row
-        g, h, pg, ph = stack[0::2], stack[1::2], projected[0::2], projected[1::2]
-        embedded = np.broadcast_to(eye, g.shape).copy()
-        embedded[:, : n - 1, : n - 1] = pg
-        # the ranks, smallest retained and largest singular values, each
-        # (4, pairs in the block), in _so_ranks order
-        ranks, smallest, largest = (np.stack(a) for a in zip(*(
-            matnorm.numeric_rank_stack(m, tau) for m in (
-                g - eye, g @ h.transpose(0, 2, 1) - eye,
-                pg @ ph.transpose(0, 2, 1) - eye[1:, 1:], embedded @ g.transpose(0, 2, 1) - eye))))
-        blocks.append((ranks, smallest, largest))
-        if start == oracle:
-            got = {"g": g[0].tolist(), "h": h[0].tolist(), "ranks": [matnorm.RankNormValue(
-                int(r), "singular-threshold", threshold=tau,
-                smallest_retained=None if np.isnan(s) else float(s), largest=float(b))
-                for r, s, b in zip(ranks[:, 0], smallest[:, 0], largest[:, 0])]}
-    ranks, smallest, largest = (np.concatenate(a, axis=-1) for a in zip(*blocks))
+    embedded = np.broadcast_to(eye, g.shape).copy()
+    embedded[:, : n - 1, : n - 1] = pg
+    # the ranks, smallest retained and largest singular values, each
+    # (4, pairs), in _so_ranks order
+    ranks, smallest, largest = (np.stack(a) for a in zip(*(
+        matnorm.numeric_rank_stack(m, tau) for m in (
+            g - eye, g @ h.transpose(0, 2, 1) - eye,
+            pg @ ph.transpose(0, 2, 1) - eye[1:, 1:], embedded @ g.transpose(0, 2, 1) - eye))))
     flagged = bool(_so_failed(*ranks).any())
+    # random_so_stack draws what successive random_so calls draw, from one stream
     replica = np.random.Generator(type(rng.bit_generator)())
     replica.bit_generator.state = state
-    g, h = matnorm.random_so(replica, n), matnorm.random_so(replica, n)
+    replica.normal(size=(2 * oracle, n, n))
+    rg, rh = matnorm.random_so(replica, n), matnorm.random_so(replica, n)
+    got = {"g": g[oracle].tolist(), "h": h[oracle].tolist(), "ranks": [matnorm.RankNormValue(
+        int(r), "singular-threshold", threshold=tau,
+        smallest_retained=None if np.isnan(s) else float(s), largest=float(b))
+        for r, s, b in zip(ranks[:, oracle], smallest[:, oracle], largest[:, oracle])]}
     disagreements = list(_disagreements(n, oracle, got, {
-        "g": g.data.tolist(), "h": h.data.tolist(), "ranks": _so_ranks(g, h, tau)}))
+        "g": rg.data.tolist(), "h": rh.data.tolist(), "ranks": _so_ranks(rg, rh, tau)}))
     if not flagged and not disagreements:
         retained = smallest[~np.isnan(smallest)]
         if retained.size:
@@ -1452,55 +1449,37 @@ def run_products(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _stage_families(cfg: RunConfig):
+    """The B_n, SPD and SO(n) stage families; stage n samples from
+    default_rng((seed, n, *key))."""
     import numpy as np
 
-    tau = cfg.tau
+    def family(name, distance, project, draw, key, identity):
+        def sample(n, count, seed):
+            rng = np.random.default_rng((seed, n, *key))
+            return [draw(rng, n) for _ in range(count)]
 
-    def b_distance(n, x, y):
-        return matnorm.bareiss_rank((x - y).rows) if n else 0
+        return coneprobe.StageFamily(
+            name=name,
+            distance=lambda n, x, y: distance(x, y) if n else 0,
+            project=lambda n, x: project(x),
+            include=lambda n, x: matnorm.embed(x, n),
+            sample=sample,
+            identity_at=identity,
+        )
 
-    def b_sample(n, count, seed):
-        rng = np.random.default_rng((seed, n))
-        return [matnorm.random_unit_triangular(rng, n) for _ in range(count)]
+    def exact_rank(x, y):
+        return matnorm.bareiss_rank((x - y).rows)
 
-    b_family = coneprobe.StageFamily(
-        name="upper-triangular",
-        distance=b_distance,
-        project=lambda n, x: matnorm.triangular_project(x),
-        include=lambda n, x: matnorm.embed(x, n),
-        sample=b_sample,
-        identity_at=lambda n: matnorm.RationalMatrix.identity(n),
+    return (
+        family("upper-triangular", exact_rank, matnorm.triangular_project,
+               matnorm.random_unit_triangular, (), matnorm.RationalMatrix.identity),
+        family("symmetric-positive-definite", exact_rank, matnorm.spd_project,
+               matnorm.random_spd, (1,), matnorm.RationalMatrix.identity),
+        family("special-orthogonal",
+               lambda x, y: matnorm.numeric_rank(x.data - y.data, cfg.tau).value,
+               lambda x: matnorm.so_project(x, cfg.tau), matnorm.random_so, (2,),
+               lambda n: matnorm.FloatMatrix(np.eye(n))),
     )
-
-    def spd_sample(n, count, seed):
-        rng = np.random.default_rng((seed, n, 1))
-        return [matnorm.random_spd(rng, n) for _ in range(count)]
-
-    spd_family = coneprobe.StageFamily(
-        name="symmetric-positive-definite",
-        distance=b_distance,
-        project=lambda n, x: matnorm.spd_project(x),
-        include=lambda n, x: matnorm.embed(x, n),
-        sample=spd_sample,
-        identity_at=lambda n: matnorm.RationalMatrix.identity(n),
-    )
-
-    def so_distance(n, x, y):
-        return matnorm.numeric_rank(x.data - y.data, tau).value if n else 0
-
-    def so_sample(n, count, seed):
-        rng = np.random.default_rng((seed, n, 2))
-        return [matnorm.random_so(rng, n) for _ in range(count)]
-
-    so_family = coneprobe.StageFamily(
-        name="special-orthogonal",
-        distance=so_distance,
-        project=lambda n, x: matnorm.so_project(x, tau),
-        include=lambda n, x: matnorm.embed(x, n),
-        sample=so_sample,
-        identity_at=lambda n: matnorm.FloatMatrix(np.eye(n)),
-    )
-    return b_family, spd_family, so_family
 
 
 # coneprobe.arc_identity checks every pair of residues mod n up to this

@@ -410,7 +410,9 @@ def test_config_file_overrides_flags(runner, tmp_path):
         "intnorm", "--seed", "3", "--out", str(out), "--config", str(cfg),
     ])
     assert result.exit_code == 0, result.output
-    assert json.loads(out.read_text())["config"]["seed"] == 99
+    config = json.loads(out.read_text())["config"]
+    # a file without "suites" keeps the subcommand's suite
+    assert (config["seed"], config["suites"]) == (99, ["intnorm"])
 
 
 def test_config_env_var(runner, tmp_path, monkeypatch):

@@ -528,7 +528,7 @@ def _rank_value(rank, smallest, largest, tau):
 
 
 class TestStackedSO:
-    """matnorm.so runs each n as stacked blocks.  One seeded pair per n re-runs
+    """matnorm.so runs each n as one stack.  One seeded pair per n re-runs
     random_so, so_project and numeric_rank as the oracle, and _so_pairs is the
     replay."""
 
@@ -539,13 +539,13 @@ class TestStackedSO:
 
     @staticmethod
     def _watch_replays(monkeypatch):
-        """The n of each block whose reference loop _so_pairs is replayed."""
+        """The n of each replay of the reference loop _so_pairs."""
         replayed, real = [], suites._so_pairs
         monkeypatch.setattr(suites, "_so_pairs", lambda rng, n, pairs, tau, stats: (
             replayed.append(n) or real(rng, n, pairs, tau, stats)))
         return replayed
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 16))  # up to so_max_n's cap
     def test_stack_kernels_have_the_scalar_bits(self, n):
         one, many = np.random.default_rng(n), np.random.default_rng(n)
         scalar = [random_so(one, n) for _ in range(30)]
@@ -580,7 +580,7 @@ class TestStackedSO:
 
     @pytest.mark.parametrize("tau", [1e-8, 0.02])
     def test_each_block_leaves_the_reference_rng_state_and_stats(self, tau):
-        # 70 pairs at n = 12 are four blocks, one starting at the oracle pair 33;
+        # 70 pairs at n = 4..12 are one stack each, with the oracle at pair 33;
         # at tau = 0.02 most pairs are borderline
         for n in range(4, 13):
             stacked, loop = np.random.default_rng(n), np.random.default_rng(n)
@@ -600,9 +600,17 @@ class TestStackedSO:
         assert self._so_row(cfg).status == "pass"
         assert calls == [n for n in range(cfg.so_min_n, cfg.so_max_n + 1) for _ in range(2)]
 
+    @pytest.mark.parametrize("cfg", [RunConfig.small(), RunConfig(matrix_pairs=166)])
+    def test_draws_each_n_as_one_stack(self, monkeypatch, cfg):
+        calls, real = [], matnorm.random_so_stack
+        monkeypatch.setattr(matnorm, "random_so_stack",
+                            lambda rng, n, count: calls.append(n) or real(rng, n, count))
+        assert self._so_row(cfg).status == "pass"
+        assert calls == list(range(cfg.so_min_n, cfg.so_max_n + 1))
+
     def test_a_half_turn_row_replays_its_block(self, monkeypatch):
         # g e_n = -e_n takes elementary_rotation's half-turn case, which the
-        # stack refuses: each n's first block is flagged before any SVD runs,
+        # stack refuses: each n's stack is flagged before any SVD runs,
         # and the reference loop, drawing its own matrices, passes
         reference = self._so_row()
         real = matnorm.random_so_stack

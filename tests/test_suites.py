@@ -2,6 +2,7 @@
 and checks that fail with a witness, under ``python -O`` too."""
 
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -296,6 +297,22 @@ def test_norm_off_by_one_fails_with_a_witness(monkeypatch, norm, check_id, witne
     assert row.witness == witness
 
 
+@pytest.mark.parametrize("norm, bump, check_id, witness", [
+    # tr one high where sigma(1) = 2: not a class function, and not a metric
+    ("tr_norm", lambda sigma: sigma(1) == 2, "norms.conjugation_invariance_s5",
+     "(4 5) vs (1 4 2 5 3)"),
+    ("tr_norm", lambda sigma: sigma(1) == 2, "norms.metric_axioms_s5", "(1 3) * (2 3)"),
+    # supp two high on 3-cycles: a product of two transpositions outgrows them
+    ("supp_norm", lambda sigma: 2 * (sigma.cycle_type() == (3,)), "norms.metric_axioms_s5",
+     "(4 5) * (3 4)"),
+], ids=["conjugation_invariance_tr", "metric_axioms_tr", "metric_axioms_supp"])
+def test_a_norm_fault_fails_the_s5_table_checks(monkeypatch, norm, bump, check_id, witness):
+    exact = getattr(suites, norm)
+    monkeypatch.setattr(suites, norm, lambda sigma: exact(sigma) + bump(sigma))
+    row = next(r for r in suites.run_norms(RunConfig.small()) if r.check_id == check_id)
+    assert (row.status, row.sample_size, row.witness) == ("fail", 120 ** 2, witness)
+
+
 @pytest.mark.parametrize("degree, cycle_type, witness", [
     (5, (3,), "(3 4 5)"),
     # evenly spaced rows of S_7 hold no transposition, and of S_8 no 3-cycle:
@@ -481,6 +498,48 @@ def test_a_failing_row_names_its_witness(monkeypatch, fault, suite, check_id, wi
     row = next(r for r in getattr(suites, "run_" + suite)(RunConfig.small())
                if r.check_id == check_id)
     assert (row.status, row.witness) == ("fail", witness)
+
+
+def _lower_bound_one_high(monkeypatch):
+    lower = suites.intnorm.lower_bound_xn
+    monkeypatch.setattr(suites.intnorm, "lower_bound_xn", lambda n, base=2: lower(n, base) + 1)
+
+
+def _one_high_at_x(name, n, field):
+    """Fault: intnorm's `name` reports `field` one high at x_n in base 2."""
+    def fault(monkeypatch):
+        real, x = getattr(suites.intnorm, name), suites.intnorm.FactorialGenerators().x(n)
+
+        def bumped(y, gens, **kwargs):
+            result = real(y, gens, **kwargs)
+            if (y, gens.base) != (x, 2):
+                return result
+            return dataclasses.replace(result, **{field: getattr(result, field) + 1})
+        monkeypatch.setattr(suites.intnorm, name, bumped)
+    return fault
+
+
+@pytest.mark.parametrize("fault, check_id, witness, probe_witness", [
+    (_lower_bound_one_high, "intnorm.sandwich", "x_1: upper=1 lower=2",
+     "exhaustive search (1) disagrees with the lower bound (2)"),
+    (_one_high_at_x("norm_exact", 3, "value"), "intnorm.exact_small",
+     "x_3: certificate [8, 8, 8] for 24 with value 4",
+     "exhaustive search (4) disagrees with the lower bound (3)"),
+    (_one_high_at_x("norm_upper", 4, "best_upper"), "intnorm.sandwich", "x_4: upper=5 lower=4",
+     "upper construction (5) does not meet the lower bound (4)"),
+], ids=["lower_bound_xn", "norm_exact_at_x3", "norm_upper_at_x4"])
+def test_a_wrong_norm_of_x_n_fails_rows_instead_of_raising(
+        monkeypatch, fault, check_id, witness, probe_witness):
+    # norm_xn raises ArgumentCheckFailedError when its search or upper
+    # construction misses the lower bound; the torsion row takes the message
+    # as its witness, and every intnorm row still reaches the report
+    fault(monkeypatch)
+    rows = {r.check_id: r for r in suites.run_intnorm(RunConfig.small())}
+    assert len(rows) == 5
+    assert (rows[check_id].status, rows[check_id].witness) == ("fail", witness)
+    torsion = rows["intnorm.torsion"]
+    assert (torsion.status, torsion.witness) == ("fail", probe_witness)
+    assert torsion.sample_size == RunConfig.small().intnorm_sandwich_max + 4
 
 
 def _padded_at_37(pairs):
