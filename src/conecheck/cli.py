@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -266,5 +267,16 @@ def verify_certificate(path) -> str:
     raise MalformedCertificateError(f"unknown certificate kind {kind!r}")
 
 
+def run():
+    """main, then an exit that skips the interpreter's teardown (about 0.03 s);
+    the worker is reaped and the report closed by then.  Tests call main."""
+    try:
+        main()
+    except SystemExit as exc:  # every command leaves by sys.exit with an int
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(exc.code or 0)
+
+
 if __name__ == "__main__":
-    main()
+    run()

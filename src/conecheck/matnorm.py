@@ -9,8 +9,8 @@ elimination is kept as a second oracle and never removed.
 Integer stacks (N, n, n) have a batched exact backend: elimination mod two
 primes just below 2^31 (modular_rank, leading_minor_signs), exact wherever
 Hadamard's bound stays below 2^60 and handed to the Bareiss routines
-elsewhere.  Its int64 products and inverses refuse inputs whose entry bound
-reaches 2^62 (EntryBoundError).
+elsewhere.  Its int64 products refuse inputs whose entry bound reaches 2^62
+(EntryBoundError).
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class NotOrthogonalError(ValueError):
 
 class NotSpecialError(ValueError):
     pass
-
-
-Entry = "int | Fraction"
 
 
 def _div(a, b):
@@ -277,31 +274,6 @@ def int64_matmul(a, b) -> np.ndarray:
     if _max_abs(a) * _max_abs(b) * a.shape[-1] >= ENTRY_LIMIT:
         raise EntryBoundError(f"int64 product of {a.shape[-1]}-wide stacks may overflow")
     return a @ b
-
-
-def unit_triangular_inverse(stack) -> np.ndarray:
-    """Inverses of an (N, n, n) stack of upper triangular int64 matrices with
-    diagonal entries +-1, by back substitution.
-
-    With s the largest off-diagonal |entry|, an inverse entry i < j is at most
-    s (1 + s)^(j - i - 1) (induction on j - i), so every sum formed stays below
-    max(s, 1) (1 + s)^(n - 1) n, which must be below 2^62 (EntryBoundError).
-    """
-    import numpy as np
-
-    n = stack.shape[-1]
-    diagonal = np.diagonal(stack, axis1=1, axis2=2)
-    if np.tril(stack, -1).any() or not np.isin(diagonal, (-1, 1)).all():
-        raise ValueError("not upper triangular with diagonal entries +-1")
-    s = _max_abs(np.triu(stack, 1))
-    if max(s, 1) * (1 + s) ** max(n - 1, 0) * n >= ENTRY_LIMIT:
-        raise EntryBoundError(f"unit triangular inverse at n={n} may overflow")
-    inverse = np.zeros_like(stack)
-    for i in range(n - 1, -1, -1):
-        row = -(stack[:, i : i + 1, i + 1 :] @ inverse[:, i + 1 :, :])[:, 0]
-        row[:, i] += 1
-        inverse[:, i, :] = diagonal[:, i, None] * row
-    return inverse
 
 
 def _residues(stack) -> tuple[np.ndarray, np.ndarray]:
@@ -666,19 +638,26 @@ def random_unit_triangular(rng: np.random.Generator, n: int) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def random_unit_triangular_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """count successive random_unit_triangular draws as an (count, n, n) int64
-    stack, from one rng.integers call over the same stream."""
+def _triangular_stack(rng, n: int, count: int, diagonal, scale: int) -> np.ndarray:
+    """count upper triangular (n, n) int64 draws, from one rng.integers call:
+    row by row, diagonal[k] for k in range(len(diagonal)), then scale times
+    one draw from -SPREAD..SPREAD per entry right of it."""
     import numpy as np
 
     i, j = np.triu_indices(n)
-    diagonal = i == j
-    # rng.choice((-1, 1)) draws its index as integers(0, 2)
-    flat = rng.integers(np.where(diagonal, 0, -SPREAD), np.where(diagonal, 2, SPREAD + 1),
+    on = i == j
+    flat = rng.integers(np.where(on, 0, -SPREAD), np.where(on, len(diagonal), SPREAD + 1),
                         size=(count, i.size))
     stack = np.zeros((count, n, n), dtype=np.int64)
-    stack[:, i, j] = np.where(diagonal, 2 * flat - 1, flat)
+    stack[:, i, j] = np.where(on, np.asarray(diagonal)[np.where(on, flat, 0)], scale * flat)
     return stack
+
+
+def random_unit_triangular_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """count successive random_unit_triangular draws as an (count, n, n) int64
+    stack, from one rng.integers call over the same stream."""
+    # rng.choice((-1, 1)) draws its index as integers(0, 2)
+    return _triangular_stack(rng, n, count, (-1, 1), 1)
 
 
 def random_rational_triangular(rng: np.random.Generator, n: int) -> RationalMatrix:
@@ -687,9 +666,16 @@ def random_rational_triangular(rng: np.random.Generator, n: int) -> RationalMatr
     rows = []
     for i in range(n):
         row = [Fraction(0)] * i + [choices[int(rng.integers(0, len(choices)))]]
-        row += [Fraction(int(rng.integers(-2, 3))) for _ in range(n - i - 1)]
+        row += [Fraction(int(rng.integers(-SPREAD, SPREAD + 1))) for _ in range(n - i - 1)]
         rows.append(tuple(row))
     return RationalMatrix(rows)
+
+
+def random_rational_triangular_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """count successive random_rational_triangular draws, each doubled to clear
+    its denominators, as a (count, n, n) int64 stack, from one rng.integers
+    call over the same stream."""
+    return _triangular_stack(rng, n, count, (2, -2, 4, 1, -3), 2)  # its choices, doubled
 
 
 def random_spd(rng: np.random.Generator, n: int) -> RationalMatrix:

@@ -171,12 +171,13 @@ class RunConfig:
     # _RELATIONS
     intnorm_axiom_window: int = _field(200, 0)
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
-    # 5 s at the defaults when they were set): 7.5 s at triangular n 16, 10 s
-    # at 18; 7.2 s at SPD n 12, 10.4 s at 13 (Hadamard's bound sends most SPD
-    # matrices to Bareiss); 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at
-    # 17 on the per-pair loop.  With one stack per SO n the suite takes
-    # 0.9-1.1 s at the defaults, 1.3-1.5 s at SO n 15 and 1.6 s at 16, and run
-    # alone peaks at 51 and 57 MB RSS (47 MB for both in SO blocks)
+    # 5 s at the defaults when they were set): 2.2-2.7 s and 57 MB peak RSS run
+    # alone at triangular n 16, 3.2-4.0 s and 62 MB at 18; 7.2 s at SPD n 12,
+    # 10.4 s at 13 (Hadamard's bound sends most SPD matrices to Bareiss);
+    # 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at 17 on the per-pair
+    # loop.  With one stack per SO n the suite takes 0.9-1.1 s at the defaults,
+    # 1.3-1.5 s at SO n 15 and 1.6 s at 16, and run alone peaks at 51 and 57 MB
+    # RSS (47 MB for both in SO blocks)
     triangular_max_n: int = _field(10, 1, 16, degree=True)
     spd_max_n: int = _field(8, 2, 12, degree=True)
     # SO(1) is the trivial group

@@ -866,7 +866,10 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     gens = intnorm.FactorialGenerators(base=2, max_index=intnorm.MAX_INTNORM_INDEX)
 
     def exact(n):
-        result = intnorm.norm_exact(gens.x(n), gens, depth_cap=n + 2)
+        try:
+            result = intnorm.norm_exact(gens.x(n), gens, depth_cap=n + 2)
+        except intnorm.ArgumentCheckFailedError as exc:  # its certificate failed result.check
+            return f"x_{n}: {exc}"
         if (witness := result.check(gens.x(n))) is not None:
             return f"x_{n}: {witness}"
         return None if result.value == n else f"x_{n}: {result.value}"
@@ -879,8 +882,11 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     def sandwich(n):
-        upper = intnorm.norm_upper(gens.x(n), gens)
-        lower = intnorm.lower_bound_xn(n)
+        try:
+            upper = intnorm.norm_upper(gens.x(n), gens)
+            lower = intnorm.lower_bound_xn(n)
+        except intnorm.ArgumentCheckFailedError as exc:  # an exact step failed
+            return f"x_{n}: {exc}"
         return None if upper.best_upper == lower == n else \
             f"x_{n}: upper={upper.best_upper} lower={lower}"
 
@@ -938,7 +944,10 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
             x, y = np.divmod(int(bad.argmax()), 2 * w + 1)
             yield f"triangle at {x - w},{y - w}"
 
-    bad, _ = _first_witness(axiom_failures())
+    try:
+        bad, _ = _first_witness(axiom_failures())
+    except intnorm.ArgumentCheckFailedError as exc:  # a certificate naming its x failed
+        bad = str(exc)
     checks.append(PASS(
         "intnorm.axioms_window",
         f"symmetry, triangle inequality and exact <= upper on [-{w}, {w}]",
@@ -963,21 +972,21 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------- matnorm
 
 
-def _stacked_cases(rng, n, pairs, seed, stacked, reference):
+def _stacked_cases(rng, n, pairs, seed, stacked, reference, stream=1):
     """One n-block of a matrix check, as _batched_cases.
 
     stacked(rng, n, pairs, oracle) runs the block on stacks and returns whether
     any pair failed, and the cases of its oracle, which re-runs the seeded pair
     `oracle` through the scalar code (RationalMatrix and bareiss_rank, or
-    random_so, so_project and numeric_rank).  A block the int64 guards refuse
-    counts as failed.  A replay restores the block's rng state, so that later
-    draws too are the reference's."""
+    random_so, so_project and numeric_rank), drawn from the stream (seed, n, 0,
+    stream).  A block the int64 guards refuse counts as failed.  A replay
+    restores the block's rng state, so that later draws too are the reference's."""
     import numpy as np
 
     state = rng.bit_generator.state
     # SeedSequence pads keys with zeros to four words, and every other stream of
     # a run has at most three: (seed, n) would meet other oracles at n = 7..12
-    oracle = int(np.random.default_rng((seed, n, 0, 1)).integers(pairs))
+    oracle = int(np.random.default_rng((seed, n, 0, stream)).integers(pairs))
     try:
         flagged, disagreements = stacked(rng, n, pairs, oracle)
     except matnorm.EntryBoundError:
@@ -1006,11 +1015,10 @@ def _disagreements(n, oracle, stacked: dict, reference: dict):
             for name, value in stacked.items() if value != reference[name])
 
 
-def _triangular_pairs(rng, n, pairs):
-    """The reference loop of matnorm.triangular's integer block at one n."""
+def _triangular_pairs(rng, n, pairs, draw):
+    """The reference loop of matnorm.triangular at one n, on draw's matrices."""
     for _ in range(pairs):
-        g = matnorm.random_unit_triangular(rng, n)
-        h = matnorm.random_unit_triangular(rng, n)
+        g, h = draw(rng, n), draw(rng, n)
         if matnorm.triangular_project(g @ h) != \
            matnorm.triangular_project(g) @ matnorm.triangular_project(h):
             yield f"homomorphism n={n}"
@@ -1027,36 +1035,30 @@ def _triangular_pairs(rng, n, pairs):
             yield None
 
 
-def _triangular_stacked(rng, n, pairs, oracle):
-    """_triangular_pairs on int64 stacks; see _stacked_cases."""
+def _triangular_stacked(rng, n, pairs, oracle, draw):
+    """_triangular_pairs on an int64 stack of draw's; see _stacked_cases.  As an
+    invertible right factor keeps rank, it ranks g - h, p(g) - p(h) and e(p(g)) - g
+    for x - I, p(x) - I and e(p(g)) g^-1 - I (x = g h^-1, e = embed): no inverse."""
     import numpy as np
 
-    stack = matnorm.random_unit_triangular_stack(rng, n, 2 * pairs)
+    stack = draw(rng, n, 2 * pairs)
     g, h = stack[0::2], stack[1::2]
-    eye = np.eye(n, dtype=np.int64)
     lead = np.s_[:, : n - 1, : n - 1]
     gh = matnorm.int64_matmul(g, h)
-    g_inv = matnorm.unit_triangular_inverse(g)
-    x = matnorm.int64_matmul(g, matnorm.unit_triangular_inverse(h))
-    embedded = g.copy()  # embed(triangular_project(g), n)
-    embedded[:, -1, :] = eye[-1]
-    embedded[:, :, -1] = eye[:, -1]
-    drop = matnorm.int64_matmul(embedded, g_inv)
-    ranks = matnorm.modular_rank(np.concatenate([drop - eye, _zero_last(x - eye), x - eye]))
+    drop = -g  # e(p(g)) - g
+    drop[lead] = 0
+    drop[:, -1, -1] += 1
+    ranks = matnorm.modular_rank(np.concatenate([drop, _zero_last(g - h), g - h]))
     rk_drop, rk_lead, rk_x = ranks.reshape(3, pairs)
     flagged = not (
         (gh[lead] == matnorm.int64_matmul(g[lead], h[lead])).all()
         and (rk_drop <= 1).all() and (rk_lead <= rk_x).all())
-    gr = matnorm.RationalMatrix(g[oracle].tolist())
-    hr = matnorm.RationalMatrix(h[oracle].tolist())
+    gr, hr = (matnorm.RationalMatrix(m[oracle].tolist()) for m in (g, h))
     xr = gr @ hr.inverse()
     dropr = matnorm.embed(matnorm.triangular_project(gr), n) @ gr.inverse()
-    reference = {"x": xr.rows, "drop": dropr.rows, "ranks": [
-        matnorm.bareiss_rank(dropr.minus_identity().rows),
-        matnorm.bareiss_rank(matnorm.triangular_project(xr).minus_identity().rows),
-        matnorm.bareiss_rank(xr.minus_identity().rows)]}
-    got = {"x": matnorm.RationalMatrix(x[oracle].tolist()).rows,
-           "drop": matnorm.RationalMatrix(drop[oracle].tolist()).rows,
+    reference = {"gh": (gr @ hr).rows, "ranks": [matnorm.bareiss_rank(m.minus_identity().rows)
+                 for m in (dropr, matnorm.triangular_project(xr), xr)]}
+    got = {"gh": matnorm.RationalMatrix(gh[oracle].tolist()).rows,
            "ranks": [int(r[oracle]) for r in (rk_drop, rk_lead, rk_x)]}
     return flagged, _disagreements(n, oracle, got, reference)
 
@@ -1196,23 +1198,20 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     rng = np.random.default_rng(cfg.seed + 3)
 
-    # B_n: homomorphism, rank drop <= 1, non-expansive; exact integers on
-    # int64 stacks plus a rational-diagonal slice
+    # B_n: homomorphism, rank drop <= 1, non-expansive; exact on int64 stacks,
+    # then on rational diagonals doubled, which changes none of the three tests
+    # (e(p(g)) - g is zero outside its last column); their oracles and replays
+    # exercise the Fraction path
     def triangular_cases():
-        for n in range(1, cfg.triangular_max_n + 1):
-            yield from _stacked_cases(rng, n, cfg.matrix_pairs, cfg.seed,
-                                      _triangular_stacked, _triangular_pairs)
-        # rational diagonals exercise the Fraction path
-        for n in range(2, min(cfg.triangular_max_n, 6) + 1):
-            for _ in range(20):
-                g = matnorm.random_rational_triangular(rng, n)
-                h = matnorm.random_rational_triangular(rng, n)
-                x = g @ h.inverse()
-                failed = matnorm.triangular_project(g @ h) != \
-                    matnorm.triangular_project(g) @ matnorm.triangular_project(h) or \
-                    matnorm.bareiss_rank(matnorm.triangular_project(x).minus_identity().rows) > \
-                    matnorm.bareiss_rank(x.minus_identity().rows)
-                yield f"rational n={n}" if failed else None
+        for sizes, pairs, stream, stack, draw in (
+                (range(1, cfg.triangular_max_n + 1), cfg.matrix_pairs, 1,
+                 matnorm.random_unit_triangular_stack, matnorm.random_unit_triangular),
+                (range(2, min(cfg.triangular_max_n, 6) + 1), 20, 2,
+                 matnorm.random_rational_triangular_stack, matnorm.random_rational_triangular)):
+            for n in sizes:
+                yield from _stacked_cases(rng, n, pairs, cfg.seed,
+                                          functools.partial(_triangular_stacked, draw=stack),
+                                          functools.partial(_triangular_pairs, draw=draw), stream)
 
     bad, pairs = _first_witness(triangular_cases())
     checks.append(PASS(

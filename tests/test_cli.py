@@ -697,6 +697,39 @@ def test_utility_command_refuses_bad_input_in_one_line(runner, tmp_path, command
     assert len(lines) == 1 and lines[0].endswith(message), result.output
 
 
+def test_the_command_line_skips_teardown_and_writes_what_main_writes(runner, tmp_path):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(
+        {k: v for k, v in RunConfig.small().as_dict().items() if k != "out"}))
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps({"seed": -1}))
+    env = {**os.environ, "PYTHONPATH": str(Path(conecheck.__file__).parents[1])}
+
+    def command_line(*args, code="import runpy\nrunpy.run_module('conecheck.cli', run_name='__main__')"):
+        # an atexit handler runs only if the interpreter tears down
+        code = f"import atexit\natexit.register(print, 'teardown')\n{code}\n"
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    done = command_line("all", "--config", str(config), "--out", str(tmp_path / "cli.json"))
+    assert done.returncode == 0, done.stderr
+    result = runner.invoke(main, ["all", "--config", str(config),
+                                  "--out", str(tmp_path / "main.json")])
+    assert result.exit_code == 0, result.output
+    assert done.stdout == result.output
+    assert done.stdout.splitlines()[-1].endswith(" checks, 0 failed -> pass")
+    for name in ("{}.json", "{}.json.series.csv"):
+        assert (tmp_path / name.format("cli")).read_bytes() == \
+            (tmp_path / name.format("main")).read_bytes()
+    # the installed script leaves the same way
+    done = command_line("all", "--config", str(refused), code="from conecheck.cli import run\nrun()")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == ["config invalid: seed must be at least 0, got -1"]
+    import tomllib
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["conecheck"] == "conecheck.cli:run"
+
+
 _WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom conecheck.cli import main\nmain()\n"
 
 

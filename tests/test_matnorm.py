@@ -37,6 +37,8 @@ from conecheck.matnorm import (
     random_so_stack,
     random_spd,
     random_spd_stack,
+    random_rational_triangular,
+    random_rational_triangular_stack,
     random_unit_triangular,
     random_unit_triangular_stack,
     rank_norm_exact,
@@ -45,7 +47,6 @@ from conecheck.matnorm import (
     so_project_stack,
     spd_project,
     triangular_project,
-    unit_triangular_inverse,
 )
 from conecheck.perms import Permutation, tr_norm
 from conecheck.report import RunConfig
@@ -381,27 +382,18 @@ class TestModularKernel:
             with pytest.raises(EntryBoundError):
                 int64_matmul(full(a), full(b))
 
-    def test_unit_triangular_inverse_and_its_guard(self):
-        rng = np.random.default_rng(14)
-        for n in range(0, 11):
-            u = random_unit_triangular_stack(rng, n, 20)
-            inverse = unit_triangular_inverse(u)
-            assert (int64_matmul(u, inverse) == np.eye(n, dtype=np.int64)).all()
-            for matrix, inv in zip(u.tolist(), inverse.tolist()):
-                assert RationalMatrix(matrix).inverse().rows == RationalMatrix(inv).rows
-        wide = np.triu(np.full((1, 12, 12), 2 ** 5, dtype=np.int64), 1) + np.eye(12, dtype=np.int64)
-        with pytest.raises(EntryBoundError):
-            unit_triangular_inverse(wide)  # 33^11 * 32 * 12 > 2^62
-        with pytest.raises(ValueError):
-            unit_triangular_inverse(np.array([[[2, 0], [0, 1]]]))
-
     @pytest.mark.parametrize("n", range(0, 11))
     def test_batched_draws_replay_the_per_matrix_stream(self, n):
-        for draw_one, draw_stack in ((random_unit_triangular, random_unit_triangular_stack),
-                                     (random_spd, random_spd_stack)):
+        # the rational stack holds each draw doubled, which clears its denominators
+        for draw_one, draw_stack, scale in (
+                (random_unit_triangular, random_unit_triangular_stack, 1),
+                (random_rational_triangular, random_rational_triangular_stack, 2),
+                (random_spd, random_spd_stack, 1)):
             one, many = np.random.default_rng(n), np.random.default_rng(n)
-            reference = [draw_one(one, n).rows for _ in range(25)]
+            reference = [tuple(tuple(scale * x for x in row) for row in draw_one(one, n).rows)
+                         for _ in range(25)]
             stack = draw_stack(many, n, 25)
+            assert stack.dtype == np.int64
             assert [RationalMatrix(m).rows for m in stack.tolist()] == reference
             assert one.bit_generator.state == many.bit_generator.state
             assert one.normal() == many.normal()
@@ -417,6 +409,28 @@ class TestStackedMatnormChecks:
         for name, value in overrides.items():
             setattr(cfg, name, value)
         return {c.check_id: c for c in suites.run_matnorm(cfg)}
+
+    @pytest.mark.parametrize("draw, sizes", [
+        (random_unit_triangular_stack, range(1, 17)),
+        (random_rational_triangular_stack, range(2, 7)),
+    ], ids=["unit", "rational"])
+    def test_triangular_difference_ranks_are_the_literal_ranks(self, monkeypatch, draw, sizes):
+        # the kernel ranks e(p(g)) - g, p(g) - p(h) and g - h; the definitions
+        # rank e(p(g)) g^-1 - I, p(x) - I and x - I, with x = g h^-1
+        ranks, real, pairs = [], matnorm.modular_rank, 8
+        monkeypatch.setattr(matnorm, "modular_rank",
+                            lambda stack: ranks.append(real(stack)) or ranks[-1])
+        for n in sizes:
+            flagged, disagreements = suites._triangular_stacked(
+                np.random.default_rng(n), n, pairs, 0, draw)
+            assert not flagged and not list(disagreements)
+            stack = draw(np.random.default_rng(n), n, 2 * pairs).tolist()
+            for k, got in enumerate(ranks.pop().reshape(3, pairs).T.tolist()):
+                g, h = RationalMatrix(stack[2 * k]), RationalMatrix(stack[2 * k + 1])
+                x = g @ h.inverse()
+                drop = embed(triangular_project(g), n) @ g.inverse()
+                assert got == [bareiss_rank(m.minus_identity().rows)
+                               for m in (drop, triangular_project(x), x)]
 
     def test_modular_rank_off_by_one_fails_triangular(self, monkeypatch):
         real = matnorm.modular_rank
@@ -467,8 +481,9 @@ class TestStackedMatnormChecks:
             raise EntryBoundError("refused")
 
         reference = self._checks()
-        monkeypatch.setattr(matnorm, "unit_triangular_inverse", refuse)
-        monkeypatch.setattr(matnorm, "random_spd_stack", refuse)
+        for name in ("random_unit_triangular_stack", "random_rational_triangular_stack",
+                     "random_spd_stack"):
+            monkeypatch.setattr(matnorm, name, refuse)
         calls = []
         real = matnorm.bareiss_rank
         monkeypatch.setattr(matnorm, "bareiss_rank", lambda rows: calls.append(1) or real(rows))

@@ -472,6 +472,28 @@ def _second_run_differs(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "norms", rows)
 
 
+def _prefix_projection_is_the_identity(monkeypatch):
+    monkeypatch.setattr(suites.products.FreeProduct, "prefix_project", lambda self, a: a)
+
+
+def _least_column_kept_one_high(monkeypatch):
+    # the first entry of the collapsed coordinate rows one high
+    collapse = suites.products.collapse_least
+
+    def shifted(coords):
+        out = collapse(coords)
+        out[0, 0] += 1
+        return out
+    monkeypatch.setattr(suites.products, "collapse_least", shifted)
+
+
+def _composition_right_to_left(monkeypatch):
+    # then(self, other) applies other first
+    from conecheck.perms import Permutation
+    then = Permutation.then
+    monkeypatch.setattr(Permutation, "then", lambda self, other: then(other, self))
+
+
 _WITNESSED_FAULTS = [
     (_gate_accepts, "covering", "covering.hypothesis_gate",
      "brenner_check accepted (1 2 3) in A_5"),
@@ -486,6 +508,11 @@ _WITNESSED_FAULTS = [
      "upper-triangular: K = 1 above 0.5"),
     (_second_run_differs, "determinism", "determinism.byte_identical",
      "reports differ at norms.counted"),
+    (_prefix_projection_is_the_identity, "products", "products.free_product_conditions", "(1:1)"),
+    (_prefix_projection_is_the_identity, "products", "products.prefix_projection", "(1:1)"),
+    (_least_column_kept_one_high, "products", "products.direct_sum_conditions",
+     "DirectSum distance disagrees at 2@3 | 7@8"),
+    (_composition_right_to_left, "norms", "norms.composition_convention", "(1 2 3)"),
 ]
 
 
@@ -519,6 +546,33 @@ def _one_high_at_x(name, n, field):
     return fault
 
 
+def _lower_bound_fails_at_2(monkeypatch):
+    # lower_bound_xn's last exact step fails at n = 2
+    lower = suites.intnorm.lower_bound_xn
+
+    def failing(n, base=2):
+        if n == 2:
+            raise suites.intnorm.ArgumentCheckFailedError("ceiling division does not give n")
+        return lower(n, base)
+    monkeypatch.setattr(suites.intnorm, "lower_bound_xn", failing)
+
+
+def _certificate_fails_at(x):
+    """Fault: norm_exact's certificate for +-x gains a term 1, and norm_exact
+    raises on it, as it does on any certificate that fails its own check."""
+    def fault(monkeypatch):
+        real = suites.intnorm.norm_exact
+
+        def raising(y, gens, **kwargs):
+            result = real(y, gens, **kwargs)
+            if abs(y) != x:
+                return result
+            bad = dataclasses.replace(result, certificate=result.certificate + (1,))
+            raise suites.intnorm.ArgumentCheckFailedError(bad.check(y))
+        monkeypatch.setattr(suites.intnorm, "norm_exact", raising)
+    return fault
+
+
 @pytest.mark.parametrize("fault, check_id, witness, probe_witness", [
     (_lower_bound_one_high, "intnorm.sandwich", "x_1: upper=1 lower=2",
      "exhaustive search (1) disagrees with the lower bound (2)"),
@@ -527,18 +581,30 @@ def _one_high_at_x(name, n, field):
      "exhaustive search (4) disagrees with the lower bound (3)"),
     (_one_high_at_x("norm_upper", 4, "best_upper"), "intnorm.sandwich", "x_4: upper=5 lower=4",
      "upper construction (5) does not meet the lower bound (4)"),
-], ids=["lower_bound_xn", "norm_exact_at_x3", "norm_upper_at_x4"])
+    (_lower_bound_fails_at_2, "intnorm.sandwich", "x_2: ceiling division does not give n",
+     "ceiling division does not give n"),
+    (_certificate_fails_at(24), "intnorm.exact_small",
+     "x_3: certificate [8, 8, 8, 1] for 24 with value 3",
+     "certificate [8, 8, 8, 1] for 24 with value 3"),
+    # inside axioms_window's [-2w, 2w] and no x_n, so the torsion probe passes
+    (_certificate_fails_at(37), "intnorm.axioms_window",
+     "certificate [-48, 8, 2, 1, 1] for -37 with value 4", None),
+], ids=["lower_bound_xn", "norm_exact_at_x3", "norm_upper_at_x4", "lower_bound_fails_at_2",
+        "norm_exact_fails_at_x3", "norm_exact_fails_at_37"])
 def test_a_wrong_norm_of_x_n_fails_rows_instead_of_raising(
         monkeypatch, fault, check_id, witness, probe_witness):
     # norm_xn raises ArgumentCheckFailedError when its search or upper
-    # construction misses the lower bound; the torsion row takes the message
-    # as its witness, and every intnorm row still reaches the report
+    # construction misses the lower bound, and so do norm_exact, norm_upper
+    # and lower_bound_xn when one of their exact steps fails; each failing row
+    # takes the message as its witness, and every intnorm row still reaches
+    # the report
     fault(monkeypatch)
     rows = {r.check_id: r for r in suites.run_intnorm(RunConfig.small())}
     assert len(rows) == 5
     assert (rows[check_id].status, rows[check_id].witness) == ("fail", witness)
     torsion = rows["intnorm.torsion"]
-    assert (torsion.status, torsion.witness) == ("fail", probe_witness)
+    assert (torsion.status, torsion.witness) == \
+        ("pass" if probe_witness is None else "fail", probe_witness)
     assert torsion.sample_size == RunConfig.small().intnorm_sandwich_max + 4
 
 
@@ -635,7 +701,8 @@ def test_matrix_oracle_pairs_draw_from_streams_of_their_own(monkeypatch):
         rng = real(*args, **kwargs)
         state = rng.bit_generator.state["state"]
         pair = sys._getframe(1).f_code.co_name == "_stacked_cases"
-        started.append((pair, (state["state"], state["inc"])))
+        check = sys._getframe(2).f_code.co_name if pair else None
+        started.append((pair, (state["state"], state["inc"]), check))
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", recorded)
@@ -644,7 +711,11 @@ def test_matrix_oracle_pairs_draw_from_streams_of_their_own(monkeypatch):
     cfg.validate()
     for name in ("cutting", "covering", "matnorm", "products", "coneprobe"):
         assert all(row.status == "pass" for row in getattr(suites, "run_" + name)(cfg))
-    pairs = {state for pair, state in started if pair}
-    others = {state for pair, state in started if not pair}
+    pairs = {state for pair, state, _ in started if pair}
+    others = {state for pair, state, _ in started if not pair}
     assert len(pairs) >= 12 and len(others) >= 12
     assert not pairs & others
+    # matnorm.triangular's integer and rational blocks meet at n = 2..6
+    triangular = [state for _, state, check in started if check == "triangular_cases"]
+    assert len(triangular) == cfg.triangular_max_n + min(cfg.triangular_max_n, 6) - 1
+    assert len(set(triangular)) == len(triangular)
