@@ -171,8 +171,8 @@ class RunConfig:
     # _RELATIONS
     intnorm_axiom_window: int = _field(200, 0)
     # caps keep the matnorm suite within 8 s at the default matrix_pairs (about
-    # 5 s at the defaults when they were set): 2.2-2.7 s and 57 MB peak RSS run
-    # alone at triangular n 16, 3.2-4.0 s and 62 MB at 18; 7.2 s at SPD n 12,
+    # 5 s at the defaults when they were set): 1.9-2.7 s and 57 MB peak RSS run
+    # alone at triangular n 16, 2.6-4.0 s and 62 MB at 18; 7.2 s at SPD n 12,
     # 10.4 s at 13 (Hadamard's bound sends most SPD matrices to Bareiss);
     # 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at 17 on the per-pair
     # loop.  With one stack per SO n the suite takes 0.9-1.1 s at the defaults,

@@ -868,7 +868,7 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
     def exact(n):
         try:
             result = intnorm.norm_exact(gens.x(n), gens, depth_cap=n + 2)
-        except intnorm.ArgumentCheckFailedError as exc:  # its certificate failed result.check
+        except intnorm.ArgumentCheckFailedError as exc:  # its own certificate failed its check
             return f"x_{n}: {exc}"
         if (witness := result.check(gens.x(n))) is not None:
             return f"x_{n}: {witness}"
