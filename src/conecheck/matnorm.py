@@ -3,8 +3,9 @@ the upper-triangular block projection, the SPD principal-minor projection and
 the SO(n) elementary-rotation projection.
 
 Two independent rank backends: fraction-free (Bareiss) elimination for exact
-inputs, singular-value thresholding for orthogonal ones.  The naive Fraction
-elimination is kept as a second oracle and never removed.
+inputs, singular-value thresholding for orthogonal ones.  One Bareiss
+elimination, _bareiss, serves both the exact rank and the exact determinant.
+The naive Fraction elimination is kept as a second oracle and never removed.
 
 Integer stacks (N, n, n) have a batched exact backend: elimination mod two
 primes just below 2^31 (modular_rank, leading_minor_signs), exact wherever
@@ -145,32 +146,36 @@ class RationalMatrix:
         return RationalMatrix(tuple(tuple(row[n:]) for row in aug))
 
 
-def bareiss_rank(rows) -> int:
-    """Fraction-free elimination rank; rational rows are scaled to integers first."""
-    m, _ = _integer_rows(rows)
-    if not m:
-        return 0
-    n, cols = len(m), len(m[0])
-    prev = 1
-    r = 0
+def _bareiss(rows) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of rows scaled by _integer_rows: the
+    rank, the last pivot signed by the row swaps (on a nonsingular square
+    matrix, its determinant times the scales), and the product of the scales."""
+    m, denominator = _integer_rows(rows)
+    n, cols = len(m), len(m[0]) if m else 0
+    prev, sign, r = 1, 1, 0
     for c in range(cols):
-        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
+        if m[r][c] == 0:
+            piv = next((i for i in range(r + 1, n) if m[i][c] != 0), None)
+            if piv is None:
+                continue
             m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n):
-            mic = m[i][c]
-            mrc = m[r][c]
-            row_i, row_r = m[i], m[r]
+            sign = -sign
+        row_r, pivot = m[r], m[r][c]
+        for row_i in m[r + 1:]:
+            mic = row_i[c]
             for j in range(c + 1, cols):
-                row_i[j] = (row_i[j] * mrc - mic * row_r[j]) // prev
+                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
             row_i[c] = 0
-        prev = m[r][c]
+        prev = pivot
         r += 1
         if r == n:
             break
-    return r
+    return r, sign * prev, denominator
+
+
+def bareiss_rank(rows) -> int:
+    """Fraction-free elimination rank; rational rows are scaled to integers first."""
+    return _bareiss(rows)[0]
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
@@ -209,29 +214,12 @@ def gauss_rank(rows) -> int:
 
 
 def bareiss_determinant(rows) -> "int | Fraction":
-    """Exact determinant; fraction-free once rows are integer."""
-    m, denominator = _integer_rows(rows)
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            mic, mcc = m[i][c], m[c][c]
-            row_i, row_c = m[i], m[c]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * mcc - mic * row_c[j]) // prev
-            row_i[c] = 0
-        prev = m[c][c]
-    det = sign * m[n - 1][n - 1]
-    return det if denominator == 1 else Fraction(det, denominator)
+    """Exact determinant of square rows, by _bareiss: 0 below full rank, else
+    the signed last pivot over the scales (1 for the empty matrix)."""
+    rank, pivot, denominator = _bareiss(rows)
+    if rank < len(rows):
+        return 0
+    return pivot if denominator == 1 else Fraction(pivot, denominator)
 
 
 # --- exact ranks and minors of int64 stacks, by two primes ----------------------

@@ -972,15 +972,15 @@ def run_intnorm(cfg: RunConfig) -> list[CheckResult]:
 # ------------------------------------------------------------------------- matnorm
 
 
-def _stacked_cases(rng, n, pairs, seed, stacked, reference, stream=1):
+def _stacked_cases(rng, n, pairs, seed, stacked, reference, stream):
     """One n-block of a matrix check, as _batched_cases.
 
     stacked(rng, n, pairs, oracle) runs the block on stacks and returns whether
     any pair failed, and the cases of its oracle, which re-runs the seeded pair
     `oracle` through the scalar code (RationalMatrix and bareiss_rank, or
-    random_so, so_project and numeric_rank), drawn from the stream (seed, n, 0,
-    stream).  A block the int64 guards refuse counts as failed.  A replay
-    restores the block's rng state, so that later draws too are the reference's."""
+    random_so, so_project and numeric_rank), drawn from its check's own stream
+    (seed, n, 0, stream).  A block the int64 guards refuse counts as failed.  A
+    replay restores the block's rng state, so that later draws too are the reference's."""
     import numpy as np
 
     state = rng.bit_generator.state
@@ -999,13 +999,22 @@ def _stacked_cases(rng, n, pairs, seed, stacked, reference, stream=1):
     yield from _batched_cases(pairs, not flagged, disagreements, replay())
 
 
-def _zero_last(stack):
-    """The stack with its last row and column zeroed: the leading block,
-    padded back to n x n without changing its rank."""
-    out = stack.copy()
-    out[:, -1, :] = 0
-    out[:, :, -1] = 0
-    return out
+def _block_ranks(a, b):
+    """The ranks of e(p(a)) - a, p(a) - p(b) and a - b for (N, n, n) int64
+    stacks a and b, p the leading (n-1) x (n-1) block and e its embedding
+    with 1 in the corner, as one modular_rank call's (3, N) array.  p(a) - p(b)
+    is ranked padded with zeros back to n x n, which keeps its rank."""
+    import numpy as np
+
+    n = a.shape[1]
+    lead = np.s_[:, : n - 1, : n - 1]
+    drop = -a  # e(p(a)) - a
+    drop[lead] = 0
+    drop[:, -1, -1] += 1
+    diff = a - b
+    padded = np.zeros_like(diff)
+    padded[lead] = diff[lead]
+    return matnorm.modular_rank(np.concatenate([drop, padded, diff])).reshape(3, len(a))
 
 
 def _disagreements(n, oracle, stacked: dict, reference: dict):
@@ -1013,6 +1022,16 @@ def _disagreements(n, oracle, stacked: dict, reference: dict):
     kernel and the reference differ at the oracle pair."""
     return (f"{name}: stacked {value} != reference {reference[name]} at n={n} pair {oracle}"
             for name, value in stacked.items() if value != reference[name])
+
+
+def _triangular_ranks(g, h):
+    """The three ranks of matnorm.triangular at one pair, in _block_ranks'
+    order: rk(e(p(g)) g^-1 - I), rk(p(x) - I) and rk(x - I), x = g h^-1,
+    p = triangular_project, e = embed."""
+    x = g @ h.inverse()
+    drop = matnorm.embed(matnorm.triangular_project(g), g.n) @ g.inverse()
+    return [matnorm.bareiss_rank(m.minus_identity().rows)
+            for m in (drop, matnorm.triangular_project(x), x)]
 
 
 def _triangular_pairs(rng, n, pairs, draw):
@@ -1023,13 +1042,10 @@ def _triangular_pairs(rng, n, pairs, draw):
            matnorm.triangular_project(g) @ matnorm.triangular_project(h):
             yield f"homomorphism n={n}"
             continue
-        x = g @ h.inverse()
-        drop = matnorm.embed(matnorm.triangular_project(g), n) @ g.inverse()
-        if matnorm.bareiss_rank(drop.minus_identity().rows) > 1:
+        rk_drop, rk_lead, rk_x = _triangular_ranks(g, h)
+        if rk_drop > 1:
             yield f"rank drop n={n}"
-        elif matnorm.bareiss_rank(
-            matnorm.triangular_project(x).minus_identity().rows
-        ) > matnorm.bareiss_rank(x.minus_identity().rows):
+        elif rk_lead > rk_x:
             yield f"expansion n={n}"
         else:
             yield None
@@ -1037,43 +1053,43 @@ def _triangular_pairs(rng, n, pairs, draw):
 
 def _triangular_stacked(rng, n, pairs, oracle, draw):
     """_triangular_pairs on an int64 stack of draw's; see _stacked_cases.  As an
-    invertible right factor keeps rank, it ranks g - h, p(g) - p(h) and e(p(g)) - g
-    for x - I, p(x) - I and e(p(g)) g^-1 - I (x = g h^-1, e = embed): no inverse."""
+    invertible right factor keeps rank, _block_ranks(g, h) stands for
+    _triangular_ranks: no inverse."""
     import numpy as np
 
     stack = draw(rng, n, 2 * pairs)
     g, h = stack[0::2], stack[1::2]
     lead = np.s_[:, : n - 1, : n - 1]
     gh = matnorm.int64_matmul(g, h)
-    drop = -g  # e(p(g)) - g
-    drop[lead] = 0
-    drop[:, -1, -1] += 1
-    ranks = matnorm.modular_rank(np.concatenate([drop, _zero_last(g - h), g - h]))
-    rk_drop, rk_lead, rk_x = ranks.reshape(3, pairs)
+    rk_drop, rk_lead, rk_x = ranks = _block_ranks(g, h)
     flagged = not (
         (gh[lead] == matnorm.int64_matmul(g[lead], h[lead])).all()
         and (rk_drop <= 1).all() and (rk_lead <= rk_x).all())
     gr, hr = (matnorm.RationalMatrix(m[oracle].tolist()) for m in (g, h))
-    xr = gr @ hr.inverse()
-    dropr = matnorm.embed(matnorm.triangular_project(gr), n) @ gr.inverse()
-    reference = {"gh": (gr @ hr).rows, "ranks": [matnorm.bareiss_rank(m.minus_identity().rows)
-                 for m in (dropr, matnorm.triangular_project(xr), xr)]}
+    reference = {"gh": (gr @ hr).rows, "ranks": _triangular_ranks(gr, hr)}
     got = {"gh": matnorm.RationalMatrix(gh[oracle].tolist()).rows,
-           "ranks": [int(r[oracle]) for r in (rk_drop, rk_lead, rk_x)]}
+           "ranks": ranks[:, oracle].tolist()}
     return flagged, _disagreements(n, oracle, got, reference)
+
+
+def _spd_ranks(a, b, ap, bp):
+    """The three ranks of matnorm.spd at one pair, in _block_ranks' order:
+    rk(e(ap) - a), rk(ap - bp) and rk(a - b), ap and bp the projections of a
+    and b, e = embed."""
+    return [matnorm.bareiss_rank(m.rows) for m in (matnorm.embed(ap, a.n) - a, ap - bp, a - b)]
 
 
 def _spd_pairs(rng, n, pairs):
     """The reference loop of matnorm.spd at one n."""
     for _ in range(pairs):
-        a = matnorm.random_spd(rng, n)
-        b = matnorm.random_spd(rng, n)
+        a, b = matnorm.random_spd(rng, n), matnorm.random_spd(rng, n)
         ap, bp = matnorm.spd_project(a), matnorm.spd_project(b)
+        rk_drop, rk_lead, rk_diff = _spd_ranks(a, b, ap, bp)
         if not ap.is_symmetric():
             yield f"symmetry n={n}"
-        elif matnorm.bareiss_rank((ap - bp).rows) > matnorm.bareiss_rank((a - b).rows):
+        elif rk_lead > rk_diff:
             yield f"rank inequality n={n}"
-        elif matnorm.bareiss_rank((matnorm.embed(ap, n) - a).rows) > 2:
+        elif rk_drop > 2:
             yield f"rank drop n={n}"
         else:
             yield None
@@ -1081,32 +1097,22 @@ def _spd_pairs(rng, n, pairs):
 
 def _spd_stacked(rng, n, pairs, oracle):
     """_spd_pairs on int64 stacks; see _stacked_cases."""
-    import numpy as np
-
     stack = matnorm.random_spd_stack(rng, n, 2 * pairs)
     a, b = stack[0::2], stack[1::2]
     signs = matnorm.leading_minor_signs(stack)
-    drop = -a  # embed(spd_project(a), n) - a
-    drop[:, : n - 1, : n - 1] = 0
-    drop[:, -1, -1] += 1
-    ranks = matnorm.modular_rank(np.concatenate([_zero_last(a - b), a - b, drop]))
-    rk_lead, rk_diff, rk_drop = ranks.reshape(3, pairs)
+    rk_drop, rk_lead, rk_diff = ranks = _block_ranks(a, b)
     # spd_project's conditions; its leading block of a symmetric matrix is symmetric
     flagged = not (
         (stack == stack.transpose(0, 2, 1)).all() and (signs > 0).all()
         and (rk_lead <= rk_diff).all() and (rk_drop <= 2).all())
-    ar = matnorm.RationalMatrix(a[oracle].tolist())
-    br = matnorm.RationalMatrix(b[oracle].tolist())
-    apr, bpr = ar.leading(n - 1), br.leading(n - 1)
+    ar, br = (matnorm.RationalMatrix(m[oracle].tolist()) for m in (a, b))
     reference = {
         "leading minor signs": [[(d > 0) - (d < 0) for d in (
             matnorm.bareiss_determinant(m.leading(k).rows) for k in range(1, n + 1))]
             for m in (ar, br)],
-        "ranks": [matnorm.bareiss_rank((apr - bpr).rows),
-                  matnorm.bareiss_rank((ar - br).rows),
-                  matnorm.bareiss_rank((matnorm.embed(apr, n) - ar).rows)]}
+        "ranks": _spd_ranks(ar, br, ar.leading(n - 1), br.leading(n - 1))}
     got = {"leading minor signs": signs[2 * oracle : 2 * oracle + 2].tolist(),
-           "ranks": [int(r[oracle]) for r in (rk_lead, rk_diff, rk_drop)]}
+           "ranks": ranks[:, oracle].tolist()}
     return flagged, _disagreements(n, oracle, got, reference)
 
 
@@ -1198,22 +1204,23 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     rng = np.random.default_rng(cfg.seed + 3)
 
+    # each check's blocks draw their oracle pairs from a stream of their own:
+    # B_n's integer 1 and rational 2, SPD 3 and SO(n) 4
+    def blocks(sizes, pairs, stream, stacked, reference):
+        for n in sizes:
+            yield from _stacked_cases(rng, n, pairs, cfg.seed, stacked, reference, stream)
+
     # B_n: homomorphism, rank drop <= 1, non-expansive; exact on int64 stacks,
     # then on rational diagonals doubled, which changes none of the three tests
     # (e(p(g)) - g is zero outside its last column); their oracles and replays
     # exercise the Fraction path
-    def triangular_cases():
-        for sizes, pairs, stream, stack, draw in (
-                (range(1, cfg.triangular_max_n + 1), cfg.matrix_pairs, 1,
-                 matnorm.random_unit_triangular_stack, matnorm.random_unit_triangular),
-                (range(2, min(cfg.triangular_max_n, 6) + 1), 20, 2,
-                 matnorm.random_rational_triangular_stack, matnorm.random_rational_triangular)):
-            for n in sizes:
-                yield from _stacked_cases(rng, n, pairs, cfg.seed,
-                                          functools.partial(_triangular_stacked, draw=stack),
-                                          functools.partial(_triangular_pairs, draw=draw), stream)
-
-    bad, pairs = _first_witness(triangular_cases())
+    bad, pairs = _first_witness(itertools.chain(
+        blocks(range(1, cfg.triangular_max_n + 1), cfg.matrix_pairs, 1,
+               functools.partial(_triangular_stacked, draw=matnorm.random_unit_triangular_stack),
+               functools.partial(_triangular_pairs, draw=matnorm.random_unit_triangular)),
+        blocks(range(2, min(cfg.triangular_max_n, 6) + 1), 20, 2,
+               functools.partial(_triangular_stacked, draw=matnorm.random_rational_triangular_stack),
+               functools.partial(_triangular_pairs, draw=matnorm.random_rational_triangular))))
     checks.append(PASS(
         "matnorm.triangular",
         f"B_n block projection: homomorphism, rank drop <= 1, non-expansive, "
@@ -1222,12 +1229,8 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # SPD
-    def spd_cases():
-        for n in range(2, cfg.spd_max_n + 1):
-            yield from _stacked_cases(rng, n, cfg.matrix_pairs, cfg.seed,
-                                      _spd_stacked, _spd_pairs)
-
-    bad, pairs = _first_witness(spd_cases())
+    bad, pairs = _first_witness(blocks(range(2, cfg.spd_max_n + 1), cfg.matrix_pairs, 3,
+                                       _spd_stacked, _spd_pairs))
     checks.append(PASS(
         "matnorm.spd",
         f"SPD principal-minor projection: positive definiteness kept, "
@@ -1238,11 +1241,9 @@ def run_matnorm(cfg: RunConfig) -> list[CheckResult]:
     # SO(n), numeric at tau
     tau = cfg.tau
     so = {"flagged": 0, "flagged_failures": 0, "worst": None}
-    bad, pairs = _first_witness(itertools.chain.from_iterable(
-        _stacked_cases(rng, n, cfg.matrix_pairs, cfg.seed,
-                       functools.partial(_so_stacked, tau=tau, stats=so),
-                       functools.partial(_so_pairs, tau=tau, stats=so))
-        for n in range(cfg.so_min_n, cfg.so_max_n + 1)))
+    bad, pairs = _first_witness(blocks(range(cfg.so_min_n, cfg.so_max_n + 1), cfg.matrix_pairs, 4,
+                                       functools.partial(_so_stacked, tau=tau, stats=so),
+                                       functools.partial(_so_pairs, tau=tau, stats=so)))
     checks.append(PASS(
         "matnorm.so",
         f"SO(n) rotation projection: rank parity, non-expansive, drop <= 2 at "

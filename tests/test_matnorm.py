@@ -1,5 +1,7 @@
 """Rank norms, the three matrix projections and the two-prime stack kernel."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -50,6 +52,7 @@ from conecheck.matnorm import (
 )
 from conecheck.perms import Permutation, tr_norm
 from conecheck.report import RunConfig
+from test_perms import walk_sites
 
 
 class TestExactRank:
@@ -92,6 +95,48 @@ class TestExactRank:
         assert bareiss_determinant([[2, 1], [1, 2]]) == 3
         assert bareiss_determinant([[0, 1], [1, 0]]) == -1
         assert bareiss_determinant([[Fraction(1, 2), 0], [0, 4]]) == 2
+
+    def test_determinant_is_the_leibniz_sum(self):
+        # an independent Fraction determinant: the signed sum over S_n
+        def leibniz(rows):
+            n = len(rows)
+            return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+                       * math.prod(Fraction(rows[i][p[i]]) for i in range(n))
+                       for p in itertools.permutations(range(n)))
+
+        rng = np.random.default_rng(17)
+        kinds = {"singular": 0, "swap": 0, "other": 0}
+        for n in range(6):
+            for trial in range(30):
+                rows = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                         if trial % 2 else int(rng.integers(-3, 4)) for _ in range(n)]
+                        for _ in range(n)]
+                if n >= 2 and trial % 3 == 1:  # the last row a multiple of the first
+                    rows[-1] = [2 * x for x in rows[0]]
+                elif n >= 2 and trial % 3 == 2:  # the first pivot needs a row swap
+                    rows[0][0], rows[1][0] = 0, 1
+                det = bareiss_determinant(rows)
+                assert det == leibniz(rows)
+                kinds["singular" if det == 0 else "swap" if trial % 3 == 2 else "other"] += 1
+        assert min(kinds.values()) >= 30
+
+    def test_rank_of_rectangular_rational_rows(self):
+        rng = np.random.default_rng(19)
+        for trial in range(300):
+            r, c = (int(k) for k in rng.integers(0, 7, size=2))
+            rows = [[Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 4))) for _ in range(c)]
+                    for _ in range(r)]
+            if r >= 3 and trial % 2:  # a dependent row
+                rows[2] = [x - Fraction(1, 3) * y for x, y in zip(rows[0], rows[1])]
+            if c >= 2 and trial % 3 == 0:  # a zero column for the pivot search to skip
+                for row in rows:
+                    row[1] = 0
+            assert bareiss_rank(rows) == gauss_rank(rows)
+
+    def test_fraction_free_update_is_written_once(self):
+        # one exact elimination: the Bareiss update, divided by the previous
+        # pivot, appears only in matnorm._bareiss
+        assert walk_sites("// prev") == ["matnorm._bareiss"]
 
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(3)
@@ -413,24 +458,33 @@ class TestStackedMatnormChecks:
     @pytest.mark.parametrize("draw, sizes", [
         (random_unit_triangular_stack, range(1, 17)),
         (random_rational_triangular_stack, range(2, 7)),
-    ], ids=["unit", "rational"])
+        (random_spd_stack, range(2, 13)),
+    ], ids=["unit", "rational", "spd"])
     def test_triangular_difference_ranks_are_the_literal_ranks(self, monkeypatch, draw, sizes):
-        # the kernel ranks e(p(g)) - g, p(g) - p(h) and g - h; the definitions
-        # rank e(p(g)) g^-1 - I, p(x) - I and x - I, with x = g h^-1
+        # the kernel ranks e(p(a)) - a, p(a) - p(b) and a - b.  For B_n the
+        # definitions rank e(p(g)) g^-1 - I, p(x) - I and x - I, with
+        # x = g h^-1; for SPD they are those three differences themselves
+        spd = draw is random_spd_stack
+        stacked = suites._spd_stacked if spd else functools.partial(
+            suites._triangular_stacked, draw=draw)
         ranks, real, pairs = [], matnorm.modular_rank, 8
         monkeypatch.setattr(matnorm, "modular_rank",
                             lambda stack: ranks.append(real(stack)) or ranks[-1])
         for n in sizes:
-            flagged, disagreements = suites._triangular_stacked(
-                np.random.default_rng(n), n, pairs, 0, draw)
+            flagged, disagreements = stacked(np.random.default_rng(n), n, pairs, 0)
             assert not flagged and not list(disagreements)
             stack = draw(np.random.default_rng(n), n, 2 * pairs).tolist()
             for k, got in enumerate(ranks.pop().reshape(3, pairs).T.tolist()):
-                g, h = RationalMatrix(stack[2 * k]), RationalMatrix(stack[2 * k + 1])
-                x = g @ h.inverse()
-                drop = embed(triangular_project(g), n) @ g.inverse()
-                assert got == [bareiss_rank(m.minus_identity().rows)
+                a, b = RationalMatrix(stack[2 * k]), RationalMatrix(stack[2 * k + 1])
+                if spd:
+                    ap, bp = spd_project(a), spd_project(b)
+                    literal = [bareiss_rank(m.rows) for m in (embed(ap, n) - a, ap - bp, a - b)]
+                else:
+                    x = a @ b.inverse()
+                    drop = embed(triangular_project(a), n) @ a.inverse()
+                    literal = [bareiss_rank(m.minus_identity().rows)
                                for m in (drop, triangular_project(x), x)]
+                assert got == literal
 
     def test_modular_rank_off_by_one_fails_triangular(self, monkeypatch):
         real = matnorm.modular_rank
@@ -452,7 +506,7 @@ class TestStackedMatnormChecks:
         assert checks["matnorm.triangular"].witness == \
             "ranks: stacked [1, 0, 1] != reference [0, 0, 0] at n=2 pair 5"
         assert checks["matnorm.spd"].witness == \
-            "ranks: stacked [1, 2, 2] != reference [0, 0, 0] at n=2 pair 5"
+            "ranks: stacked [2, 0, 2] != reference [0, 0, 0] at n=2 pair 1"
         # the oracle's disagreement is one more case after the replayed block;
         # triangular's n = 1 oracle pair has x = I, whose rank is 0 either way,
         # so its 40 pairs pass before the n = 2 block
@@ -683,4 +737,4 @@ class TestStackedSO:
         row = self._so_row()
         assert (row.status, row.sample_size) == ("fail", 41)
         assert row.witness.startswith("ranks: stacked [RankNormValue(value=4, ")
-        assert row.witness.endswith(" at n=4 pair 13")
+        assert row.witness.endswith(" at n=4 pair 21")

@@ -715,7 +715,12 @@ def test_matrix_oracle_pairs_draw_from_streams_of_their_own(monkeypatch):
     others = {state for pair, state, _ in started if not pair}
     assert len(pairs) >= 12 and len(others) >= 12
     assert not pairs & others
-    # matnorm.triangular's integer and rational blocks meet at n = 2..6
-    triangular = [state for _, state, check in started if check == "triangular_cases"]
-    assert len(triangular) == cfg.triangular_max_n + min(cfg.triangular_max_n, 6) - 1
-    assert len(set(triangular)) == len(triangular)
+    # no two matnorm blocks, in one check or in two, start their oracle in one
+    # state: triangular's integer and rational blocks meet at n = 2..6, and
+    # SPD's and SO(n)'s blocks meet triangular's at n = 2..12
+    blocks = [state for pair, state, _ in started if pair]
+    assert len(blocks) == (cfg.triangular_max_n + min(cfg.triangular_max_n, 6) - 1
+                           + cfg.spd_max_n - 1 + cfg.so_max_n - cfg.so_min_n + 1)
+    assert len(set(blocks)) == len(blocks)
+    # and every block runs through run_matnorm's one block loop
+    assert {check for pair, _, check in started if pair} == {"blocks"}
