@@ -12,25 +12,23 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import isqrt
 
 from .perms import (
     IDENTITY,
     OddPermutationError,
     Permutation,
     _compose_images,
-    _cycle_lengths,
     _cycle_norms,
-    _cycle_type_codes,
     _even_tuples,
     _images_of_type,
     _invert_images,
     _layouts,
     _rank_images,
+    _symmetric_arrays,
     _tuple_cycle_type,
     _tuple_cycles,
     _tuple_even,
-    _unrank_images,
     supp_norm,
 )
 from .wordnorm import bfs
@@ -84,6 +82,21 @@ class ConjugacyClass:
         return True
 
 
+def _type_code(cycle_type: tuple[int, ...], n: int) -> int:
+    """The type code (perms._cycle_type_codes) of a cycle type of S_n, read at
+    the rank of its canonical element."""
+    codes = _symmetric_arrays(n)[2]
+    return codes[_rank_images([_images_of_type(cycle_type, n)])[0]]
+
+
+def _class_rows(cycle_type: tuple[int, ...], n: int):
+    """The S_n class of a cycle type, cut from _symmetric_arrays(n): the rows
+    whose type code is the type's, in rank order, which is sorted tuple
+    order."""
+    images, _, codes = _symmetric_arrays(n)
+    return images[codes == _type_code(cycle_type, n)]
+
+
 def conjugacy_class(sigma: Permutation, n: int) -> ConjugacyClass:
     """All S_n-conjugates of sigma, found by closure under adjacent swaps."""
     if sigma.support() and sigma.support()[-1] > n:
@@ -127,26 +140,28 @@ def brenner_hypotheses(sigma: Permutation, n: int) -> str | None:
     return None
 
 
-def brenner_check(sigma: Permutation, n: int) -> CoveringReport:
+def brenner_check(sigma: Permutation, n: int, members=None) -> CoveringReport:
     """The least e <= 4 with C_sigma^e = A_n, by class products on cycle types.
 
-    Requires the covering hypotheses; raises HypothesisUnmetError otherwise,
-    and refuses degrees above MAX_COVERING_DEGREE rather than sampling.
+    C_sigma is cut from the S_n image array (_class_rows) unless its members
+    are given.  Requires the covering hypotheses; raises HypothesisUnmetError
+    otherwise, and refuses degrees above MAX_COVERING_DEGREE rather than
+    sampling.
     """
-    return _brenner_report(sigma, n, _type_covering_exponent)
+    return _brenner_report(sigma, n, _type_covering_exponent, members)
 
 
-def _rank_mask_brenner_check(sigma: Permutation, n: int) -> CoveringReport:
+def _rank_mask_brenner_check(sigma: Permutation, n: int, members=None) -> CoveringReport:
     """brenner_check on rank masks over S_n: the oracle kernel."""
-    return _brenner_report(sigma, n, _covering_exponent)
+    return _brenner_report(sigma, n, _covering_exponent, members)
 
 
-def _tuple_brenner_check(sigma: Permutation, n: int) -> CoveringReport:
+def _tuple_brenner_check(sigma: Permutation, n: int, members=None) -> CoveringReport:
     """brenner_check on Python sets of image tuples: the reference kernel."""
-    return _brenner_report(sigma, n, _tuple_covering_exponent)
+    return _brenner_report(sigma, n, _tuple_covering_exponent, members)
 
 
-def _brenner_report(sigma: Permutation, n: int, kernel) -> CoveringReport:
+def _brenner_report(sigma: Permutation, n: int, kernel, members) -> CoveringReport:
     failure = brenner_hypotheses(sigma, n)
     if failure is not None:
         raise HypothesisUnmetError(failure)
@@ -154,8 +169,9 @@ def _brenner_report(sigma: Permutation, n: int, kernel) -> CoveringReport:
         raise HypothesisUnmetError(
             f"degree {n} above exhaustive bound {MAX_COVERING_DEGREE}"
         )
-    # one class build per (cycle type, degree), shared by every kernel
-    members = _window_class(sigma.cycle_type(), n)
+    if members is None:
+        # a cut of the cached S_n array: no class is built per kernel
+        members = _class_rows(sigma.cycle_type(), n)
     exponent = kernel(members, n)
     covered = exponent is not None  # C^e = A_n implies C^4 = A_n
     return CoveringReport(len(members), covered, exponent)
@@ -187,21 +203,33 @@ def _type_covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int |
     lies in C^e exactly when h then c^-1 lies in C^(e-1) for some c in C.  The
     types of rep then c^-1 over all of C, for one representative rep of each
     even type, are computed once; each step keeps the types that hit the last.
+    Conjugating each pair (r, c) by what carries c to c_0 = members[0] shows
+    that they are also the types of r then c_0^-1 over the class R of rep, so
+    each is taken over the smaller of R and C.  A product's type is the type
+    code at its rank in _symmetric_arrays(n).
     """
     import numpy as np
 
-    inverses = np.argsort(np.array(members, dtype=np.uint8), axis=1).astype(np.uint8)
+    images, _, codes = _symmetric_arrays(n)
+    members = np.asarray(members, dtype=np.uint8)
+    inverses = np.argsort(members, axis=1).astype(np.uint8)
     reps = np.array([_images_of_type(t, n) for t in [(), *_even_cycle_types(n)]],
                     dtype=np.uint8)
     # Python sets: a plain np.unique imports numpy.ma, about 0.5 MB resident
-    codes = _cycle_type_codes(_cycle_lengths(reps)).tolist()
-    # row k of inverses[:, rep] is rep then the inverse of members[k]
-    hits = [set(_cycle_type_codes(_cycle_lengths(inverses[:, rep])).tolist()) for rep in reps]
-    power = set(_cycle_type_codes(_cycle_lengths(inverses[:1])).tolist())
+    rep_codes = codes[_rank_images(reps)].tolist()
+    hits = []
+    for rep, code in zip(reps, rep_codes):
+        in_class = codes == code
+        # row k is the k-th of R then the inverse of members[0], or else rep
+        # then the inverse of members[k]
+        products = (inverses[0][images[in_class]] if in_class.sum() < len(members)
+                    else inverses[:, rep])
+        hits.append(set(codes[_rank_images(products)].tolist()))
+    power = set(codes[_rank_images(members[:1])].tolist())
     for e in range(1, 5):
         if e > 1:
-            power = {code for code, hit in zip(codes, hits) if hit & power}
-        if len(power) == len(codes):
+            power = {code for code, hit in zip(rep_codes, hits) if hit & power}
+        if len(power) == len(rep_codes):
             return e
     return None
 
@@ -217,8 +245,7 @@ def _alternating_mask(n: int):
     """Read-only boolean mask over the lexicographic ranks of S_n, true on A_n."""
     import numpy as np
 
-    images = _unrank_images(np.arange(factorial(n)), n)
-    mask = _cycle_norms(_cycle_lengths(images))[1] % 2 == 0
+    mask = _cycle_norms(_symmetric_arrays(n)[1])[1] % 2 == 0
     mask.flags.writeable = False
     return mask
 
@@ -230,17 +257,24 @@ def _covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int | None
     gather per block of class members, and a step stops as soon as its mask
     equals the A_n mask.  That is exact: the mask only grows, and products
     of even elements are even, so the finished step would equal A_n too.
+    The members run in a fixed strided order, every k-th from each start for
+    k = isqrt(|C|): sorted members share their leading images, so a block of
+    them repeats cosets, and the A_8 (4, 2) class took 91 blocks sorted
+    against 17 strided.  The rows of C^(e-1) are gathered from the S_n array.
     """
     import numpy as np
 
+    images = _symmetric_arrays(n)[0]
     target = _alternating_mask(n)
-    cls = np.array(members, dtype=np.uint8)
+    cls = np.asarray(members, dtype=np.uint8)
     mask = np.zeros_like(target)
     mask[_rank_images(cls)] = True
     if np.array_equal(mask, target):
         return 1
+    stride = max(1, isqrt(len(cls)))
+    cls = cls[np.argsort(np.arange(len(cls)) % stride, kind="stable")]
     for e in range(2, 5):
-        power = _unrank_images(np.flatnonzero(mask), n)
+        power = images[np.flatnonzero(mask)]
         mask = np.zeros_like(target)
         step = max(1, _PRODUCT_BLOCK // len(power))
         for start in range(0, len(cls), step):
@@ -254,7 +288,10 @@ def _covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int | None
 
 def _tuple_covering_exponent(members: Sequence[tuple[int, ...]], n: int) -> int | None:
     """_covering_exponent on Python sets of image tuples."""
+    import numpy as np
+
     alternating = frozenset(_even_tuples(n))
+    members = list(map(tuple, np.asarray(members).tolist()))
     power = set(members)
     for e in range(1, 5):
         if e > 1:
@@ -349,11 +386,12 @@ def _stacked_commutator_witnesses(n: int):
     import numpy as np
 
     m = max(n, 5)
-    ranks = np.flatnonzero(_alternating_mask(n))
-    g = np.tile(np.arange(m, dtype=np.uint8), (len(ranks), 1))
-    g[:, :n] = _unrank_images(ranks, n)
-    _, first, kind = np.unique(_cycle_type_codes(_cycle_lengths(g)),
-                               return_index=True, return_inverse=True)
+    images, _, codes = _symmetric_arrays(n)
+    even = _alternating_mask(n)
+    g = np.tile(np.arange(m, dtype=np.uint8), (even.sum(), 1))
+    g[:, :n] = images[even]
+    # padding with fixed points keeps types apart, so S_n's codes serve
+    _, first, kind = np.unique(codes[even], return_index=True, return_inverse=True)
     pairs = np.array([_search_witness(_tuple_cycle_type(tuple(g[i].tolist())), m)
                       for i in first], dtype=np.uint8)[kind]
     layout = _layouts(g)

@@ -322,16 +322,91 @@ def _unrank_images(ranks, n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _symmetric_arrays(n: int):
+    """S_n as an (n!, n) uint8 image array in rank order, with its
+    _cycle_lengths and _cycle_type_codes; built on first call, read-only.
+
+    Equals _unrank_images(arange(n!), n): the row of rank d (k - 1)! + r of
+    S_k is d, then row r of S_(k - 1) with every value from d up raised by
+    one, so each k takes one gather from S_(k - 1).
+    """
+    import numpy as np
+
+    images = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        # lift[d, v]: value v of S_(k - 1) once d is taken first
+        lift = (np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])).astype(np.uint8)
+        rest = lift[:, images].reshape(k * len(images), k - 1)
+        images = np.empty((len(rest), k), dtype=np.uint8)
+        images[:, 0] = np.arange(len(rest)) // factorial(k - 1)
+        images[:, 1:] = rest
+    lengths = _cycle_lengths(images)
+    arrays = images, lengths, _cycle_type_codes(lengths)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _adjacent_rank_steps(n: int):
+    """Row a maps every S_n rank to the rank of g then (a a+1), which swaps the
+    values a and a + 1 of g's row.  Only one Lehmer digit moves, by one: with
+    p and q the positions of a and a + 1, the rank rises by (n - 1 - p)! when
+    p < q and falls by (n - 1 - q)! otherwise.  (n - 1, n!) in the narrowest
+    unsigned dtype that holds a rank."""
+    import numpy as np
+
+    images = _symmetric_arrays(n)[0]
+    ranks = np.arange(len(images))
+    # where[:, v] is the position of value v, filled a column at a time so
+    # that no (n!, n) index stack is held
+    where = np.empty_like(images)
+    for j in range(n):
+        where[ranks, images[:, j]] = j
+    steps = np.empty((max(n - 1, 0), len(images)), dtype=np.min_scalar_type(len(images)))
+    up = np.array([factorial(n - 1 - i) for i in range(n)])
+    for a in range(n - 1):
+        p, q = where[:, a], where[:, a + 1]
+        steps[a] = ranks + np.where(p < q, up[p], -up[q])
+    return steps
+
+
+def _adjacent_word(s: tuple[int, ...]) -> list[int]:
+    """Values a whose swaps (a a+1), composed left to right, give s."""
+    where = list(_invert_images(s))
+    word = []
+    a = 0
+    # sort the positions of the values: each swap of a and a + 1 undoes one
+    # inversion of s, and s is those swaps in reverse
+    while a < len(where) - 1:
+        if where[a] > where[a + 1]:
+            where[a], where[a + 1] = where[a + 1], where[a]
+            word.append(a)
+            a = max(a - 1, 0)
+        else:
+            a += 1
+    return word[::-1]
+
+
 def _neighbour_columns(images, gens, position):
     """For each generator s, the position of g s (g first, then s) for every
     row g of an (N, n) image array: position maps an S_n rank to a row.
 
-    One column at a time, so no (N, len(gens)) table is held.
+    Each column walks the rows' ranks along s's word in adjacent swaps
+    (_adjacent_word), one gather of _adjacent_rank_steps per swap.  One column
+    at a time, so no (N, len(gens)) table is held.
     """
     import numpy as np
 
+    steps = _adjacent_rank_steps(images.shape[1])
+    carrier = np.flatnonzero(position >= 0)
+    start = np.empty_like(carrier)
+    start[position[carrier]] = carrier  # the rank of each row
     for s in gens:
-        yield position[_rank_images(np.asarray(s, dtype=np.uint8)[images])]
+        ranks = start
+        for a in _adjacent_word(tuple(s)):
+            ranks = steps[a].take(ranks)  # take gathers narrow indices faster
+        yield position[ranks]
 
 
 def _cycle_lengths(images):
@@ -380,10 +455,14 @@ def _cycle_type_codes(lengths):
     """One int64 code per row of _cycle_lengths, equal exactly when the cycle
     types are: the digit at place k >= 1 in base n + 1 counts the cycles of
     length k, and place 0 counts the points that are not least in their
-    cycle."""
+    cycle.  One column at a time, so no (N, n) int64 stack is held."""
     import numpy as np
 
-    return ((lengths.shape[1] + 1) ** lengths.astype(np.int64)).sum(axis=1)
+    powers = (lengths.shape[1] + 1) ** np.arange(lengths.shape[1] + 1, dtype=np.int64)
+    codes = np.zeros(len(lengths), dtype=np.int64)
+    for column in lengths.T:
+        codes += powers[column]
+    return codes
 
 
 def _layouts(images):
@@ -455,11 +534,13 @@ def three_cycle_norm(sigma: Permutation, ambient: int | None = None) -> int:
     Read from the cycle-type table of the bounding alternating group, padded
     to at least A_5; ambient degrees above MAX_THREE_CYCLE_DEGREE are refused.
     """
-    if not sigma.is_even():
+    # one walk: parity and the full cycle type are both read off the cycles
+    lengths = sorted(map(len, sigma.cycles()), reverse=True)
+    if sum(lengths) % 2 != len(lengths) % 2:
         raise OddPermutationError(f"{sigma} is odd; 3-cycles only generate A_n")
-    if sigma.is_identity():
+    if not lengths:
         return 0
-    degree = max(sigma.support()[-1], 5)
+    degree = max(max(sigma._map), 5)
     if ambient is not None:
         if ambient < degree:
             raise ValueError(f"ambient {ambient} does not contain the support")
@@ -468,4 +549,4 @@ def three_cycle_norm(sigma: Permutation, ambient: int | None = None) -> int:
         raise PermutationSearchError(
             f"3-cycle norm refused for A_{degree} (> A_{MAX_THREE_CYCLE_DEGREE})"
         )
-    return _three_cycle_table(degree)[_full_cycle_type(sigma.to_images(degree))]
+    return _three_cycle_table(degree)[(*lengths, *(1,) * (degree - sum(lengths)))]

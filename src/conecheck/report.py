@@ -177,7 +177,9 @@ class RunConfig:
     # 7.3-8.6 s at SO n 15, 8.1-10.2 s at 16 and 9.4 s at 17 on the per-pair
     # loop.  With one stack per SO n the suite takes 0.9-1.1 s at the defaults,
     # 1.3-1.5 s at SO n 15 and 1.6 s at 16, and run alone peaks at 51 and 57 MB
-    # RSS (47 MB for both in SO blocks)
+    # RSS (47 MB for both in SO blocks).  The 8 s holds for passing runs only:
+    # a faulty SPD stack kernel replays _spd_pairs, and that failure path at
+    # the caps (n 2..12, matrix_pairs 1500) takes 17.5-21.4 s of CPU and 63 MB
     triangular_max_n: int = _field(10, 1, 16, degree=True)
     spd_max_n: int = _field(8, 2, 12, degree=True)
     # SO(1) is the trivial group

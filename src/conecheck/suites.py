@@ -11,6 +11,7 @@ and a disagreement the reference does not explain fails as one more case.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -23,6 +24,7 @@ from . import coneprobe, cutting, intnorm, matnorm, products, quasimorphism, wor
 from .covering import (
     BlockSearchFailedError,
     HypothesisUnmetError,
+    _class_rows,
     _even_cycle_types,
     _rank_mask_brenner_check,
     _stacked_commutator_witnesses,
@@ -41,10 +43,11 @@ from .perms import (
     _full_cycle_type,
     _cycle_lengths,
     _cycle_norms,
-    _cycle_type_codes,
+    _images_of_type,
     _invert_images,
     _neighbour_columns,
     _rank_images,
+    _symmetric_arrays,
     _tuple_even,
     _unrank_images,
     commutator,
@@ -110,22 +113,22 @@ def _perm(images) -> Permutation:
 
 
 def _group_arrays(n, even=False):
-    """S_n, or A_n when even, as an (N, n) uint8 image array in rank order;
-    each row's supp, tr and number of odd cycles (fixed points included); the
-    row of each S_n rank (-1 off A_n); and the rows an oracle re-runs: evenly
-    spaced, and the first of each cycle type, so that every type is sampled."""
+    """S_n (_symmetric_arrays(n)), or A_n when even, as an (N, n) uint8 image
+    array in rank order; each row's supp, tr and number of odd cycles (fixed
+    points included); the row of each S_n rank (-1 off A_n); and the rows an
+    oracle re-runs: evenly spaced, and the first of each cycle type, so that
+    every type is sampled."""
     import numpy as np
 
-    images = _unrank_images(np.arange(math.factorial(n)), n)
-    lengths = _cycle_lengths(images)
+    images, lengths, codes = _symmetric_arrays(n)
     position = np.arange(len(images))
     if even:
         keep = _cycle_norms(lengths)[1] % 2 == 0
         position = np.where(keep, np.cumsum(keep) - 1, -1)
-        images, lengths = images[keep], lengths[keep]
+        images, lengths, codes = images[keep], lengths[keep], codes[keep]
     # np.union1d would import numpy.ma, about 1 MB of resident memory
     rows = sorted({*range(0, len(images), max(1, len(images) // ORACLE_SAMPLES)),
-                   *np.unique(_cycle_type_codes(lengths), return_index=True)[1].tolist()})
+                   *np.unique(codes, return_index=True)[1].tolist()})
     supp, tr = _cycle_norms(lengths)
     return images, supp, tr, (lengths % 2).sum(axis=1), position, rows
 
@@ -178,6 +181,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
         and the first neighbour of a sampled row that image-tuple composition
         disagrees with.  Columns as wordnorm.generating_set orders them."""
         gens = sorted({*gens, *map(_invert_images, gens)}, key=lambda s: str(_perm(s)))
+        sampled = {i: tuple(images[i].tolist()) for i in rows}
         at_rows = []
 
         def columns():
@@ -187,7 +191,7 @@ def run_norms(cfg: RunConfig) -> list[CheckResult]:
 
         held = wordnorm.certify_word_lengths(values, columns(), identity=0)
         disagreement, _ = _first_witness(
-            None if _compose_images(tuple(images[i].tolist()), s) == tuple(images[j].tolist())
+            None if _compose_images(sampled[i], s) == tuple(images[j].tolist())
             else f"neighbour columns disagree at {_perm(images[i])} times {_perm(s)}"
             for s, column in zip(gens, at_rows) for i, j in zip(rows, column))
         return held, disagreement
@@ -700,6 +704,50 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
     unmet_classes = []
     reports = []
 
+    # Each class is cut from the S_n image array (covering._class_rows) and
+    # every kernel reads the cut.  Its oracle checks the cut's size against
+    # n!/z (z the centraliser order) and that the canonical element conjugated
+    # by evenly spaced rows of S_n lands in it; the replay re-runs the class on
+    # conjugacy_class's members.
+    def class_case(n, ctype, seeded, members=None):
+        """brenner_check's report on the class, and its case: where a reference
+        kernel disagrees with it, the first such, else the class when it is
+        not covered."""
+        rep = canonical_of_type(ctype)
+        result = brenner_check(rep, n, members)
+        references = []
+        if n <= _TUPLE_REFERENCE_MAX_DEGREE:
+            references.append(("tuple reference", _tuple_brenner_check(rep, n, members)))
+        if seeded:
+            references.append(("rank-mask oracle", _rank_mask_brenner_check(rep, n, members)))
+        held = result.covered and result.exponent <= 4
+        return result, next((f"A_{n} type {ctype}: exponent {result.exponent} from the type "
+                             f"kernel, {other.exponent} from the {name}"
+                             for name, other in references if other.exponent != result.exponent),
+                            None if held else f"A_{n} type {ctype}")
+
+    def cut_oracle(n, ctype):
+        images = _symmetric_arrays(n)[0]
+        cut = _class_rows(ctype, n)
+        counts = collections.Counter(ctype)
+        counts[1] = n - sum(ctype)
+        size = math.factorial(n) // math.prod(
+            k ** m * math.factorial(m) for k, m in counts.items())
+        yield None if len(cut) == size else \
+            f"A_{n} type {ctype}: {len(cut)} rows cut, class size {size}"
+        inside = np.zeros(len(images), dtype=bool)
+        inside[_rank_images(cut)] = True
+        taus = images[::max(1, len(images) // ORACLE_SAMPLES)]
+        canonical = np.array(_images_of_type(ctype, n), dtype=np.uint8)
+        # tau, then the canonical element, then tau^-1
+        conjugates = np.take_along_axis(np.argsort(taus, axis=1), canonical[taus], axis=1)
+        for tau, held in zip(taus, inside[_rank_images(conjugates)].tolist()):
+            yield None if held else f"A_{n} type {ctype}: not cut at its conjugate by {_perm(tau)}"
+
+    def replay_cases(n, ctype, seeded):
+        members = sorted(conjugacy_class(canonical_of_type(ctype), n).members)
+        yield class_case(n, ctype, seeded, members)[1]
+
     def brenner_cases():
         rng = np.random.default_rng((cfg.seed, 11))
         for n in cfg.brenner_degrees:
@@ -712,19 +760,10 @@ def run_covering(cfg: RunConfig) -> list[CheckResult]:
                 if reason is not None:
                     unmet_classes.append(f"A_{n} type {ctype}: {reason}")
                     continue
-                rep = canonical_of_type(ctype)
-                result = brenner_check(rep, n)
+                result, witness = class_case(n, ctype, ctype == oracle)
                 reports.append(result)
-                references = []
-                if n <= _TUPLE_REFERENCE_MAX_DEGREE:
-                    references.append(("tuple reference", _tuple_brenner_check(rep, n)))
-                if ctype == oracle:
-                    references.append(("rank-mask oracle", _rank_mask_brenner_check(rep, n)))
-                held = result.covered and result.exponent <= 4
-                yield next((f"A_{n} type {ctype}: exponent {result.exponent} from the type "
-                            f"kernel, {other.exponent} from the {name}"
-                            for name, other in references if other.exponent != result.exponent),
-                           None if held else f"A_{n} type {ctype}")
+                yield from _batched_cases(1, witness is None, cut_oracle(n, ctype),
+                                          replay_cases(n, ctype, ctype == oracle))
 
     bad, _ = _first_witness(brenner_cases())
     checks.append(PASS(

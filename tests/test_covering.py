@@ -1,10 +1,12 @@
 """Brenner covering, Ore commutator witnesses and conjugate-product
 certificates."""
 
+import ast
 import itertools
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,34 @@ def test_alternating_mask_is_the_tuple_parity(n):
     assert not mask.flags.writeable
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_cut_classes_are_the_conjugacy_classes(n):
+    # every even type of S_n: the rows of the S_n array with the type's code
+    # are the class the adjacent-swap BFS builds, in sorted tuple order
+    for cycle_type in _cycle_types(n):
+        sigma = canonical_of_type(cycle_type)
+        if not sigma.is_even():
+            continue
+        cut = [tuple(row) for row in covering._class_rows(cycle_type, n).tolist()]
+        assert cut == sorted(conjugacy_class(sigma, n).members), cycle_type
+
+
+def test_covering_enumerates_groups_only_through_the_cached_array():
+    # S_n and A_n as whole image arrays come from perms._symmetric_arrays
+    # alone, in covering.py and in the norms suite's _group_arrays: neither
+    # unranks a whole group again
+    def called(node):
+        return {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+    source = Path(covering.__file__).read_text()
+    group_arrays = next(node for node in ast.walk(ast.parse(Path(suites.__file__).read_text()))
+                        if isinstance(node, ast.FunctionDef) and node.name == "_group_arrays")
+    assert "_unrank_images" not in source
+    assert "_unrank_images" not in called(group_arrays)
+    assert "_symmetric_arrays" in called(ast.parse(source)) & called(group_arrays)
+
+
 def _brenner_row(degrees):
     cfg = RunConfig.small()
     cfg.brenner_degrees = degrees
@@ -193,12 +223,45 @@ def test_uncovered_class_off_the_oracle_fails_on_the_verdict(monkeypatch):
     assert (row.status, row.sample_size, row.witness) == ("fail", 210 + 630, "A_7 type (4, 2)")
 
 
+def _other_type_code(monkeypatch):
+    # the cut of (4, 2) in S_6 given the code of (2, 2): 45 rows, not 90
+    code = covering._type_code
+    monkeypatch.setattr(covering, "_type_code",
+                        lambda t, n: code((2, 2) if t == (4, 2) else t, n))
+
+
+def _odd_coset(monkeypatch):
+    # the cut of (4, 2) in S_6 moved by (1 2): 90 rows, none of them in the class
+    rows = covering._class_rows
+
+    def moved(t, n):
+        cut = rows(t, n)
+        return cut[:, [1, 0, *range(2, n)]] if t == (4, 2) else cut
+    monkeypatch.setattr(covering, "_class_rows", moved)
+    monkeypatch.setattr(suites, "_class_rows", moved)
+
+
+@pytest.mark.parametrize("corrupt, sample_size, witness", [
+    (_other_type_code, 45, "A_6 type (4, 2): 45 rows cut, class size 90"),
+    (_odd_coset, 90, "A_6 type (4, 2): not cut at its conjugate by ()"),
+], ids=["wrong_code", "odd_coset"])
+def test_a_wrong_cut_fails_through_the_class_oracle(monkeypatch, corrupt, sample_size, witness):
+    # the kernels read the wrong rows; the replay on conjugacy_class's
+    # members passes, and the cut's size or conjugate oracle is the one
+    # failing case
+    corrupt(monkeypatch)
+    row = _brenner_row((6,))
+    assert (row.status, row.sample_size, row.witness) == ("fail", sample_size, witness)
+
+
 def test_exhaustive_run_reruns_only_the_oracle_samples(monkeypatch):
     # the rank masks re-run one class per degree, and commutator_witness at
-    # most ORACLE_SAMPLES elements per degree; the replays never run.  Every
-    # kernel of a class shares one conjugacy_class build per (cycle type,
-    # degree): 8 for brenner and 2 for class_closure, where each check of a
-    # class once built its own (19 calls)
+    # most ORACLE_SAMPLES elements per degree; the replays never run.  Brenner
+    # classes are cut from the S_n array, so conjugacy_class builds only the 2
+    # classes of class_closure and the 3 certificate windows of
+    # _window_class, (4, 2) in A_7, (3, 2, 2) in A_8 and (2, 2) in A_5, which
+    # brenner's class builds once filled (10 calls, and 19 when each check
+    # of a class built its own)
     calls = {"_covering_exponent": 0, "commutator_witness": 0, "conjugacy_class": 0}
 
     def counted(module, name):
@@ -217,7 +280,7 @@ def test_exhaustive_run_reruns_only_the_oracle_samples(monkeypatch):
     rows = run_covering(RunConfig(brenner_degrees=(5, 6, 7, 8), ore_degrees=(5, 6, 7)))
     assert all(row.status == "pass" for row in rows)
     assert calls["_covering_exponent"] == 4
-    assert calls["conjugacy_class"] == 10
+    assert calls["conjugacy_class"] == 5
     assert calls["commutator_witness"] <= 3 * suites.ORACLE_SAMPLES
 
 

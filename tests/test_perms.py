@@ -21,8 +21,10 @@ from conecheck.perms import (
     _cycle_norms,
     _cycle_type_codes,
     _cycle_walk,
+    _adjacent_word,
     _neighbour_columns,
     _rank_images,
+    _symmetric_arrays,
     _three_cycle_table,
     _unrank_images,
     commutator,
@@ -311,6 +313,29 @@ class TestImageRanks:
         assert (_rank_images(rows) == np.arange(math.factorial(n))).all()
         assert (_unrank_images(np.arange(math.factorial(n)), n) == rows).all()
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symmetric_arrays_are_the_unranked_group(self, n):
+        images, lengths, codes = _symmetric_arrays(n)
+        assert images.dtype == np.uint8
+        assert np.array_equal(images, _unrank_images(np.arange(math.factorial(n)), n))
+        assert np.array_equal(lengths, _cycle_lengths(images))
+        assert np.array_equal(codes, _cycle_type_codes(lengths))
+        # cached, so callers share one array and none may write to it
+        assert _symmetric_arrays(n)[0] is images
+        assert not any(a.flags.writeable for a in (images, lengths, codes))
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))))
+    def test_adjacent_word_composes_to_its_permutation(self, s):
+        word = _adjacent_word(tuple(s))
+        product = tuple(range(len(s)))
+        for a in word:  # left to right: each swap relabels the values a, a + 1
+            swap = list(range(len(s)))
+            swap[a], swap[a + 1] = a + 1, a
+            product = _compose_images(product, tuple(swap))
+        assert product == tuple(s)
+        # one swap per inversion: the word is as short as any
+        assert len(word) == sum(x > y for x, y in itertools.combinations(s, 2))
+
 
 class TestImageArrayNorms:
     @pytest.mark.parametrize("n", range(1, 8))
@@ -351,7 +376,8 @@ class TestImageArrayNorms:
         types = [_full_cycle_type(t) for t in itertools.permutations(range(n))]
         assert len(set(zip(codes, types))) == len(set(codes)) == len(set(types))
 
-    @pytest.mark.parametrize("n, even", [(4, False), (5, False), (5, True), (6, True)])
+    @pytest.mark.parametrize("n, even", [(4, False), (5, False), (5, True), (6, True),
+                                         (7, True), (8, False)])
     def test_neighbour_columns_are_products(self, n, even):
         # position maps each S_n rank to its row, -1 off the carrier
         elements = [t for t in itertools.permutations(range(n))
@@ -361,8 +387,51 @@ class TestImageArrayNorms:
         position[_rank_images(rows)] = np.arange(len(rows))
         gens = three_cycle_generators(n) if even else [
             t for t in itertools.permutations(range(n)) if sum(a != b for a, b in enumerate(t)) == 2]
-        for s, column in zip(gens, _neighbour_columns(rows, gens, position)):
-            assert [elements[j] for j in column] == [_compose_images(g, s) for g in elements]
+        columns = list(_neighbour_columns(rows, gens, position))
+        assert len(columns) == len(gens)
+        for s, column in zip(gens, columns):
+            # row j is g then s, for g the row the column starts from
+            assert np.array_equal(rows[column], np.array(s, dtype=np.uint8)[rows])
+        # and on image tuples, at every 97th element
+        for s, column in zip(gens, columns):
+            assert [elements[j] for j in column[::97]] \
+                == [_compose_images(g, s) for g in elements[::97]]
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.integers(0, 2 ** 32 - 1), st.lists(st.permutations(range(n)), min_size=1, max_size=4))))
+    def test_neighbour_columns_are_the_reranked_products(self, case):
+        # any carrier, closed or not, in rank order or not, and any
+        # generators: the column is the position of the re-ranked product,
+        # -1 where it leaves the carrier
+        seed, gens = case
+        n = len(gens[0])
+        rng = np.random.default_rng(seed)
+        keep = rng.random(math.factorial(n)) < rng.random()
+        ranks = np.flatnonzero(keep)[::-1]  # rows in falling rank order
+        images = _unrank_images(ranks, n)
+        position = np.full(math.factorial(n), -1)
+        position[ranks] = np.arange(len(ranks))
+        for s, column in zip(gens, _neighbour_columns(images, gens, position)):
+            assert np.array_equal(
+                column, position[_rank_images(np.array(s, dtype=np.uint8)[images])])
+
+    def test_a_flipped_adjacent_step_fails_through_the_neighbour_oracle(self, monkeypatch):
+        # the step of the swap (1 2) taken with its sign flipped: the word
+        # lengths are not certified, the BFS table replays and passes, and the
+        # sampled composition oracle names the first wrong neighbour
+        steps = perms._adjacent_rank_steps
+
+        def flipped(n):
+            table = steps(n).astype(np.int64)
+            ranks = np.arange(table.shape[1])
+            table[0] = (2 * ranks - table[0]) % len(ranks)
+            return table
+        monkeypatch.setattr(perms, "_adjacent_rank_steps", flipped)
+        rows = {r.check_id: (r.status, r.sample_size, r.witness)
+                for r in run_norms(RunConfig.small())}
+        assert rows["norms.sandwich_s7"] == ("pass", 120, None)
+        assert rows["norms.bfs_tr_agreement"] == \
+            ("fail", 120, "neighbour columns disagree at () times (1 2)")
 
 
 def walk_sites(snippet):

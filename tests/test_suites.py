@@ -409,9 +409,9 @@ def _gate_accepts(monkeypatch):
     # brenner_check returns None where it should raise HypothesisUnmetError
     check = suites.brenner_check
 
-    def lenient(sigma, n):
+    def lenient(sigma, n, members=None):
         try:
-            return check(sigma, n)
+            return check(sigma, n, members)
         except suites.HypothesisUnmetError:
             return None
     monkeypatch.setattr(suites, "brenner_check", lenient)
